@@ -13,9 +13,9 @@ Modules
 signals
     Jamming waveform generators (Gaussian, tones, modulated).
 channel
-    Rician fading draws, received-signal composition, SINR.
+    Rician fading draws, SINR.
 modem
-    Amplification encoder, energy detector, threshold estimation.
+    Received block energies, energy detector, threshold estimation.
 theory
     Closed-form BER, thresholds, energy laws, asymptotics.
 capacity
@@ -25,8 +25,7 @@ baselines
 harness
     Config-driven sweep runner, presets fig2..fig8, CSV emission.
 kernels
-    Numba-accelerated hot loops with a numpy fallback
-    (set JAMLINK_NO_NUMBA=1 to force the fallback).
+    Vectorized numpy hot loops (energy accumulation, tone synthesis).
 """
 
 from . import baselines, capacity, channel, config, harness, kernels, modem, signals, theory
@@ -35,7 +34,7 @@ from .capacity import (CapacityResult, QuadratureConfig, dt_capacity,
                        mutual_information)
 from .capacity import capacity as channel_capacity
 from .capacity import mi_derivative
-from .channel import ChannelDraw, RicianParams, compose_received, draw_channel, sinr
+from .channel import ChannelDraw, RicianParams, draw_channel, sinr
 from .errors import (ConfigError, DegenerateChannelError,
                      DegenerateThresholdError, JamlinkError,
                      NumericalFailureError, UnboundedLimitError)
@@ -43,15 +42,14 @@ from .harness import (Curve, ExperimentConfig, SweepResult, config_from_file,
                       emit_csv, preset_config, run_ber_sweep,
                       run_capacity_sweep)
 from .mc import BerEstimate, wilson_interval
-from .modem import (FrameConfig, ThresholdEstimate, build_preamble, decode,
-                    encode_frame, estimate_threshold, run_link,
-                    symbol_energies)
+from .modem import (FrameConfig, ThresholdEstimate, block_energies,
+                    build_preamble, decode, estimate_threshold, run_link)
 from .signals import (JammerKind, JammerSpec, ToneSet, average_power,
                       gen_cscg, gen_modulated, gen_tone_sum, make_toneset,
                       prepare_jammer)
 from .theory import (ConditionalVariances, DeterministicEnergies,
                      ber_det, ber_det_noncentral, ber_gaussian_approx,
-                     ber_general, ber_random, delta2, energy_pdf_random,
+                     ber_random, delta2, energy_pdf_random,
                      optimal_threshold_det, optimal_threshold_random, q_det,
                      refine_threshold_det, sinr_limit, variances)
 
@@ -69,15 +67,15 @@ __all__ = [
     "JammerKind", "JammerSpec", "ToneSet", "gen_cscg", "make_toneset",
     "gen_tone_sum", "gen_modulated", "average_power", "prepare_jammer",
     # channel
-    "RicianParams", "ChannelDraw", "draw_channel", "compose_received", "sinr",
+    "RicianParams", "ChannelDraw", "draw_channel", "sinr",
     # modem
-    "FrameConfig", "ThresholdEstimate", "build_preamble", "encode_frame",
-    "symbol_energies", "estimate_threshold", "decode", "run_link",
+    "FrameConfig", "ThresholdEstimate", "build_preamble", "block_energies",
+    "estimate_threshold", "decode", "run_link",
     # theory
     "ConditionalVariances", "DeterministicEnergies", "delta2", "variances",
     "energy_pdf_random", "optimal_threshold_random", "ber_random", "q_det",
     "ber_det", "ber_det_noncentral", "optimal_threshold_det",
-    "refine_threshold_det", "ber_general", "ber_gaussian_approx", "sinr_limit",
+    "refine_threshold_det", "ber_gaussian_approx", "sinr_limit",
     # capacity
     "QuadratureConfig", "CapacityResult", "mutual_information",
     "mi_derivative", "channel_capacity", "dt_capacity",

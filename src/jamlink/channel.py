@@ -1,4 +1,4 @@
-"""Rician block-fading draws and received-signal composition.
+"""Rician block-fading draws and the SINR of one draw.
 
 The link has three complex gains: h1 (jammer to transmitter), h2
 (transmitter to receiver) and h3 (jammer to receiver).  Within one block all
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["RicianParams", "ChannelDraw", "draw_channel", "compose_received", "sinr"]
+__all__ = ["RicianParams", "ChannelDraw", "draw_channel", "sinr"]
 
 
 @dataclass(frozen=True)
@@ -81,32 +81,6 @@ def draw_channel(params, sigma2_R, n_tau, rng):
     h1, h2, h3 = los_w * los + sc_w * scatter
     return ChannelDraw(h1=complex(h1), h2=complex(h2), h3=complex(h3),
                        sigma2_R=float(sigma2_R), n_tau=int(n_tau))
-
-
-def compose_received(jam, amps, ch, rng):
-    """Compose the received block y from a jamming block and amplifications.
-
-    ``amps`` holds one real amplification factor per output sample.  The
-    jamming block must carry ``ch.n_tau`` look-back samples in front, i.e.
-    ``len(jam) == len(amps) + ch.n_tau``; ``jam[ch.n_tau + m]`` is the
-    jammer sample aligned with output sample ``m`` and ``jam[m]`` is its
-    delayed copy on the direct jammer-to-receiver path.
-
-    Returns ``h1*h2*amps*jam_aligned + h3*jam_delayed + z`` with ``z``
-    i.i.d. CN(0, sigma2_R).
-    """
-    jam = np.asarray(jam, dtype=np.complex128)
-    amps = np.asarray(amps, dtype=np.float64)
-    n = amps.shape[0]
-    if jam.shape[0] != n + ch.n_tau:
-        raise ValueError(
-            f"jam block must carry {ch.n_tau} look-back samples: "
-            f"expected length {n + ch.n_tau}, got {jam.shape[0]}")
-    rng = np.random.default_rng(rng)
-    z = np.sqrt(ch.sigma2_R) * _cn01(rng, n)
-    aligned = jam[ch.n_tau:]
-    delayed = jam[:n]
-    return (ch.h1 * ch.h2) * amps * aligned + ch.h3 * delayed + z
 
 
 def sinr(ch, a_k, P_J, jamming_is_random):

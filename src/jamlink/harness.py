@@ -12,6 +12,7 @@ order, so results do not depend on the thread count.
 import csv
 import math
 import os
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -21,7 +22,7 @@ from . import baselines, capacity as cap, channel, kernels, modem, signals, theo
 from .capacity import QuadratureConfig
 from .channel import ChannelDraw, RicianParams
 from .config import coerce, load_config
-from .errors import ConfigError, DegenerateChannelError
+from .errors import ConfigError
 from .mc import BerEstimate
 from .modem import FrameConfig
 from .signals import JammerKind, JammerSpec
@@ -45,9 +46,6 @@ _STREAM_BLOCKS = 1
 _STREAM_BASELINE = 2
 
 PRESET_NAMES = ("fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8")
-
-_CONSTANT_ENVELOPE = (JammerKind.MOD_BPSK, JammerKind.MOD_QPSK)
-
 
 @dataclass(frozen=True)
 class Curve:
@@ -417,73 +415,117 @@ def _draw_block_channel(cfg, rng):
     return channel.draw_channel(cfg.rician, cfg.sigma2_R, cfg.n_tau, rng)
 
 
-def _det_levels(spec, ch, frame, n_tot, offset):
-    """Block-averaged deterministic energy levels for a tonal jammer."""
+# ---------------------------------------------------------------------------
+# detection models: one table entry per jammer kind
+
+
+def _variance_levels(spec, ch, frame, n_tot, offset):
+    """Conditional variances of the received samples for both symbols."""
+    return theory.variances(ch, frame.a1, frame.a2, spec.power)
+
+
+def _envelope_levels(spec, ch, frame, n_tot, offset):
+    """Exact per-symbol energy levels for constant-envelope modulated jamming."""
+    h12 = ch.h1 * ch.h2
+    e1 = abs(h12 * frame.a1 + ch.h3) ** 2 * spec.power
+    e2 = abs(h12 * frame.a2 + ch.h3) ** 2 * spec.power
+    lo, hi = sorted((float(e1), float(e2)))
+    return theory.DeterministicEnergies(qd_1=lo, qd_2=hi, sigma2_R=ch.sigma2_R)
+
+
+def _tone_levels(spec, ch, frame, n_tot, offset):
+    """Deterministic energy levels of a tonal jammer, averaged over the block."""
     s = signals.gen_tone_sum(spec.toneset, n_tot, offset)
     s_del = signals.gen_tone_sum(spec.toneset, n_tot, offset - ch.n_tau) \
         if ch.n_tau else s
     h12 = ch.h1 * ch.h2
     e1 = float(np.mean(np.abs(h12 * frame.a1 * s + ch.h3 * s_del) ** 2))
     e2 = float(np.mean(np.abs(h12 * frame.a2 * s + ch.h3 * s_del) ** 2))
-    return e1, e2
+    lo, hi = sorted((e1, e2))
+    return theory.DeterministicEnergies(qd_1=lo, qd_2=hi, sigma2_R=ch.sigma2_R)
 
 
-def _envelope_levels(spec, ch, frame):
-    """Exact per-symbol energy levels for constant-envelope modulated jamming."""
-    h12 = ch.h1 * ch.h2
-    e1 = abs(h12 * frame.a1 + ch.h3) ** 2 * spec.power
-    e2 = abs(h12 * frame.a2 + ch.h3) ** 2 * spec.power
-    return float(e1), float(e2)
+def _gamma_threshold(v, frame):
+    return theory.optimal_threshold_random(v, frame.p1, frame.p2, frame.N)
 
 
-def _exact_threshold(spec, ch, frame, pj, n_tot, offset):
-    """Detection threshold from true per-block quantities (no preamble)."""
-    kind = spec.kind
-    if kind is JammerKind.RANDOM_BROADBAND or kind is JammerKind.MOD_16QAM:
-        v = theory.variances(ch, frame.a1, frame.a2, pj)
-        return theory.optimal_threshold_random(v, frame.p1, frame.p2, frame.N)
-    if kind in _CONSTANT_ENVELOPE:
-        lo, hi = sorted(_envelope_levels(spec, ch, frame))
-        d = theory.DeterministicEnergies(qd_1=lo, qd_2=hi, sigma2_R=ch.sigma2_R)
-        return theory.refine_threshold_det(d, frame.p1, frame.p2, frame.N,
-                                           ber_fn=theory.ber_det_noncentral)
-    lo, hi = sorted(_det_levels(spec, ch, frame, n_tot, offset))
-    d = theory.DeterministicEnergies(qd_1=lo, qd_2=hi, sigma2_R=ch.sigma2_R)
+def _noncentral_threshold(d, frame):
     return theory.refine_threshold_det(d, frame.p1, frame.p2, frame.N,
                                        ber_fn=theory.ber_det_noncentral)
 
 
-def _theory_columns(spec, ch, frame, pj, n_tot, offset):
-    """(ber_theory, ber_gauss, sinr) predictions for one block."""
-    kind = spec.kind
+def _gamma_theory(v, frame):
+    t = _gamma_threshold(v, frame)
+    return (theory.ber_random(v, frame.p1, frame.p2, frame.N, t),
+            theory.ber_gaussian_approx(v, frame.p1, frame.p2, frame.N, t))
+
+
+def _noncentral_theory(d, frame):
+    t = _noncentral_threshold(d, frame)
+    return theory.ber_det_noncentral(d, frame.p1, frame.p2, frame.N, t), math.nan
+
+
+def _shifted_gamma_theory(d, frame):
+    # the shifted-gamma approximation at its own optimum, a labelled
+    # comparison rather than the exact law
+    t = theory.refine_threshold_det(d, frame.p1, frame.p2, frame.N)
+    return theory.ber_det(d, frame.p1, frame.p2, frame.N, t), math.nan
+
+
+@dataclass(frozen=True)
+class _Model:
+    """How the detector and the theory columns treat one jammer kind.
+
+    ``levels(spec, ch, frame, n_tot, offset)`` gives a block's two levels
+    for the ``n_tot`` payload samples from ``offset``; ``threshold(levels,
+    frame)`` is the exact-mode detection threshold; ``theory(levels,
+    frame)`` gives ``(ber_theory, ber_gauss)``, or is None where no closed
+    form applies.  ``random`` counts the direct jammer path as interference
+    in the SINR.
+    """
+
+    levels: Callable
+    threshold: Callable
+    theory: Callable | None
+    random: bool
+
+
+_ENVELOPE = _Model(_envelope_levels, _noncentral_threshold, _noncentral_theory,
+                   True)
+_TONES = _Model(_tone_levels, _noncentral_threshold, _shifted_gamma_theory,
+                False)
+_MODELS = {
+    JammerKind.RANDOM_BROADBAND: _Model(_variance_levels, _gamma_threshold,
+                                        _gamma_theory, True),
+    # no closed form for the 16QAM envelope mixture; simulate only
+    JammerKind.MOD_16QAM: _Model(_variance_levels, _gamma_threshold, None, True),
+    JammerKind.MOD_BPSK: _ENVELOPE,
+    JammerKind.MOD_QPSK: _ENVELOPE,
+    JammerKind.SINGLE_TONE: _TONES,
+    JammerKind.MULTI_TONE: _TONES,
+    JammerKind.NARROWBAND: _TONES,
+    JammerKind.DET_BROADBAND: _TONES,
+}
+
+
+def _theory_columns(model, levels, ch, frame, pj):
+    """(ber_theory, ber_gauss, sinr) predictions for one block.
+
+    ``levels`` is None when the block's levels were rejected; that, or a
+    closed form rejecting them, makes all three columns NaN.
+    """
+    nan3 = (math.nan, math.nan, math.nan)
+    if levels is None and model.theory is not None:
+        return nan3
     try:
-        if kind is JammerKind.RANDOM_BROADBAND:
-            v = theory.variances(ch, frame.a1, frame.a2, pj)
-            t = theory.optimal_threshold_random(v, frame.p1, frame.p2, frame.N)
-            return (theory.ber_random(v, frame.p1, frame.p2, frame.N, t),
-                    theory.ber_gaussian_approx(v, frame.p1, frame.p2, frame.N, t),
-                    channel.sinr(ch, frame.a2, pj, True))
-        if kind in _CONSTANT_ENVELOPE:
-            lo, hi = sorted(_envelope_levels(spec, ch, frame))
-            d = theory.DeterministicEnergies(qd_1=lo, qd_2=hi,
-                                             sigma2_R=ch.sigma2_R)
-            t = theory.refine_threshold_det(d, frame.p1, frame.p2, frame.N,
-                                            ber_fn=theory.ber_det_noncentral)
-            return (theory.ber_det_noncentral(d, frame.p1, frame.p2, frame.N, t),
-                    math.nan, channel.sinr(ch, frame.a2, pj, True))
-        if kind is JammerKind.MOD_16QAM:
-            # no closed form for the envelope mixture; simulate only
-            return (math.nan, math.nan, channel.sinr(ch, frame.a2, pj, True))
-        lo, hi = sorted(_det_levels(spec, ch, frame, n_tot, offset))
-        d = theory.DeterministicEnergies(qd_1=lo, qd_2=hi, sigma2_R=ch.sigma2_R)
-        t = theory.refine_threshold_det(d, frame.p1, frame.p2, frame.N)
-        return (theory.ber_det(d, frame.p1, frame.p2, frame.N, t),
-                math.nan, channel.sinr(ch, frame.a2, pj, False))
-    except (DegenerateChannelError, ValueError):
-        return math.nan, math.nan, math.nan
+        ber, gauss = model.theory(levels, frame) if model.theory \
+            else (math.nan, math.nan)
+        return ber, gauss, channel.sinr(ch, frame.a2, pj, model.random)
+    except ValueError:  # DegenerateChannelError included
+        return nan3
 
 
-def _run_ber_block(cfg, spec, curve, frame, pj, axis_i, curve_i, block_i):
+def _run_ber_block(cfg, spec, curve, frame, axis_i, curve_i, block_i):
     """Simulate one block; returns (errors, ber_theory, ber_gauss, sinr)."""
     ss = np.random.SeedSequence(cfg.master_seed,
                                 spawn_key=(_STREAM_BLOCKS, axis_i, curve_i,
@@ -493,28 +535,27 @@ def _run_ber_block(cfg, spec, curve, frame, pj, axis_i, curve_i, block_i):
     nbits = cfg.payload_bits_per_block
     payload = (rng.random(nbits) < frame.p2).astype(np.int64)
 
-    if curve.threshold_mode == "estimated":
-        block_syms = frame.M + nbits
-        offset = block_i * block_syms * frame.N
-        decoded, _, _ = modem.run_link(spec, ch, frame, payload, rng,
-                                       sample_offset=offset)
+    model = _MODELS[spec.kind]
+    exact = curve.threshold_mode == "exact"
+    n_tot = nbits * frame.N
+    offset = block_i * n_tot
+    try:
+        levels = model.levels(spec, ch, frame, n_tot, offset)
+    except ValueError:
+        if exact:
+            raise
+        levels = None
+
+    if exact:
+        q = modem.block_energies(spec, ch, frame, payload, rng, offset)
+        decoded = modem.decode(q, model.threshold(levels, frame))
     else:
-        n_tot = nbits * frame.N
-        offset = block_i * n_tot
-        amps_sym = np.where(payload == 0, float(frame.a1), float(frame.a2))
-        jam = signals.gen_jammer_block(spec, n_tot + ch.n_tau,
-                                       offset - ch.n_tau, rng)
-        noise = math.sqrt(ch.sigma2_R / 2.0) * (
-            rng.standard_normal(n_tot) + 1j * rng.standard_normal(n_tot))
-        q = kernels.compose_energies(jam[ch.n_tau:], jam[:n_tot], noise,
-                                     amps_sym, ch.h1 * ch.h2, ch.h3, frame.N)
-        t_hat = _exact_threshold(spec, ch, frame, pj, n_tot, offset)
-        decoded = modem.decode(q, t_hat)
+        link_offset = block_i * (frame.M + nbits) * frame.N
+        decoded, _, _ = modem.run_link(spec, ch, frame, payload, rng,
+                                       sample_offset=link_offset)
 
     errors = int(np.count_nonzero(decoded != payload))
-    th, ga, s = _theory_columns(spec, ch, frame, pj,
-                                nbits * frame.N, block_i * nbits * frame.N)
-    return errors, th, ga, s
+    return (errors,) + _theory_columns(model, levels, ch, frame, spec.power)
 
 
 def _run_baseline_point(cfg, scheme_i, axis_i, jnr_db, trials):
@@ -569,7 +610,7 @@ def run_ber_sweep(cfg, progress=None):
             for curve_i, curve in enumerate(cfg.curves):
                 spec = _spec_at_power(prepared[curve_i], pj)
                 futures = [
-                    pool.submit(_run_ber_block, cfg, spec, curve, frame, pj,
+                    pool.submit(_run_ber_block, cfg, spec, curve, frame,
                                 axis_i, curve_i, block_i)
                     for block_i in range(cfg.blocks)]
                 out = np.array([f.result() for f in futures], dtype=np.float64)

@@ -1,117 +1,39 @@
-"""Hot numeric kernels with an optional numba backend.
+"""Hot numeric kernels, vectorized with numpy.
 
 The Monte Carlo inner loop (compose the received block, integrate per-symbol
-energy) and tone-sum synthesis dominate runtime.  Both exist in two variants:
-a fused numba ``@njit`` version and a vectorized pure-numpy version.  The
-active backend is chosen at import time:
-
-  - ``JAMLINK_NO_NUMBA=1`` in the environment forces the numpy path;
-  - otherwise numba is used when importable, numpy when not.
-
-All random numbers are drawn by the caller through ``numpy.random.Generator``
-before entering a kernel, so both backends consume identical random streams
-and produce the same results up to floating-point summation order.
-``BACKEND`` reports which implementation is live.
+energy) and tone-sum synthesis dominate runtime.  All random numbers are
+drawn by the caller through ``numpy.random.Generator`` before entering a
+kernel, so the kernels themselves are deterministic.  ``BACKEND`` names the
+implementation and is recorded in sweep metadata.
 """
-
-import os
 
 import numpy as np
 
 __all__ = ["BACKEND", "compose_energies", "tone_sum"]
 
+BACKEND = "numpy"
 
-def _np_compose_energies(jam, jam_delayed, noise, amps, h12, h3, n_per_symbol):
+
+def compose_energies(jam, jam_delayed, noise, amps, h12, h3, n_per_symbol):
     """Per-symbol average energies of h12*a*jam + h3*jam_delayed + noise.
 
     ``amps`` holds one amplification factor per symbol; each applies to
     ``n_per_symbol`` consecutive samples.
     """
+    amps = np.asarray(amps, dtype=np.float64)
+    n_per_symbol = int(n_per_symbol)
     a = np.repeat(amps, n_per_symbol)
-    y = h12 * a * jam + h3 * jam_delayed + noise
+    y = complex(h12) * a * jam + complex(h3) * jam_delayed + noise
     e = y.real * y.real + y.imag * y.imag
     return e.reshape(amps.shape[0], n_per_symbol).sum(axis=1) / n_per_symbol
 
 
-def _np_tone_sum(tone_amps, freqs, phases, start, n):
-    m = np.arange(start, start + n, dtype=np.float64)
+def tone_sum(tone_amps, freqs, phases, start, n):
+    """Real cosine sum: sum_j a_j*cos(2*pi*f_j*(start+m) + phi_j), m = 0..n-1."""
+    tone_amps = np.asarray(tone_amps, dtype=np.float64)
+    freqs = np.asarray(freqs, dtype=np.float64)
+    phases = np.asarray(phases, dtype=np.float64)
+    start = int(start)
+    m = np.arange(start, start + int(n), dtype=np.float64)
     arg = 2.0 * np.pi * freqs[:, None] * m[None, :] + phases[:, None]
     return (tone_amps[:, None] * np.cos(arg)).sum(axis=0)
-
-
-_use_numba = os.environ.get("JAMLINK_NO_NUMBA", "") != "1"
-if _use_numba:
-    try:
-        import numba as nb
-    except ImportError:
-        _use_numba = False
-
-if _use_numba:
-
-    @nb.njit(cache=True, nogil=True)
-    def _nb_compose_energies(jam_re, jam_im, jd_re, jd_im, nz_re, nz_im,
-                             amps, h12_re, h12_im, h3_re, h3_im, n_per_symbol):
-        nsym = amps.shape[0]
-        q = np.empty(nsym, dtype=np.float64)
-        idx = 0
-        for s in range(nsym):
-            a = amps[s]
-            cr = h12_re * a
-            ci = h12_im * a
-            acc = 0.0
-            for _ in range(n_per_symbol):
-                yr = cr * jam_re[idx] - ci * jam_im[idx] \
-                    + h3_re * jd_re[idx] - h3_im * jd_im[idx] + nz_re[idx]
-                yi = cr * jam_im[idx] + ci * jam_re[idx] \
-                    + h3_re * jd_im[idx] + h3_im * jd_re[idx] + nz_im[idx]
-                acc += yr * yr + yi * yi
-                idx += 1
-            q[s] = acc / n_per_symbol
-        return q
-
-    @nb.njit(cache=True, nogil=True)
-    def _nb_tone_sum(tone_amps, freqs, phases, start, n):
-        out = np.zeros(n, dtype=np.float64)
-        for j in range(tone_amps.shape[0]):
-            w = 2.0 * np.pi * freqs[j]
-            aj = tone_amps[j]
-            pj = phases[j]
-            for m in range(n):
-                out[m] += aj * np.cos(w * (start + m) + pj)
-        return out
-
-    BACKEND = "numba"
-
-    def compose_energies(jam, jam_delayed, noise, amps, h12, h3, n_per_symbol):
-        return _nb_compose_energies(
-            np.ascontiguousarray(jam.real), np.ascontiguousarray(jam.imag),
-            np.ascontiguousarray(jam_delayed.real), np.ascontiguousarray(jam_delayed.imag),
-            np.ascontiguousarray(noise.real), np.ascontiguousarray(noise.imag),
-            np.ascontiguousarray(amps, dtype=np.float64),
-            float(h12.real), float(h12.imag), float(h3.real), float(h3.imag),
-            int(n_per_symbol))
-
-    def tone_sum(tone_amps, freqs, phases, start, n):
-        return _nb_tone_sum(
-            np.ascontiguousarray(tone_amps, dtype=np.float64),
-            np.ascontiguousarray(freqs, dtype=np.float64),
-            np.ascontiguousarray(phases, dtype=np.float64),
-            int(start), int(n))
-
-else:
-    BACKEND = "numpy"
-
-    def compose_energies(jam, jam_delayed, noise, amps, h12, h3, n_per_symbol):
-        return _np_compose_energies(jam, jam_delayed, noise,
-                                    np.asarray(amps, dtype=np.float64),
-                                    complex(h12), complex(h3), int(n_per_symbol))
-
-    def tone_sum(tone_amps, freqs, phases, start, n):
-        return _np_tone_sum(np.asarray(tone_amps, dtype=np.float64),
-                            np.asarray(freqs, dtype=np.float64),
-                            np.asarray(phases, dtype=np.float64),
-                            int(start), int(n))
-
-
-compose_energies.__doc__ = _np_compose_energies.__doc__
-tone_sum.__doc__ = """Real cosine sum: sum_j a_j*cos(2*pi*f_j*(start+m) + phi_j), m = 0..n-1."""

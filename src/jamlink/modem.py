@@ -11,15 +11,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels, signals
+from . import kernels, signals, theory
 from .errors import DegenerateThresholdError
 
 __all__ = [
     "FrameConfig",
     "ThresholdEstimate",
     "build_preamble",
-    "encode_frame",
-    "symbol_energies",
+    "block_energies",
     "estimate_threshold",
     "decode",
     "run_link",
@@ -83,27 +82,27 @@ def build_preamble(M):
     return bits
 
 
-def encode_frame(bits, cfg):
-    """Per-sample amplification sequence: each bit repeated N times as a1/a2."""
+def block_energies(jam_spec, ch, cfg, bits, rng, sample_offset=0):
+    """Per-symbol received energies of one block carrying ``bits``.
+
+    The jamming block covers samples ``[sample_offset - ch.n_tau,
+    sample_offset + len(bits) * cfg.N)``: the ``n_tau`` look-back feeds the
+    delayed jammer-to-receiver path, so tonal waveforms continue smoothly
+    across consecutive blocks.  Receiver noise, CN(0, sigma2_R) per sample,
+    is drawn from ``rng`` after the jamming samples.  Each energy averages
+    ``|h1 h2 a_k j[n] + h3 j[n - n_tau] + z[n]|^2`` over the N samples of
+    symbol k.
+    """
     bits = np.asarray(bits, dtype=np.int64)
-    per_symbol = np.where(bits == 0, cfg.a1, cfg.a2)
-    return np.repeat(per_symbol, cfg.N)
-
-
-def symbol_energies(y, N):
-    """Average energy of each N-sample symbol: q[m] = mean(|y|^2) over symbol m."""
-    y = np.asarray(y)
-    N = int(N)
-    if y.shape[0] % N:
-        raise ValueError(f"block length {y.shape[0]} is not divisible by N={N}")
-    e = y.real ** 2 + y.imag ** 2 if np.iscomplexobj(y) else y ** 2
-    return e.reshape(-1, N).mean(axis=1)
-
-
-def _t_ed(x, y, p1, p2, N):
-    # threshold mapping for two energy levels 0 < x < y; log form avoids
-    # overflow of (y/x)**N at large N
-    return (x * y / (y - x)) * (np.log(p1 / p2) / N + np.log(y / x))
+    rng = np.random.default_rng(rng)
+    amps_sym = np.where(bits == 0, float(cfg.a1), float(cfg.a2))
+    n_tot = bits.shape[0] * cfg.N
+    jam = signals.gen_jammer_block(
+        jam_spec, n_tot + ch.n_tau, sample_offset - ch.n_tau, rng)
+    noise = np.sqrt(ch.sigma2_R / 2.0) * (
+        rng.standard_normal(n_tot) + 1j * rng.standard_normal(n_tot))
+    return kernels.compose_energies(jam[ch.n_tau:], jam[:n_tot], noise,
+                                    amps_sym, ch.h1 * ch.h2, ch.h3, cfg.N)
 
 
 def estimate_threshold(preamble_energies, cfg):
@@ -111,9 +110,9 @@ def estimate_threshold(preamble_energies, cfg):
 
     The preamble alternates starting with '1', so '1'-symbol energies sit at
     even indexes and '0'-symbol energies at odd indexes; each level is the
-    mean of its M/2 energies.  The threshold applies the level-to-threshold
-    mapping to (min, max) of the two estimates, which keeps the logarithm
-    argument positive even when noise swaps their order.
+    mean of its M/2 energies.  The two estimates then stand in for the two
+    conditional variances of :func:`theory.optimal_threshold_random`, which
+    orders them itself, so noise that swaps their order is harmless.
 
     Raises
     ------
@@ -128,8 +127,8 @@ def estimate_threshold(preamble_energies, cfg):
     if q0_hat == q1_hat:
         raise DegenerateThresholdError(
             "estimated energy levels coincide; threshold undefined this block")
-    x, y = sorted((q0_hat, q1_hat))
-    t_hat = float(_t_ed(x, y, cfg.p1, cfg.p2, cfg.N))
+    levels = theory.ConditionalVariances(q0_hat, q1_hat)
+    t_hat = theory.optimal_threshold_random(levels, cfg.p1, cfg.p2, cfg.N)
     return ThresholdEstimate(q0_hat=q0_hat, q1_hat=q1_hat, t_hat=t_hat)
 
 
@@ -142,10 +141,8 @@ def decode(energies, t_hat):
 def run_link(jam_spec, ch, cfg, payload_bits, rng, sample_offset=0):
     """Run one block: preamble plus payload through one channel draw.
 
-    The jamming block is generated at absolute offset ``sample_offset``
-    (minus the JR-path look-back) so tonal waveforms continue smoothly
-    across consecutive blocks.  Receiver noise is drawn from ``rng`` after
-    the jamming samples.
+    The preamble starts at absolute sample ``sample_offset``; see
+    :func:`block_energies` for how the block is drawn.
 
     Returns
     -------
@@ -161,19 +158,8 @@ def run_link(jam_spec, ch, cfg, payload_bits, rng, sample_offset=0):
     payload_bits = np.asarray(payload_bits, dtype=np.int64)
     if payload_bits.size == 0:
         raise ValueError("payload must be non-empty")
-    rng = np.random.default_rng(rng)
-
     bits = np.concatenate([build_preamble(cfg.M), payload_bits])
-    amps_sym = np.where(bits == 0, float(cfg.a1), float(cfg.a2))
-    n_tot = bits.shape[0] * cfg.N
-
-    jam = signals.gen_jammer_block(
-        jam_spec, n_tot + ch.n_tau, sample_offset - ch.n_tau, rng)
-    noise = np.sqrt(ch.sigma2_R / 2.0) * (
-        rng.standard_normal(n_tot) + 1j * rng.standard_normal(n_tot))
-
-    q = kernels.compose_energies(jam[ch.n_tau:], jam[:n_tot], noise,
-                                 amps_sym, ch.h1 * ch.h2, ch.h3, cfg.N)
+    q = block_energies(jam_spec, ch, cfg, bits, rng, sample_offset)
     est = estimate_threshold(q[:cfg.M], cfg)
     decoded = decode(q[cfg.M:], est.t_hat)
     return decoded, est, q

@@ -30,7 +30,6 @@ __all__ = [
     "ber_det_noncentral",
     "optimal_threshold_det",
     "refine_threshold_det",
-    "ber_general",
     "ber_gaussian_approx",
     "sinr_limit",
 ]
@@ -103,18 +102,17 @@ def energy_pdf_random(q, N, delta2_k):
     return float(out) if out.ndim == 0 else out
 
 
-def _threshold_two_levels(x, y, p1, p2, N):
-    # written as log(p1/p2)/N + log(y/x) to dodge (y/x)**N overflow
-    return (x * y / (y - x)) * (math.log(p1 / p2) / N + math.log(y / x))
-
-
 def optimal_threshold_random(v, p1, p2, N):
     """BER-minimizing threshold for the two-variance gamma energy laws.
 
     Equals ``(d1 d2 / (d2 - d1)) (ln(p1/p2)/N + ln(d2/d1))``; for equal
-    priors the symbol length N cancels entirely.
+    priors the symbol length N cancels entirely.  The preamble estimator
+    :func:`modem.estimate_threshold` maps its two estimated levels through
+    this same formula.
     """
-    return float(_threshold_two_levels(v.delta2_1, v.delta2_2, p1, p2, N))
+    x, y = v.delta2_1, v.delta2_2
+    # written as log(p1/p2)/N + log(y/x) to dodge (y/x)**N overflow
+    return float((x * y / (y - x)) * (math.log(p1 / p2) / N + math.log(y / x)))
 
 
 def ber_random(v, p1, p2, N, threshold):
@@ -228,23 +226,6 @@ def refine_threshold_det(d, p1, p2, N, grid_points=512, ber_fn=None):
     if not np.isfinite(res.x):
         raise NumericalFailureError("threshold refinement did not converge")
     return float(res.x)
-
-
-def ber_general(A, B1, B2, p1, p2, N, threshold):
-    """Unified BER: gamma branches with per-symbol scale A and shift B.
-
-    ``A`` may be a scalar (shared noise scale, deterministic case) or a pair
-    ``(A1, A2)`` (per-symbol variances, random case).  ``(A=(d1, d2),
-    B=0)`` reproduces :func:`ber_random`; ``(A=sigma2_R, B=(qd_1, qd_2))``
-    reproduces :func:`ber_det`.
-    """
-    a = np.broadcast_to(np.asarray(A, dtype=np.float64), (2,))
-    t = np.asarray(threshold, dtype=np.float64)
-    x0 = np.maximum(t - B1, 0.0)
-    x1 = np.maximum(t - B2, 0.0)
-    out = p1 * (1.0 - special.gammainc(N, N * x0 / a[0])) \
-        + p2 * special.gammainc(N, N * x1 / a[1])
-    return float(out) if out.ndim == 0 else out
 
 
 def ber_gaussian_approx(v, p1, p2, N, threshold):

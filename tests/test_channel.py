@@ -1,10 +1,12 @@
-"""Fading draw statistics and received-signal composition."""
+"""Fading draw statistics, SINR and received-signal composition."""
 
 import numpy as np
 import pytest
 
-from jamlink.channel import (ChannelDraw, RicianParams, compose_received,
-                             draw_channel, sinr)
+from jamlink import signals
+from jamlink.channel import ChannelDraw, RicianParams, draw_channel, sinr
+from jamlink.modem import FrameConfig, block_energies
+from jamlink.signals import JammerKind, JammerSpec, ToneSet
 
 
 def _draw_many(params, n, seed=0):
@@ -50,44 +52,66 @@ class TestDrawChannel:
             RicianParams(k_factor=-1.0)
 
 
+def _tones(amps, freqs, phases):
+    """A prepared tonal jammer; tones do not depend on the rng."""
+    ts = ToneSet(amps=np.asarray(amps, dtype=np.float64),
+                 freqs=np.asarray(freqs, dtype=np.float64),
+                 phases=np.asarray(phases, dtype=np.float64))
+    kind = JammerKind.SINGLE_TONE if ts.amps.size == 1 else JammerKind.MULTI_TONE
+    return JammerSpec(kind=kind, power=ts.power, toneset=ts)
+
+
+# a real constant-one jammer: one tone at frequency 0, phase 0
+_ONES = _tones([1.0], [0.0], [0.0])
+
+
+def _frame(N, a2=1.0):
+    return FrameConfig(N=N, M=2, a1=0.0, a2=a2)
+
+
 class TestComposeReceived:
+    """The received block h1 h2 a j[n] + h3 j[n - n_tau] + z[n], seen through
+    the per-symbol energies of :func:`modem.block_energies`."""
+
     def test_all_zero(self):
         ch = ChannelDraw(1.0, 1.0, 0.0, 1e-30, 0)
-        jam = np.ones(10, dtype=complex)
-        y = compose_received(jam, np.zeros(10), ch, np.random.default_rng(0))
-        np.testing.assert_allclose(np.abs(y), 0.0, atol=1e-13)
+        q = block_energies(_ONES, ch, _frame(2), np.zeros(5),
+                           np.random.default_rng(0))
+        np.testing.assert_allclose(np.sqrt(q), 0.0, atol=1e-13)
 
     def test_constant_gain_collapse(self, rng):
         # n_tau = 0, amps constant: y = (h1 h2 a + h3) jam
         ch = ChannelDraw(0.7 + 0.1j, 1.2, 0.5 - 0.2j, 1e-30, 0)
-        jam = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-        y = compose_received(jam, np.full(64, 2.0), ch, rng)
-        want = (ch.h1 * ch.h2 * 2.0 + ch.h3) * jam
-        np.testing.assert_allclose(y, want, rtol=1e-10, atol=1e-12)
+        spec = _tones([1.0, 0.5, 0.8], [0.05, 0.17, 0.31],
+                      rng.uniform(0.0, 2 * np.pi, 3))
+        q = block_energies(spec, ch, _frame(4, a2=2.0), np.ones(16), rng)
+        jam = signals.gen_tone_sum(spec.toneset, 64, 0)
+        want = abs(ch.h1 * ch.h2 * 2.0 + ch.h3) ** 2 * \
+            (np.abs(jam) ** 2).reshape(16, 4).mean(axis=1)
+        np.testing.assert_allclose(q, want, rtol=1e-10, atol=1e-12)
 
     def test_unit_everything(self):
+        # y = 1 + 1 = 2 on every sample
         ch = ChannelDraw(1.0, 1.0, 1.0, 1e-30, 0)
-        jam = np.ones(5, dtype=complex)
-        y = compose_received(jam, np.ones(5), ch, np.random.default_rng(0))
-        np.testing.assert_allclose(y, 2.0, atol=1e-13)
+        q = block_energies(_ONES, ch, _frame(5), np.ones(1),
+                           np.random.default_rng(0))
+        np.testing.assert_allclose(q, 4.0, atol=1e-12)
 
     def test_delay_lookback(self, rng):
+        # the direct path reads the jammer 3 samples earlier, reaching back
+        # before the block start
         ch = ChannelDraw(1.0, 1.0, 1.0, 1e-30, n_tau=3)
-        jam = np.arange(13, dtype=complex)  # 3 look-back + 10 aligned
-        y = compose_received(jam, np.ones(10), ch, rng)
-        want = jam[3:] + jam[:10]
-        np.testing.assert_allclose(y, want, atol=1e-13)
-
-    def test_length_mismatch(self, rng):
-        ch = ChannelDraw(1.0, 1.0, 1.0, 1.0, n_tau=2)
-        with pytest.raises(ValueError):
-            compose_received(np.ones(10, dtype=complex), np.ones(10), ch, rng)
+        spec = _tones([1.0, 0.7], [0.11, 0.23], [0.4, 2.0])
+        q = block_energies(spec, ch, _frame(2), np.ones(5), rng)
+        y = signals.gen_tone_sum(spec.toneset, 10, 0) \
+            + signals.gen_tone_sum(spec.toneset, 10, -3)
+        want = (np.abs(y) ** 2).reshape(5, 2).mean(axis=1)
+        np.testing.assert_allclose(q, want, rtol=1e-10, atol=1e-12)
 
     def test_noise_variance(self, rng):
         ch = ChannelDraw(0.0, 0.0, 0.0, 4.0, 0)
-        y = compose_received(np.zeros(10**5, dtype=complex),
-                             np.zeros(10**5), ch, rng)
-        assert np.isclose(np.mean(np.abs(y) ** 2), 4.0, rtol=0.05)
+        q = block_energies(_ONES, ch, _frame(10), np.zeros(10**4), rng)
+        assert np.isclose(np.mean(q), 4.0, rtol=0.05)
 
 
 class TestSinr:

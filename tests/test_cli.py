@@ -136,3 +136,10 @@ class TestSweepCommand:
         cols = read_csv(out_path)
         assert cols["jnr_db"] == [10.0, 12.0, 14.0]
         assert all(c >= 0.0 for c in cols["aaj_capacity_bits"])
+
+
+class TestSelftest:
+    def test_selftest_passes(self, capsys):
+        code, out, _ = run(["selftest", "--quiet"], capsys)
+        assert code == 0, out
+        assert "FAIL" not in out

@@ -228,6 +228,30 @@ class TestBerSweep:
                   for r in res.rows]
         assert errors[1] <= errors[0] and errors[2] <= errors[0], errors
 
+    @pytest.mark.parametrize("mode", ["estimated", "exact"])
+    @pytest.mark.parametrize("kind", [k.value for k in JammerKind])
+    def test_every_kind_maps_to_a_model(self, kind, mode):
+        # each jammer kind runs in both threshold modes, with a delayed
+        # direct path, and fills the theory columns its model defines
+        cfg = config_from_mapping({
+            "axis.values": "10, 20",
+            "jammer.kind": kind,
+            "threshold.mode": mode,
+            "channel.n_tau": "3",
+            "snr.db": "5",
+            "run.blocks": "2",
+            "run.payload_bits_per_block": "200",
+            "run.threads": "1",
+        })
+        res = run_ber_sweep(cfg)
+        for r in res.rows:
+            row = dict(zip(res.columns, r))
+            assert 0 <= row[f"{kind}.errors"] <= row[f"{kind}.bits"] == 400
+            assert np.isnan(row[f"{kind}.ber_theory"]) == (kind == "mod_16qam")
+            assert np.isfinite(row[f"{kind}.ber_gauss"]) == \
+                (kind == "random_broadband")
+            assert np.isfinite(row[f"{kind}.sinr"])
+
     def test_window_axis_sweep(self):
         cfg = preset_config("fig5", seed=11)
         cfg = replace(cfg, axis_values=(2.0, 10.0), blocks=4,

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from jamlink import kernels
 from jamlink.channel import ChannelDraw
 from jamlink.errors import DegenerateThresholdError
-from jamlink.modem import (FrameConfig, build_preamble, decode, encode_frame,
-                           estimate_threshold, run_link, symbol_energies)
+from jamlink.modem import (FrameConfig, build_preamble, decode,
+                           estimate_threshold, run_link)
 from jamlink.signals import JammerKind, JammerSpec, prepare_jammer
 
 
@@ -37,17 +38,26 @@ class TestFraming:
         np.testing.assert_array_equal(build_preamble(6), [1, 0, 1, 0, 1, 0])
 
     def test_encode_expands_amplitudes(self):
+        # bits 0, 1 map to a1 = 0, a2 = 2, each held over N = 3 samples
         cfg = _cfg(N=3)
-        amps = encode_frame(np.array([0, 1]), cfg)
-        np.testing.assert_allclose(amps, [0, 0, 0, 2, 2, 2])
+        amps = np.where(np.array([0, 1]) == 0, cfg.a1, cfg.a2)
+        jam = np.array([1, 1, 1, 1, 2, 3], dtype=complex)
+        q = kernels.compose_energies(jam, np.zeros(6, complex),
+                                     np.zeros(6, complex), amps, 1.0, 0.0, 3)
+        np.testing.assert_allclose(q, [0.0, 4.0 * 14.0 / 3.0])
 
     def test_symbol_energies_mean(self):
         y = np.array([1.0, 1.0, 2.0, 2.0], dtype=complex)
-        np.testing.assert_allclose(symbol_energies(y, 2), [1.0, 4.0])
+        q = kernels.compose_energies(y, np.zeros(4, complex),
+                                     np.zeros(4, complex), np.ones(2),
+                                     1.0, 0.0, 2)
+        np.testing.assert_allclose(q, [1.0, 4.0])
 
     def test_symbol_energies_complex_modulus(self):
         y = np.array([3 + 4j, 0j], dtype=complex)
-        np.testing.assert_allclose(symbol_energies(y, 2), [12.5])
+        q = kernels.compose_energies(np.zeros(2, complex), np.zeros(2, complex),
+                                     y, np.ones(1), 1.0, 1.0, 2)
+        np.testing.assert_allclose(q, [12.5])
 
 
 class TestEstimateThreshold:

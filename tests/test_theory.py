@@ -9,7 +9,7 @@ from jamlink.errors import DegenerateChannelError, UnboundedLimitError
 from jamlink.signals import ToneSet
 from jamlink.theory import (ConditionalVariances, DeterministicEnergies,
                             ber_det, ber_det_noncentral, ber_gaussian_approx,
-                            ber_general, ber_random, delta2, energy_pdf_random,
+                            ber_random, delta2, energy_pdf_random,
                             optimal_threshold_det, optimal_threshold_random,
                             q_det, refine_threshold_det, sinr_limit, variances)
 
@@ -250,23 +250,6 @@ class TestOptimalThresholdDet:
         grid = np.linspace(0.5, 3.0 + 15.0, 4001)
         best = min(ber_det(d, 0.5, 0.5, 6, g) for g in grid)
         assert ber_det(d, 0.5, 0.5, 6, t) <= best + 1e-12
-
-
-class TestBerGeneral:
-    def test_reduces_to_random_form(self):
-        # per-level scale pair with zero shifts reproduces the random-jam BER
-        t = 1.4
-        got = ber_general((1.0, 2.0), 0.0, 0.0, 0.5, 0.5, 7, t)
-        want = ber_random(V12, 0.5, 0.5, 7, t)
-        assert np.isclose(got, want, rtol=1e-12)
-
-    def test_reduces_to_det_form(self):
-        # shared noise scale with per-level shifts reproduces the tonal BER
-        d = DeterministicEnergies(qd_1=1.0, qd_2=3.0, sigma2_R=1.0)
-        t = 2.2
-        got = ber_general(1.0, 1.0, 3.0, 0.5, 0.5, 5, t)
-        want = ber_det(d, 0.5, 0.5, 5, t)
-        assert np.isclose(got, want, rtol=1e-12)
 
 
 class TestGaussianApprox:
