@@ -4,10 +4,11 @@ import argparse
 import math
 import sys
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 
-from . import harness, theory
+from . import harness, kernels, theory
 from .capacity import capacity as cap_capacity
 from .capacity import mutual_information
 from .errors import ConfigError, JamlinkError
@@ -48,7 +49,8 @@ def _build_parser():
     t = sub.add_parser("theory", help="evaluate one closed form")
     t.add_argument("--op", required=True,
                    choices=["optimal-threshold", "ber-random", "ber-gaussian",
-                            "ber-det", "optimal-threshold-det", "mi", "capacity"])
+                            "ber-det", "ber-det-noncentral",
+                            "optimal-threshold-det", "mi", "capacity"])
     t.add_argument("--d1", type=float, help="low conditional variance")
     t.add_argument("--d2", type=float, help="high conditional variance")
     t.add_argument("--qd1", type=float, help="low deterministic energy level")
@@ -151,6 +153,11 @@ def _cmd_theory(args):
             t = args.t if args.t is not None else \
                 theory.refine_threshold_det(d, p1, p2, args.n)
             value = theory.ber_det(d, p1, p2, args.n, t)
+        elif args.op == "ber-det-noncentral":
+            # default: the law's own optimum, the threshold exact mode uses
+            t = args.t if args.t is not None else theory.refine_threshold_det(
+                d, p1, p2, args.n, ber_fn=theory.ber_det_noncentral)
+            value = theory.ber_det_noncentral(d, p1, p2, args.n, t)
         else:
             value = theory.refine_threshold_det(d, p1, p2, args.n)
     print(f"{value:.17g}")
@@ -188,7 +195,6 @@ def _check_mi_endpoints(rng):
 def _check_chi_square(rng):
     from scipy import stats
 
-    from . import kernels
     n_per, nsym = 10, 4000
     delta2 = 5.0
     jam = np.sqrt(0.5) * (rng.standard_normal(n_per * nsym)
@@ -231,6 +237,24 @@ def _check_gaussian_approx(rng):
                     f"Gaussian approximation off at N={n}, u={u}")
 
 
+def _check_tone_sum(rng):
+    # the reference reduces each phase exactly: in floating point,
+    # 2*pi*f*m itself is off by ~1e-8 rad at m ~ 1e8
+    amps = rng.uniform(0.1, 1.0, 41)
+    freqs = rng.uniform(0.0, 0.5, 41)
+    phases = rng.uniform(0.0, 2.0 * math.pi, 41)
+    start, n = 120_000_000, 10_100
+    got = kernels.tone_sum(amps, freqs, phases, start, n)
+    tol = 1e-10 * amps.sum()
+    for m in rng.choice(n, 16, replace=False):
+        k = start + int(m)
+        want = sum(a * math.cos(2.0 * math.pi * float(Fraction(f) * k % 1) + phi)
+                   for a, f, phi in zip(amps, freqs, phases))
+        if abs(got[m] - want) > tol:
+            raise AssertionError(
+                f"tone_sum off by {abs(got[m] - want):.2e} at sample {k}")
+
+
 def _cmd_selftest(args):
     checks = [
         ("threshold-optimality", _check_threshold_optimality),
@@ -238,6 +262,7 @@ def _cmd_selftest(args):
         ("chi-square-law", _check_chi_square),
         ("thread-determinism", _check_determinism),
         ("gaussian-approx", _check_gaussian_approx),
+        ("tone-sum-large-offset", _check_tone_sum),
     ]
     rng = np.random.default_rng(20240817)
     failed = 0

@@ -12,6 +12,7 @@ order, so results do not depend on the thread count.
 import csv
 import math
 import os
+import secrets
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -538,7 +539,11 @@ def _run_ber_block(cfg, spec, curve, frame, axis_i, curve_i, block_i):
     model = _MODELS[spec.kind]
     exact = curve.threshold_mode == "exact"
     n_tot = nbits * frame.N
-    offset = block_i * n_tot
+    # estimated mode sends an M-symbol preamble before each payload; the
+    # levels always cover the payload samples
+    n_pre = 0 if exact else frame.M * frame.N
+    link_offset = block_i * (n_pre + n_tot)
+    offset = link_offset + n_pre
     try:
         levels = model.levels(spec, ch, frame, n_tot, offset)
     except ValueError:
@@ -550,7 +555,6 @@ def _run_ber_block(cfg, spec, curve, frame, axis_i, curve_i, block_i):
         q = modem.block_energies(spec, ch, frame, payload, rng, offset)
         decoded = modem.decode(q, model.threshold(levels, frame))
     else:
-        link_offset = block_i * (frame.M + nbits) * frame.N
         decoded, _, _ = modem.run_link(spec, ch, frame, payload, rng,
                                        sample_offset=link_offset)
 
@@ -721,14 +725,29 @@ def _fmt(value):
 
 
 def emit_csv(result, path):
-    """Write a sweep as ``# schema=1`` plus an RFC-4180 body, LF endings."""
+    """Write a sweep as ``# schema=1`` plus an RFC-4180 body, LF endings.
+
+    The rows go to a temporary file in the same directory, which then
+    replaces ``path``, so an interrupted or failed write never leaves a
+    partial CSV there; on an error the temporary file is removed and any
+    earlier file at ``path`` is left as it was.
+    """
+    path = os.fspath(path)
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{secrets.token_hex(4)}.tmp")
     try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("# schema=1\n")
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(result.columns)
-            for row in result.rows:
-                writer.writerow([_fmt(v) for v in row])
+        fh = open(tmp, "x", encoding="utf-8", newline="")
+        try:
+            with fh:
+                fh.write("# schema=1\n")
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow(result.columns)
+                for row in result.rows:
+                    writer.writerow([_fmt(v) for v in row])
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
     except OSError as exc:
         raise OSError(f"cannot write CSV to {path}: {exc}") from exc
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from jamlink import theory
 from jamlink.cli import cli_main
 from jamlink.harness import read_csv
 
@@ -74,6 +75,24 @@ class TestTheoryOps:
                             "--n", "8"], capsys)
         assert code == 0
         assert float(out.strip()) > 4.0
+
+    def test_ber_det_noncentral(self, capsys):
+        # default threshold: the noncentral law's own optimum
+        d = theory.DeterministicEnergies(qd_1=0.5, qd_2=3.0, sigma2_R=1.0)
+        t = theory.refine_threshold_det(d, 0.5, 0.5, 4,
+                                        ber_fn=theory.ber_det_noncentral)
+        args = ["theory", "--op", "ber-det-noncentral", "--qd1", "0.5",
+                "--qd2", "3", "--sigma2", "1", "--n", "4"]
+        code, out, _ = run(args, capsys)
+        assert code == 0
+        assert np.isclose(float(out.strip()),
+                          theory.ber_det_noncentral(d, 0.5, 0.5, 4, t),
+                          rtol=1e-15)
+        code, out, _ = run(args + ["--t", "1.2"], capsys)
+        assert code == 0
+        assert np.isclose(float(out.strip()),
+                          theory.ber_det_noncentral(d, 0.5, 0.5, 4, 1.2),
+                          rtol=1e-15)
 
     def test_mi_value(self, capsys):
         code, out, _ = run(["theory", "--op", "mi", "--d1", "1", "--d2", "1e6",

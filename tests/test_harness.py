@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
+from jamlink import harness, signals
 from jamlink.errors import ConfigError
 from jamlink.harness import (Curve, ExperimentConfig, PRESET_NAMES,
                              SweepResult, config_from_file,
@@ -167,6 +168,23 @@ class TestCsv:
         with pytest.raises(OSError, match="no/such"):
             emit_csv(self._result(), tmp_path / "no" / "such" / "f.csv")
 
+    def test_failed_write_leaves_no_partial_or_temporary_file(self, tmp_path):
+        class Unprintable:
+            def __str__(self):
+                raise RuntimeError("cell cannot be formatted")
+
+        bad = SweepResult(columns=("a", "b.c"),
+                          rows=((1.0, 2.5), (Unprintable(), 3.0)))
+        kept = tmp_path / "kept.csv"
+        emit_csv(self._result(), kept)
+        before = kept.read_bytes()
+        with pytest.raises(RuntimeError):
+            emit_csv(bad, kept)
+        with pytest.raises(RuntimeError):
+            emit_csv(bad, tmp_path / "new.csv")
+        assert kept.read_bytes() == before
+        assert [f.name for f in tmp_path.iterdir()] == ["kept.csv"]
+
 
 class TestBerSweep:
     def test_small_sweep_shape_and_theory(self):
@@ -227,6 +245,45 @@ class TestBerSweep:
         errors = [dict(zip(res.columns, r))["single_tone.errors"]
                   for r in res.rows]
         assert errors[1] <= errors[0] and errors[2] <= errors[0], errors
+
+    def test_estimated_tonal_levels_cover_the_payload(self, monkeypatch):
+        # in estimated mode a block's payload follows its own M-symbol
+        # preamble and every earlier block; the theory levels must be the
+        # tone energies of exactly that window
+        cfg = config_from_mapping({
+            "axis.values": "10",
+            "jammer.kind": "multi_tone",
+            "channel.n_tau": "2",
+            "snr.db": "5",
+            "frame.n": "3",
+            "frame.m": "4",
+            "run.blocks": "3",
+            "run.payload_bits_per_block": "5",
+            "run.threads": "1",
+        })
+        model = harness._MODELS[JammerKind.MULTI_TONE]
+        seen = []
+
+        def spy(spec, ch, frame, n_tot, offset):
+            levels = model.levels(spec, ch, frame, n_tot, offset)
+            seen.append((spec, ch, frame, levels))
+            return levels
+
+        monkeypatch.setitem(harness._MODELS, JammerKind.MULTI_TONE,
+                            replace(model, levels=spy))
+        run_ber_sweep(cfg)
+        assert len(seen) == cfg.blocks
+        nbits = cfg.payload_bits_per_block
+        for block_i, (spec, ch, frame, levels) in enumerate(seen):
+            start = block_i * (frame.M + nbits) * frame.N + frame.M * frame.N
+            s = signals.gen_tone_sum(spec.toneset, nbits * frame.N, start)
+            s_del = signals.gen_tone_sum(spec.toneset, nbits * frame.N,
+                                         start - ch.n_tau)
+            want = sorted(
+                np.mean(np.abs(ch.h1 * ch.h2 * a * s + ch.h3 * s_del) ** 2)
+                for a in (frame.a1, frame.a2))
+            np.testing.assert_allclose([levels.qd_1, levels.qd_2], want,
+                                       rtol=1e-12)
 
     @pytest.mark.parametrize("mode", ["estimated", "exact"])
     @pytest.mark.parametrize("kind", [k.value for k in JammerKind])
