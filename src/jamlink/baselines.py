@@ -3,11 +3,18 @@
 Both schemes carry coherent BPSK at a fixed Eb/N0 and face circularly
 symmetric Gaussian jamming whose power spectral density matches the main
 link's JNR definition: every chip or sub-channel sample sees jamming
-variance P_J on top of noise variance N0 (normalized to 1).  Under fullband
-jamming neither spreading nor hopping buys any rejection, which is exactly
-the degradation the comparison is meant to show.  Interference suppression
-is omitted: with the whole band jammed there is no clean band to select, so
-it degenerates to direct transmission.
+variance P_J on top of noise variance N0 (normalized to 1).  Interference
+suppression is omitted: with the whole band jammed there is no clean band
+to select, so it degenerates to direct transmission.
+
+Neither spreading nor hopping buys any rejection, so both receivers slice
+one real Gaussian per bit, mean ``±amp`` and variance ``noise_var``, and
+BER = Q(sqrt(2 Eb / (N0 + P_J))).  The DS-SS correlator sums L chips of
+amplitude ``gain·sqrt(Eb/L)``, each with real noise of variance
+``(1 + P_J)/2``; mean² over variance is ``2 gain² Eb / (1 + P_J)`` for any
+L, so L cancels at fixed Eb/N0.  Every FH hop lands in a jammed
+sub-channel, so the hop index changes nothing.  The simulation draws that
+statistic, not L chips or a hop.
 """
 
 import enum
@@ -43,63 +50,43 @@ class BaselineConfig:
         object.__setattr__(self, "spread_factor", int(self.spread_factor))
 
 
-def _check_trials(trials):
+def _bpsk_ber(amp, noise_var, trials, rng):
+    """Count BPSK errors of a statistic ``±amp`` plus N(0, noise_var)."""
     trials = int(trials)
     if trials < 1_000:
         raise ValueError("trials must be >= 1000 for a usable estimate")
-    return trials
-
-
-def _cscg(rng, var, shape):
-    z = rng.standard_normal((2,) + shape)
-    return math.sqrt(var / 2.0) * (z[0] + 1j * z[1])
+    rng = np.random.default_rng(rng)
+    sd = math.sqrt(noise_var)
+    errors = 0
+    for start in range(0, trials, _CHUNK):
+        m = min(_CHUNK, trials - start)
+        bits = rng.integers(0, 2, size=m)
+        stat = (1.0 - 2.0 * bits) * amp + sd * rng.standard_normal(m)
+        errors += int(np.count_nonzero((stat < 0) != (bits == 1)))
+    return BerEstimate.from_counts(errors, trials)
 
 
 def dsss_ber_mc(cfg, jnr_db, trials, rng):
     """Monte Carlo BER of direct-sequence spreading under fullband jamming.
 
-    Each bit is spread over ``spread_factor`` chips by a fresh random ±1
-    sequence, every chip is hit by noise plus CSCG jamming of variance
-    ``10^(jnr_db/10)``, and the receiver despreads coherently and slices
-    the real part.  ``jnr_db = -inf`` switches the jammer off.
+    Draws the despread correlator of ``spread_factor`` chips directly:
+    mean ``L·gain·sqrt(Eb/L)``, variance ``L·(1 + 10^(jnr_db/10))/2``.
+    ``jnr_db = -inf`` switches the jammer off.
     """
-    trials = _check_trials(trials)
-    rng = np.random.default_rng(rng)
     L = cfg.spread_factor
     eb = 10.0 ** (cfg.eb_n0_db / 10.0)
     pj = 10.0 ** (jnr_db / 10.0)
-    chip_amp = cfg.gain * math.sqrt(eb / L)
-
-    errors = 0
-    for start in range(0, trials, _CHUNK):
-        m = min(_CHUNK, trials - start)
-        bits = rng.integers(0, 2, size=m)
-        chips = 1.0 - 2.0 * rng.integers(0, 2, size=(m, L)).astype(np.float64)
-        tx = (1.0 - 2.0 * bits)[:, None] * chip_amp * chips
-        rx = tx + _cscg(rng, 1.0, (m, L)) + _cscg(rng, pj, (m, L))
-        corr = np.sum(chips * rx.real, axis=1)
-        errors += int(np.count_nonzero((corr < 0) != (bits == 1)))
-    return BerEstimate.from_counts(errors, trials)
+    return _bpsk_ber(L * cfg.gain * math.sqrt(eb / L), L * (1.0 + pj) / 2.0,
+                     trials, rng)
 
 
 def fh_ber_mc(cfg, jnr_db, trials, rng):
     """Monte Carlo BER of frequency hopping under fullband jamming.
 
-    One BPSK symbol per hop over ``spread_factor`` sub-channels.  Fullband
-    jamming loads every sub-channel with variance ``10^(jnr_db/10)``, so
-    the drawn hop index only documents the mechanism; no hop escapes.
+    One BPSK symbol per hop; every sub-channel carries jamming of variance
+    ``10^(jnr_db/10)``, so the statistic is ``±gain·sqrt(Eb)`` in real
+    noise of variance ``(1 + P_J)/2`` whichever hop is taken.
     """
-    trials = _check_trials(trials)
-    rng = np.random.default_rng(rng)
     eb = 10.0 ** (cfg.eb_n0_db / 10.0)
     pj = 10.0 ** (jnr_db / 10.0)
-    amp = cfg.gain * math.sqrt(eb)
-
-    errors = 0
-    for start in range(0, trials, _CHUNK):
-        m = min(_CHUNK, trials - start)
-        bits = rng.integers(0, 2, size=m)
-        rng.integers(0, cfg.spread_factor, size=m)  # hop selection
-        rx = (1.0 - 2.0 * bits) * amp + _cscg(rng, 1.0, (m,)) + _cscg(rng, pj, (m,))
-        errors += int(np.count_nonzero((rx.real < 0) != (bits == 1)))
-    return BerEstimate.from_counts(errors, trials)
+    return _bpsk_ber(cfg.gain * math.sqrt(eb), (1.0 + pj) / 2.0, trials, rng)

@@ -42,7 +42,6 @@ class QuadratureConfig:
 
     half_width_sigmas: float = 12.0
     points: int = 4001
-    abs_tol: float = 1e-9
 
     def __post_init__(self):
         if int(self.points) < 3 or int(self.points) % 2 == 0:

@@ -147,12 +147,6 @@ class SweepResult:
 def _resolve_threads(cfg):
     if cfg.threads:
         return max(1, int(cfg.threads))
-    env = os.environ.get("JAMLINK_THREADS", "")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ConfigError(f"JAMLINK_THREADS={env!r} is not an integer") from exc
     return min(os.cpu_count() or 1, 8)
 
 
@@ -562,16 +556,24 @@ def _run_ber_block(cfg, spec, curve, frame, axis_i, curve_i, block_i):
     return (errors,) + _theory_columns(model, levels, ch, frame, spec.power)
 
 
+# (column prefix, scheme, simulator in `baselines`); the index is the
+# scheme's seed key.  The simulator is looked up by name at call time so
+# that wrappers installed on the module (profilers, tracers) see the call.
+_BASELINES = (
+    ("dsss", baselines.BaselineScheme.DSSS, "dsss_ber_mc"),
+    ("fh", baselines.BaselineScheme.FH, "fh_ber_mc"),
+)
+
+
 def _run_baseline_point(cfg, scheme_i, axis_i, jnr_db, trials):
     ss = np.random.SeedSequence(cfg.master_seed,
                                 spawn_key=(_STREAM_BASELINE, axis_i, scheme_i))
-    rng = np.random.default_rng(ss)
+    _, scheme, simulator = _BASELINES[scheme_i]
     bl_cfg = baselines.BaselineConfig(
-        scheme=(baselines.BaselineScheme.DSSS if scheme_i == 0
-                else baselines.BaselineScheme.FH),
-        eb_n0_db=cfg.baseline_eb_n0_db, spread_factor=cfg.baseline_spread)
-    fn = baselines.dsss_ber_mc if scheme_i == 0 else baselines.fh_ber_mc
-    return fn(bl_cfg, jnr_db, trials, rng)
+        scheme=scheme, eb_n0_db=cfg.baseline_eb_n0_db,
+        spread_factor=cfg.baseline_spread)
+    return getattr(baselines, simulator)(bl_cfg, jnr_db, trials,
+                                         np.random.default_rng(ss))
 
 
 _CURVE_FIELDS = ("errors", "bits", "ber_sim", "ci_low", "ci_high",
@@ -602,7 +604,7 @@ def run_ber_sweep(cfg, progress=None):
     for curve in cfg.curves:
         columns += [f"{curve.label}.{f}" for f in _CURVE_FIELDS]
     if cfg.include_baselines:
-        for name in ("dsss", "fh"):
+        for name, _, _ in _BASELINES:
             columns += [f"{name}.{f}" for f in _BASELINE_FIELDS]
 
     rows = []
@@ -629,8 +631,9 @@ def run_ber_sweep(cfg, progress=None):
             if cfg.include_baselines:
                 trials = max(bits_per_point, 1000)
                 futures = [pool.submit(_run_baseline_point, cfg, s, axis_i,
-                                       value, trials) for s in (0, 1)]
-                for name, fut in zip(("dsss", "fh"), futures):
+                                       value, trials)
+                           for s in range(len(_BASELINES))]
+                for (name, _, _), fut in zip(_BASELINES, futures):
                     est = fut.result()
                     row += [est.ber, est.ci_low, est.ci_high]
                     if progress:

@@ -99,8 +99,7 @@ def block_energies(jam_spec, ch, cfg, bits, rng, sample_offset=0):
     n_tot = bits.shape[0] * cfg.N
     jam = signals.gen_jammer_block(
         jam_spec, n_tot + ch.n_tau, sample_offset - ch.n_tau, rng)
-    noise = np.sqrt(ch.sigma2_R / 2.0) * (
-        rng.standard_normal(n_tot) + 1j * rng.standard_normal(n_tot))
+    noise = signals.gen_cscg(ch.sigma2_R, n_tot, rng)
     return kernels.compose_energies(jam[ch.n_tau:], jam[:n_tot], noise,
                                     amps_sym, ch.h1 * ch.h2, ch.h3, cfg.N)
 

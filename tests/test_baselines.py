@@ -66,14 +66,22 @@ class TestStrongJamming:
                 for j in (0.0, 10.0, 20.0, 30.0)]
         assert all(a < b for a, b in zip(bers, bers[1:]))
 
-    def test_theory_prediction_at_moderate_jnr(self, rng):
-        # per-dimension view: effective Eb/(N0 + P_J) remains coherent BPSK
-        cfg = _cfg(BaselineScheme.DSSS, eb_n0_db=10.0)
-        jnr_db = 10.0
+    @pytest.mark.parametrize("jnr_db", [0.0, 10.0, 20.0],
+                             ids=lambda j: f"{j:g}dB")
+    @pytest.mark.parametrize("scheme, spread", [
+        (BaselineScheme.DSSS, 2), (BaselineScheme.DSSS, 8),
+        (BaselineScheme.DSSS, 64), (BaselineScheme.FH, 8)],
+        ids=["dsss-L2", "dsss-L8", "dsss-L64", "fh"])
+    def test_theory_prediction_at_moderate_jnr(self, rng, scheme, spread,
+                                               jnr_db):
+        # per-dimension view: effective Eb/(N0 + P_J) remains coherent BPSK,
+        # whatever the spread factor
+        cfg = _cfg(scheme, eb_n0_db=10.0, spread_factor=spread)
+        fn = dsss_ber_mc if scheme is BaselineScheme.DSSS else fh_ber_mc
         pj = 10.0 ** (jnr_db / 10.0)
         eb = 10.0
         want = stats.norm.sf(np.sqrt(2.0 * eb / (1.0 + pj)))
-        got = dsss_ber_mc(cfg, jnr_db, 400_000, rng)
+        got = fn(cfg, jnr_db, 400_000, rng)
         sigma = np.sqrt(want * (1 - want) / got.bits)
         assert abs(got.ber - want) < 4 * sigma
 

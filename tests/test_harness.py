@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from jamlink import harness, signals
+from jamlink import baselines, harness, signals
 from jamlink.errors import ConfigError
 from jamlink.harness import (Curve, ExperimentConfig, PRESET_NAMES,
                              SweepResult, config_from_file,
@@ -132,6 +132,18 @@ class TestConfigFromMapping:
         with pytest.raises(ConfigError, match="frame.a2 or snr.db"):
             config_from_mapping({"axis.values": "0, 10"})
 
+    def test_capacity_quadrature_keys(self):
+        cfg = config_from_mapping({"experiment.mode": "capacity",
+                                   "axis.values": "0, 10",
+                                   "capacity.points": "2001",
+                                   "capacity.half_width_sigmas": "10"})
+        assert cfg.quad.points == 2001
+        assert cfg.quad.half_width_sigmas == 10.0
+        with pytest.raises(ConfigError, match="quad.points"):
+            config_from_mapping({"experiment.mode": "capacity",
+                                 "axis.values": "0, 10",
+                                 "quad.points": "2001"})
+
     def test_file_roundtrip(self, tmp_path):
         p = tmp_path / "exp.cfg"
         p.write_text("experiment.preset = fig6\nrun.blocks = 3\n")
@@ -210,6 +222,34 @@ class TestBerSweep:
         assert row["exact.ci_low"] <= th <= row["exact.ci_high"]
         # estimated threshold does no better than the exact optimum
         assert row["estimated.ber_sim"] >= row["exact.ber_sim"] * 0.8
+
+    def test_baseline_schemes_draw_their_own_streams(self):
+        # DS-SS and FH follow one law, so at BER ~0.3 only their separate
+        # seed keys keep the two columns apart
+        cfg = _tiny_ber_cfg(axis_values=(20.0,), blocks=1,
+                            payload_bits_per_block=100_000)
+        res = run_ber_sweep(cfg)
+        cols = dict(zip(res.columns, res.rows[0]))
+        assert 0.25 <= cols["dsss.ber_sim"] <= 0.4
+        assert 0.25 <= cols["fh.ber_sim"] <= 0.4
+        assert cols["dsss.ber_sim"] != cols["fh.ber_sim"]
+
+    def test_baseline_simulators_are_looked_up_at_call_time(self,
+                                                           monkeypatch):
+        # profilers and tracers wrap the module attributes after import
+        calls = []
+
+        def spy(name, real):
+            def wrapped(*args):
+                calls.append(name)
+                return real(*args)
+            return wrapped
+
+        for name in ("dsss_ber_mc", "fh_ber_mc"):
+            monkeypatch.setattr(baselines, name,
+                                spy(name, getattr(baselines, name)))
+        run_ber_sweep(_tiny_ber_cfg(axis_values=(20.0,), blocks=1))
+        assert sorted(calls) == ["dsss_ber_mc", "fh_ber_mc"]
 
     def test_thread_count_invariance(self):
         cfg = _tiny_ber_cfg(axis_values=(20.0, 30.0))
