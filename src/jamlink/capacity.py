@@ -10,14 +10,16 @@ differ by the dimension factor).
 Integrals run on a split composite Simpson grid: one panel resolves the
 narrow delta2_1 component, a second covers the wide delta2_2 tail.  A
 single uniform grid loses the narrow spike entirely once the variance ratio
-is large.
+is large.  The panels do not depend on p, so the last two channels' panels
+are kept and every integral in a capacity bisection reuses them.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, optimize, stats
+from scipy import optimize, stats
 
 from .errors import NumericalFailureError
 
@@ -73,37 +75,58 @@ def gaussian_mixture_components(y, v):
     return phi1, phi2
 
 
-def _panel_grids(v, quad):
+@functools.lru_cache(maxsize=2)
+def _panels(v, quad, model):
+    """Read-only ``(y, phi1, phi2, c, w0, w1, w2)`` for each Simpson panel.
+
+    ``c * (g[0:-2:2] w0 + g[1::2] w1 + g[2::2] w2)`` sums to
+    ``integrate.simpson(g, x=y)`` bit for bit: the weights are scipy's
+    unequal-spacing coefficients, built with the same operations as
+    ``scipy.integrate._quadrature._basic_simpson``.
+    """
     # [0, w] resolves the narrow component, [w, W] the wide tail
     w = quad.half_width_sigmas * math.sqrt(v.delta2_1)
     W = quad.half_width_sigmas * math.sqrt(v.delta2_2)
     if w >= W:
-        return [np.linspace(0.0, W, quad.points)]
-    return [np.linspace(0.0, w, quad.points), np.linspace(w, W, quad.points)]
-
-
-def _mixture(y, p, v, model):
-    if model == "real":
-        phi1, phi2 = gaussian_mixture_components(y, v)
-    elif model == "complex":
-        # radial form of the circularly symmetric densities at r = y
-        phi1 = np.exp(-y * y / v.delta2_1) / (math.pi * v.delta2_1)
-        phi2 = np.exp(-y * y / v.delta2_2) / (math.pi * v.delta2_2)
+        grids = [np.linspace(0.0, W, quad.points)]
     else:
-        raise ValueError("model must be 'real' or 'complex'")
-    return phi1, phi2, p * phi1 + (1.0 - p) * phi2
+        grids = [np.linspace(0.0, w, quad.points),
+                 np.linspace(w, W, quad.points)]
+    panels = []
+    for y in grids:
+        if model == "real":
+            phi1, phi2 = gaussian_mixture_components(y, v)
+        elif model == "complex":
+            # radial form of the circularly symmetric densities at r = y
+            phi1 = np.exp(-y * y / v.delta2_1) / (math.pi * v.delta2_1)
+            phi2 = np.exp(-y * y / v.delta2_2) / (math.pi * v.delta2_2)
+        else:
+            raise ValueError("model must be 'real' or 'complex'")
+        h = np.diff(y)
+        h0, h1 = h[0::2], h[1::2]
+        hsum = h0 + h1
+        hprod = h0 * h1
+        r = np.true_divide(h0, h1, out=np.zeros_like(h0), where=h1 != 0)
+        w0 = 2.0 - np.true_divide(1.0, r, out=np.zeros_like(r), where=r != 0)
+        w1 = hsum * np.true_divide(hsum, hprod, out=np.zeros_like(hsum),
+                                   where=hprod != 0)
+        panel = (y, phi1, phi2, hsum / 6.0, w0, w1, 2.0 - r)
+        for a in panel:
+            a.setflags(write=False)
+        panels.append(panel)
+    return tuple(panels)
 
 
 def _integrate_against_log_mixture(weight_fn, p, v, quad, model):
     """Sum of Simpson panel integrals of weight(y, phi1, phi2) * log2(f)."""
     total = 0.0
-    for y in _panel_grids(v, quad):
-        phi1, phi2, f = _mixture(y, p, v, model)
+    for y, phi1, phi2, c, w0, w1, w2 in _panels(v, quad, model):
+        f = p * phi1 + (1.0 - p) * phi2
         # f underflows to 0 only where every component does; the weight
         # vanishes there too, so masked nodes contribute exactly nothing
         log2f = np.where(f > 0, np.log2(np.where(f > 0, f, 1.0)), 0.0)
         g = weight_fn(y, phi1, phi2) * log2f
-        total += integrate.simpson(g, x=y)
+        total += np.sum(c * (g[0:-2:2] * w0 + g[1::2] * w1 + g[2::2] * w2))
     return total
 
 

@@ -255,6 +255,22 @@ def _check_tone_sum(rng):
                 f"tone_sum off by {abs(got[m] - want):.2e} at sample {k}")
 
 
+def _check_noncentral_law(rng):
+    # ber_det_noncentral calls scipy's private _ncx2_sf ufunc in place of
+    # stats.ncx2.sf; a scipy that moved or changed it must not go unnoticed
+    from scipy import stats
+
+    n, p1, p2 = 10, 0.3, 0.7
+    d = theory.DeterministicEnergies(qd_1=0.5, qd_2=3.0, sigma2_R=1.0)
+    ts = np.array([-1.0, 0.0, 0.2, d.qd_1, 1.7, d.qd_2, 6.0, np.inf, np.nan])
+    x = 2.0 * n * ts / d.sigma2_R
+    want = p1 * stats.ncx2.sf(x, 2 * n, 2.0 * n * d.qd_1 / d.sigma2_R) \
+        + p2 * stats.ncx2.cdf(x, 2 * n, 2.0 * n * d.qd_2 / d.sigma2_R)
+    got = theory.ber_det_noncentral(d, p1, p2, n, ts)
+    if not np.array_equal(got, want, equal_nan=True):
+        raise AssertionError(f"noncentral law {got} differs from stats {want}")
+
+
 def _cmd_selftest(args):
     checks = [
         ("threshold-optimality", _check_threshold_optimality),
@@ -263,6 +279,7 @@ def _cmd_selftest(args):
         ("thread-determinism", _check_determinism),
         ("gaussian-approx", _check_gaussian_approx),
         ("tone-sum-large-offset", _check_tone_sum),
+        ("noncentral-law-matches-stats", _check_noncentral_law),
     ]
     rng = np.random.default_rng(20240817)
     failed = 0

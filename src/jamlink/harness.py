@@ -672,15 +672,14 @@ def run_capacity_sweep(cfg, progress=None):
         pj = 10.0 ** (cfg.jnr_db_fixed / 10.0) * cfg.sigma2_R
         labels = [f"snr_{s:g}db" for s in cfg.snr_curves_db]
         columns = ["p"] + [f"mi.{lab}" for lab in labels]
-        curves = [_capacity_variances(cfg, s, pj)[0] for s in cfg.snr_curves_db]
-        rows = []
-        for value in cfg.axis_values:
-            row = [value] + [cap.mutual_information(value, v, cfg.quad,
-                                                    cfg.capacity_model)
-                             for v in curves]
-            rows.append(tuple(row))
+        # one curve at a time, so each curve's quadrature panels are built once
+        mi_columns = []
         peaks = {}
-        for lab, v in zip(labels, curves):
+        for lab, s in zip(labels, cfg.snr_curves_db):
+            v = _capacity_variances(cfg, s, pj)[0]
+            mi_columns.append([cap.mutual_information(value, v, cfg.quad,
+                                                      cfg.capacity_model)
+                               for value in cfg.axis_values])
             res = cap.capacity(v, cfg.quad, cfg.capacity_model)
             peaks[lab] = {"p_star": res.p_star,
                           "capacity_bits": res.capacity_bits}
@@ -688,7 +687,8 @@ def run_capacity_sweep(cfg, progress=None):
                 progress(f"{lab}: p*={res.p_star:.4f} "
                          f"C={res.capacity_bits:.4f} bits")
         meta["peaks"] = peaks
-        return SweepResult(columns=tuple(columns), rows=tuple(rows), meta=meta)
+        rows = tuple(zip(cfg.axis_values, *mi_columns))
+        return SweepResult(columns=tuple(columns), rows=rows, meta=meta)
 
     snr_db = cfg.snr_curves_db[0]
     columns = ("jnr_db", "aaj_capacity_bits", "aaj_p_star", "dt_capacity_bits")

@@ -13,6 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize, special, stats
+# the ufunc stats.ncx2._sf calls in scipy 1.17.1; private, so the selftest
+# check noncentral-law-matches-stats compares it against stats.ncx2.sf
+from scipy.special._ufuncs import _ncx2_sf
 
 from . import signals
 from .errors import DegenerateChannelError, NumericalFailureError, UnboundedLimitError
@@ -168,16 +171,22 @@ def ber_det_noncentral(d, p1, p2, N, threshold):
     The shifted-gamma form of :func:`ber_det` ignores the cross term and
     understates the spread (variance ``sigma2^2/N`` instead of
     ``(sigma2^2 + 2 qd sigma2)/N``).
+
+    The tails come from the ufuncs under ``stats.ncx2``/``stats.chi2``,
+    with the same values and boundary rules (x <= 0 gives sf 1 and cdf 0,
+    +inf gives sf 0 and cdf 1, NaN stays NaN) minus the per-call dispatch.
     """
     t = np.asarray(threshold, dtype=np.float64)
     x = 2.0 * N * t / d.sigma2_R
+    df = 2 * N
     lam1 = 2.0 * N * d.qd_1 / d.sigma2_R
     lam2 = 2.0 * N * d.qd_2 / d.sigma2_R
-    if lam1 > 0:
-        miss0 = stats.ncx2.sf(x, 2 * N, lam1)
-    else:
-        miss0 = stats.chi2.sf(x, 2 * N)
-    miss1 = stats.ncx2.cdf(x, 2 * N, lam2)
+    with np.errstate(over="ignore"):  # as stats.ncx2 does (scipy gh-17432)
+        sf = _ncx2_sf(x, df, lam1) if lam1 > 0 else special.chdtrc(df, x)
+        cdf = special.chndtr(x, df, lam2) if lam2 > 0 else special.chdtr(df, x)
+    # the raw ufuncs give NaN below 0, and _ncx2_sf gives 0 at 0, NaN at +inf
+    miss0 = np.where(x <= 0, 1.0, np.where(x == np.inf, 0.0, sf))
+    miss1 = np.where(x <= 0, 0.0, cdf)
     out = p1 * miss0 + p2 * miss1
     return float(out) if out.ndim == 0 else out
 

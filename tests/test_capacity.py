@@ -1,8 +1,12 @@
 """Binary-input mutual information and its maximization."""
 
+import math
+
 import numpy as np
 import pytest
+from scipy import integrate
 
+from jamlink import capacity as capacity_module
 from jamlink.capacity import (CapacityResult, QuadratureConfig, capacity,
                               dt_capacity, gaussian_mixture_components,
                               mi_derivative, mutual_information)
@@ -98,6 +102,60 @@ class TestMiDerivative:
         ps = np.linspace(0.1, 0.9, 9)
         ds = [mi_derivative(p, V12) for p in ps]
         assert all(a > b for a, b in zip(ds, ds[1:]))
+
+
+def _fresh_quadrature(p, v, quad, model, derivative):
+    # fresh panels, densities and integrate.simpson on every call
+    w = quad.half_width_sigmas * math.sqrt(v.delta2_1)
+    W = quad.half_width_sigmas * math.sqrt(v.delta2_2)
+    total = 0.0
+    for y in (np.linspace(0.0, w, quad.points),
+              np.linspace(w, W, quad.points)):
+        if model == "real":
+            a, b = gaussian_mixture_components(y, v)
+        else:
+            a = np.exp(-y * y / v.delta2_1) / (math.pi * v.delta2_1)
+            b = np.exp(-y * y / v.delta2_2) / (math.pi * v.delta2_2)
+        f = p * a + (1.0 - p) * b
+        log2f = np.where(f > 0, np.log2(np.where(f > 0, f, 1.0)), 0.0)
+        weight = a - b if derivative else p * a + (1.0 - p) * b
+        if model == "complex":
+            weight = 2.0 * math.pi * y * weight
+        total += integrate.simpson(weight * log2f, x=y)
+    total = -2.0 * total if model == "real" else -total
+    if derivative:
+        c = 0.5 if model == "real" else 1.0
+        return total - c * math.log2(v.delta2_1 / v.delta2_2)
+    if model == "real":
+        h1, h2 = (0.5 * math.log2(2.0 * math.pi * math.e * d)
+                  for d in (v.delta2_1, v.delta2_2))
+    else:
+        h1, h2 = (math.log2(math.pi * math.e * d)
+                  for d in (v.delta2_1, v.delta2_2))
+    return total - p * h1 - (1.0 - p) * h2
+
+
+class TestCachedPanels:
+    @pytest.mark.parametrize("model", ["real", "complex"])
+    def test_equal_to_fresh_simpson_bit_for_bit(self, model):
+        # more channels than the cache holds, visited in interleaved order,
+        # so a wrong key or a stale entry shows up as a different value
+        capacity_module._panels.cache_clear()
+        quads = (QuadratureConfig(), QuadratureConfig(8.0, 301))
+        vs = (ConditionalVariances(1.0, 4.0), ConditionalVariances(0.3, 900.0),
+              ConditionalVariances(2.0, 2.5))
+        for p in (0.2, 0.55, 0.9):
+            for quad in quads:
+                for v in vs:
+                    assert mutual_information(p, v, quad, model) == \
+                        _fresh_quadrature(p, v, quad, model, False)
+                    assert mi_derivative(p, v, quad, model) == \
+                        _fresh_quadrature(p, v, quad, model, True)
+
+    def test_cached_arrays_are_read_only(self):
+        for panel in capacity_module._panels(V12, QuadratureConfig(), "real"):
+            for a in panel:
+                assert not a.flags.writeable
 
 
 class TestCapacity:

@@ -162,3 +162,8 @@ class TestSelftest:
         code, out, _ = run(["selftest", "--quiet"], capsys)
         assert code == 0, out
         assert "FAIL" not in out
+
+    def test_selftest_guards_the_private_ncx2_ufunc(self, capsys):
+        code, out, _ = run(["selftest"], capsys)
+        assert code == 0, out
+        assert "ok noncentral-law-matches-stats" in out

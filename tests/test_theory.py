@@ -214,6 +214,34 @@ class TestBerDet:
         assert ber_det(d, 0.5, 0.5, 10, t_mid) \
             < ber_det_noncentral(d, 0.5, 0.5, 10, t_mid)
 
+    @pytest.mark.parametrize("n", [1, 10, 64])
+    @pytest.mark.parametrize("d", [
+        DeterministicEnergies(qd_1=0.0, qd_2=3.0, sigma2_R=1.0),
+        DeterministicEnergies(qd_1=0.5, qd_2=3.0, sigma2_R=1.0),
+        # both noncentralities underflow to 0: stats falls back to chi2
+        DeterministicEnergies(qd_1=0.0, qd_2=5e-324, sigma2_R=10.0),
+    ], ids=["qd1-zero", "qd1-positive", "lam-underflow"])
+    @pytest.mark.parametrize("p1", [0.3, 1.0, 0.0])
+    def test_noncentral_equals_stats_bit_for_bit(self, n, d, p1):
+        # the law calls the ufuncs under stats.ncx2/chi2 directly, so it
+        # must keep their values and their boundary rules: x <= 0, +inf,
+        # NaN; priors 1 and 0 check each tail alone, down to the last bit
+        p2 = 1.0 - p1
+        ts = np.array([-1.0, 0.0, 1e-300, d.qd_1, 0.5, d.qd_2, 5.0, 1e300,
+                       np.inf, np.nan])
+        x = 2.0 * n * ts / d.sigma2_R
+        lam1 = 2.0 * n * d.qd_1 / d.sigma2_R
+        lam2 = 2.0 * n * d.qd_2 / d.sigma2_R
+        sf = stats.ncx2.sf(x, 2 * n, lam1) if lam1 > 0 \
+            else stats.chi2.sf(x, 2 * n)
+        want = p1 * sf + p2 * stats.ncx2.cdf(x, 2 * n, lam2)
+        got = ber_det_noncentral(d, p1, p2, n, ts)
+        assert np.array_equal(got, want, equal_nan=True)
+        for t, w in zip(ts, want):
+            got = ber_det_noncentral(d, p1, p2, n, float(t))
+            assert isinstance(got, float)
+            assert np.array_equal(got, w, equal_nan=True), t
+
 
 class TestOptimalThresholdDet:
     def test_closed_form_agrees_with_refinement(self):
