@@ -11,9 +11,10 @@ import numpy as np
 from . import harness, kernels, theory
 from .capacity import capacity as cap_capacity
 from .capacity import mutual_information
+from .channel import ChannelDraw
 from .errors import ConfigError, JamlinkError
-from .modem import FrameConfig
-from .signals import JammerKind, JammerSpec
+from .modem import FrameConfig, block_energies
+from .signals import JammerKind, JammerSpec, gen_cscg
 
 __all__ = ["cli_main", "main"]
 
@@ -159,7 +160,8 @@ def _cmd_theory(args):
                 d, p1, p2, args.n, ber_fn=theory.ber_det_noncentral)
             value = theory.ber_det_noncentral(d, p1, p2, args.n, t)
         else:
-            value = theory.refine_threshold_det(d, p1, p2, args.n)
+            value = theory.refine_threshold_det(
+                d, p1, p2, args.n, ber_fn=theory.ber_det_noncentral)
     print(f"{value:.17g}")
     return 0
 
@@ -271,6 +273,29 @@ def _check_noncentral_law(rng):
         raise AssertionError(f"noncentral law {got} differs from stats {want}")
 
 
+def _check_random_energy_law(rng):
+    # block_energies draws CSCG-jammed energies from their gamma law; both
+    # levels must match energies composed from CSCG samples (KS, two-sample)
+    from scipy import stats
+
+    cfg = FrameConfig(N=8, M=2, a1=0.5, a2=2.0)
+    ch = ChannelDraw(h1=0.8 - 0.6j, h2=0.3 + 1.1j, h3=-0.7 + 0.4j,
+                     sigma2_R=1.0)
+    spec = JammerSpec(kind=JammerKind.RANDOM_BROADBAND, power=1.0)
+    bits = np.repeat([0, 1], 2000)
+    law = block_energies(spec, ch, cfg, bits, rng)
+    n = bits.size * cfg.N
+    jam = gen_cscg(spec.power, n, rng)
+    noise = gen_cscg(ch.sigma2_R, n, rng)
+    samples = kernels.compose_energies(
+        jam, jam, noise, np.where(bits == 0, cfg.a1, cfg.a2), ch.h1 * ch.h2,
+        ch.h3, cfg.N)
+    for bit in (0, 1):
+        p = stats.ks_2samp(law[bits == bit], samples[bits == bit]).pvalue
+        if p < 1e-3:
+            raise AssertionError(f"bit {bit}: KS p={p:.2e} < 1e-3")
+
+
 def _cmd_selftest(args):
     checks = [
         ("threshold-optimality", _check_threshold_optimality),
@@ -280,6 +305,7 @@ def _cmd_selftest(args):
         ("gaussian-approx", _check_gaussian_approx),
         ("tone-sum-large-offset", _check_tone_sum),
         ("noncentral-law-matches-stats", _check_noncentral_law),
+        ("random-energy-law", _check_random_energy_law),
     ]
     rng = np.random.default_rng(20240817)
     failed = 0
@@ -314,7 +340,7 @@ def cli_main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (JamlinkError, OSError, ValueError) as exc:
+    except (JamlinkError, OSError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -85,16 +85,26 @@ def build_preamble(M):
 def block_energies(jam_spec, ch, cfg, bits, rng, sample_offset=0):
     """Per-symbol received energies of one block carrying ``bits``.
 
-    The jamming block covers samples ``[sample_offset - ch.n_tau,
-    sample_offset + len(bits) * cfg.N)``: the ``n_tau`` look-back feeds the
-    delayed jammer-to-receiver path, so tonal waveforms continue smoothly
-    across consecutive blocks.  Receiver noise, CN(0, sigma2_R) per sample,
-    is drawn from ``rng`` after the jamming samples.  Each energy averages
-    ``|h1 h2 a_k j[n] + h3 j[n - n_tau] + z[n]|^2`` over the N samples of
-    symbol k.
+    Each energy averages ``|h1 h2 a_k j[n] + h3 j[n - n_tau] + z[n]|^2``
+    over the N samples of symbol k.
+
+    Random broadband jamming with ``n_tau == 0`` makes every sample of
+    symbol k CN(0, delta2_k), so its energy is drawn directly from its exact
+    law, Gamma(N, delta2_k / N), one ``rng`` draw per symbol.
+
+    Every other case draws samples.  The jamming block covers samples
+    ``[sample_offset - ch.n_tau, sample_offset + len(bits) * cfg.N)``: the
+    ``n_tau`` look-back feeds the delayed jammer-to-receiver path, so tonal
+    waveforms continue smoothly across consecutive blocks.  Receiver noise,
+    CN(0, sigma2_R) per sample, is drawn from ``rng`` after the jamming
+    samples.
     """
     bits = np.asarray(bits, dtype=np.int64)
     rng = np.random.default_rng(rng)
+    if jam_spec.kind is signals.JammerKind.RANDOM_BROADBAND and ch.n_tau == 0:
+        d2 = np.where(bits == 0, theory.delta2(ch, cfg.a1, jam_spec.power),
+                      theory.delta2(ch, cfg.a2, jam_spec.power))
+        return rng.standard_gamma(cfg.N, size=bits.shape[0]) * (d2 / cfg.N)
     amps_sym = np.where(bits == 0, float(cfg.a1), float(cfg.a2))
     n_tot = bits.shape[0] * cfg.N
     jam = signals.gen_jammer_block(

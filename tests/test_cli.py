@@ -70,11 +70,28 @@ class TestTheoryOps:
         assert code == 1
 
     def test_optimal_threshold_det(self, capsys):
+        # the noncentral law's optimum, the default of ber-det-noncentral
+        d = theory.DeterministicEnergies(qd_1=0.0, qd_2=4.0, sigma2_R=1.0)
         code, out, _ = run(["theory", "--op", "optimal-threshold-det",
                             "--qd1", "0", "--qd2", "4", "--sigma2", "1",
                             "--n", "8"], capsys)
         assert code == 0
-        assert float(out.strip()) > 4.0
+        t = float(out.strip())
+        assert t == theory.refine_threshold_det(
+            d, 0.5, 0.5, 8, ber_fn=theory.ber_det_noncentral)
+        assert t != theory.refine_threshold_det(d, 0.5, 0.5, 8)
+        # between the two mean energies qd_k + sigma2
+        assert 1.0 < t < 5.0
+
+    def test_overflow_is_runtime_error(self, capsys):
+        # Boost's tgamma overflows at a tiny threshold and a large
+        # noncentrality
+        code, out, err = run(["theory", "--op", "ber-det-noncentral",
+                              "--qd1", "4", "--qd2", "9", "--n", "64",
+                              "--t", "1e-300"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_ber_det_noncentral(self, capsys):
         # default threshold: the noncentral law's own optimum
@@ -167,3 +184,15 @@ class TestSelftest:
         code, out, _ = run(["selftest"], capsys)
         assert code == 0, out
         assert "ok noncentral-law-matches-stats" in out
+
+    def test_selftest_checks_the_random_energy_law(self, capsys, monkeypatch):
+        code, out, _ = run(["selftest"], capsys)
+        assert code == 0, out
+        assert "ok random-energy-law" in out
+        # gamma-path energies that drop the receiver noise are caught
+        monkeypatch.setattr(
+            theory, "delta2",
+            lambda ch, a_k, pj: abs(ch.h1 * ch.h2 * a_k + ch.h3) ** 2 * pj)
+        code, out, _ = run(["selftest"], capsys)
+        assert code == 2
+        assert "FAIL random-energy-law" in out

@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy import stats
 
-from jamlink import kernels
+from jamlink import kernels, theory
 from jamlink.channel import ChannelDraw
 from jamlink.errors import DegenerateThresholdError
-from jamlink.modem import (FrameConfig, build_preamble, decode,
-                           estimate_threshold, run_link)
-from jamlink.signals import JammerKind, JammerSpec, prepare_jammer
+from jamlink.modem import (FrameConfig, block_energies, build_preamble,
+                           decode, estimate_threshold, run_link)
+from jamlink.signals import (JammerKind, JammerSpec, gen_cscg,
+                             gen_jammer_block, prepare_jammer)
 
 
 def _cfg(**kw):
@@ -160,3 +162,65 @@ class TestRunLink:
         stat = 2 * cfg.N * q0 / delta2
         _, p = stats.kstest(stat, "chi2", args=(2 * cfg.N,))
         assert p > 0.01
+
+
+class TestBlockEnergies:
+    """Random broadband jamming with n_tau = 0 draws Gamma(N, delta2/N)
+    energies; every other case composes them from samples."""
+
+    CH = ChannelDraw(h1=0.8 - 0.6j, h2=0.3 + 1.1j, h3=-0.7 + 0.4j,
+                     sigma2_R=0.5, n_tau=0)
+    BBR = JammerSpec(kind=JammerKind.RANDOM_BROADBAND, power=3.0)
+
+    @staticmethod
+    def _sample_path(spec, ch, cfg, bits, rng, offset):
+        n_tot = bits.size * cfg.N
+        jam = gen_jammer_block(spec, n_tot + ch.n_tau, offset - ch.n_tau, rng)
+        noise = gen_cscg(ch.sigma2_R, n_tot, rng)
+        return kernels.compose_energies(
+            jam[ch.n_tau:], jam[:n_tot], noise,
+            np.where(bits == 0, cfg.a1, cfg.a2), ch.h1 * ch.h2, ch.h3, cfg.N)
+
+    @pytest.mark.parametrize("bit", [0, 1])
+    @pytest.mark.parametrize("N", [1, 8, 50])
+    def test_gamma_path_matches_sample_path_law(self, N, bit):
+        # fixed seeds; a correct law fails the 1e-3 KS bound 0.1% of the time
+        cfg = _cfg(N=N, M=2, a1=0.5, a2=2.0)
+        bits = np.full(4000, bit)
+        law = block_energies(self.BBR, self.CH, cfg, bits,
+                             np.random.default_rng(100 + N))
+        samples = self._sample_path(self.BBR, self.CH, cfg, bits,
+                                    np.random.default_rng(200 + N), 0)
+        assert stats.ks_2samp(law, samples).pvalue > 1e-3
+
+    @pytest.mark.parametrize("kind,n_tau", [
+        (JammerKind.RANDOM_BROADBAND, 3),
+        (JammerKind.SINGLE_TONE, 0),
+        (JammerKind.MULTI_TONE, 2),
+        (JammerKind.MOD_QPSK, 0),
+        (JammerKind.MOD_16QAM, 1),
+    ])
+    def test_other_cases_keep_the_sample_path(self, kind, n_tau):
+        spec = prepare_jammer(JammerSpec(kind=kind, power=3.0),
+                              np.random.default_rng(4))
+        ch = ChannelDraw(self.CH.h1, self.CH.h2, self.CH.h3,
+                         self.CH.sigma2_R, n_tau)
+        cfg = _cfg(N=8, M=2, a1=0.5, a2=2.0)
+        bits = np.random.default_rng(5).integers(0, 2, 300)
+        got = block_energies(spec, ch, cfg, bits, np.random.default_rng(6),
+                             sample_offset=40)
+        want = self._sample_path(spec, ch, cfg, bits,
+                                 np.random.default_rng(6), 40)
+        np.testing.assert_array_equal(got, want)
+
+    def test_run_link_draws_the_preamble_from_the_gamma_law(self):
+        cfg = _cfg(N=8, M=10, a1=0.5, a2=2.0)
+        payload = np.random.default_rng(7).integers(0, 2, 50)
+        _, _, q = run_link(self.BBR, self.CH, cfg, payload,
+                           np.random.default_rng(8))
+        bits = np.concatenate([build_preamble(cfg.M), payload])
+        d2 = np.where(bits == 0,
+                      theory.delta2(self.CH, cfg.a1, self.BBR.power),
+                      theory.delta2(self.CH, cfg.a2, self.BBR.power))
+        gamma = np.random.default_rng(8).standard_gamma(cfg.N, bits.size)
+        np.testing.assert_array_equal(q, gamma * (d2 / cfg.N))
