@@ -10,11 +10,11 @@ to select, so it degenerates to direct transmission.
 Neither spreading nor hopping buys any rejection, so both receivers slice
 one real Gaussian per bit, mean ``±amp`` and variance ``noise_var``, and
 BER = Q(sqrt(2 Eb / (N0 + P_J))).  The DS-SS correlator sums L chips of
-amplitude ``gain·sqrt(Eb/L)``, each with real noise of variance
-``(1 + P_J)/2``; mean² over variance is ``2 gain² Eb / (1 + P_J)`` for any
-L, so L cancels at fixed Eb/N0.  Every FH hop lands in a jammed
-sub-channel, so the hop index changes nothing.  The simulation draws that
-statistic, not L chips or a hop.
+amplitude ``sqrt(Eb/L)``, each with real noise of variance ``(1 + P_J)/2``;
+mean² over variance is ``2 Eb / (1 + P_J)`` for any L, so L cancels at
+fixed Eb/N0.  Every FH hop lands in a jammed sub-channel, so the hop index
+changes nothing.  The simulation draws that statistic, not L chips or a
+hop.
 """
 
 import enum
@@ -37,12 +37,11 @@ class BaselineScheme(enum.Enum):
 
 @dataclass(frozen=True)
 class BaselineConfig:
-    """Baseline link parameters; gains are fixed (perfect CSI assumed)."""
+    """Baseline link parameters; unit gains (perfect CSI assumed)."""
 
     scheme: BaselineScheme
     eb_n0_db: float
     spread_factor: int = 8
-    gain: float = 1.0
 
     def __post_init__(self):
         if int(self.spread_factor) < 2:
@@ -70,23 +69,22 @@ def dsss_ber_mc(cfg, jnr_db, trials, rng):
     """Monte Carlo BER of direct-sequence spreading under fullband jamming.
 
     Draws the despread correlator of ``spread_factor`` chips directly:
-    mean ``L·gain·sqrt(Eb/L)``, variance ``L·(1 + 10^(jnr_db/10))/2``.
+    mean ``L·sqrt(Eb/L)``, variance ``L·(1 + 10^(jnr_db/10))/2``.
     ``jnr_db = -inf`` switches the jammer off.
     """
     L = cfg.spread_factor
     eb = 10.0 ** (cfg.eb_n0_db / 10.0)
     pj = 10.0 ** (jnr_db / 10.0)
-    return _bpsk_ber(L * cfg.gain * math.sqrt(eb / L), L * (1.0 + pj) / 2.0,
-                     trials, rng)
+    return _bpsk_ber(L * math.sqrt(eb / L), L * (1.0 + pj) / 2.0, trials, rng)
 
 
 def fh_ber_mc(cfg, jnr_db, trials, rng):
     """Monte Carlo BER of frequency hopping under fullband jamming.
 
     One BPSK symbol per hop; every sub-channel carries jamming of variance
-    ``10^(jnr_db/10)``, so the statistic is ``±gain·sqrt(Eb)`` in real
+    ``10^(jnr_db/10)``, so the statistic is ``±sqrt(Eb)`` in real
     noise of variance ``(1 + P_J)/2`` whichever hop is taken.
     """
     eb = 10.0 ** (cfg.eb_n0_db / 10.0)
     pj = 10.0 ** (jnr_db / 10.0)
-    return _bpsk_ber(cfg.gain * math.sqrt(eb), (1.0 + pj) / 2.0, trials, rng)
+    return _bpsk_ber(math.sqrt(eb), (1.0 + pj) / 2.0, trials, rng)

@@ -203,13 +203,11 @@ def capacity(v, quad=None, model="real"):
                           capacity_bits=max(0.0, float(value)))
 
 
-def dt_capacity(P_A, P_J, sigma2_R, ch=None):
+def dt_capacity(P_A, P_J, sigma2_R):
     """Direct-transmission capacity treating the jamming as noise.
 
-    ``log2(1 + |h2|^2 P_A / (|h3|^2 P_J + sigma2_R))`` with the
-    transmitter-to-receiver gain h2 acting as the direct path; both gains
-    default to 1 when no channel draw is given.  ``P_J = 0`` is allowed and
-    models the jammer silent.
+    ``log2(1 + P_A / (P_J + sigma2_R))`` on unit channel gains.  ``P_J = 0``
+    is allowed and models the jammer silent.
     """
     if not P_A > 0:
         raise ValueError("P_A must be > 0")
@@ -217,6 +215,4 @@ def dt_capacity(P_A, P_J, sigma2_R, ch=None):
         raise ValueError("P_J must be >= 0")
     if not sigma2_R > 0:
         raise ValueError("sigma2_R must be > 0")
-    g_direct = abs(ch.h2) ** 2 if ch is not None else 1.0
-    g_jam = abs(ch.h3) ** 2 if ch is not None else 1.0
-    return math.log2(1.0 + g_direct * P_A / (g_jam * P_J + sigma2_R))
+    return math.log2(1.0 + P_A / (P_J + sigma2_R))

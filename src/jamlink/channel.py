@@ -16,12 +16,9 @@ __all__ = ["RicianParams", "ChannelDraw", "draw_channel", "sinr"]
 
 @dataclass(frozen=True)
 class RicianParams:
-    """Rician fading description: K factor plus line-of-sight means."""
+    """Rician fading description: the K factor; every line-of-sight mean is 1."""
 
     k_factor: float
-    los_h1: complex = 1.0 + 0.0j
-    los_h2: complex = 1.0 + 0.0j
-    los_h3: complex = 1.0 + 0.0j
 
     def __post_init__(self):
         if not self.k_factor >= 0:
@@ -54,10 +51,10 @@ def _cn01(rng, size=None):
 def draw_channel(params, sigma2_R, n_tau, rng):
     """Draw one Rician block-fading realization.
 
-    Each gain is ``sqrt(K/(K+1)) * los + sqrt(1/(K+1)) * h_scatter`` with
-    the scatter components i.i.d. CN(0, 1) and independent across the three
-    paths.  ``K = 0`` is pure Rayleigh; a huge ``K`` pins the gains to their
-    line-of-sight values.
+    Each gain is ``sqrt(K/(K+1)) + sqrt(1/(K+1)) * h_scatter``, a unit
+    line-of-sight mean plus scatter components i.i.d. CN(0, 1) and
+    independent across the three paths.  ``K = 0`` is pure Rayleigh; a huge
+    ``K`` pins the gains to 1.
 
     Parameters
     ----------
@@ -76,9 +73,7 @@ def draw_channel(params, sigma2_R, n_tau, rng):
     k = params.k_factor
     los_w = np.sqrt(k / (k + 1.0))
     sc_w = np.sqrt(1.0 / (k + 1.0))
-    scatter = _cn01(rng, 3)
-    los = np.array([params.los_h1, params.los_h2, params.los_h3], dtype=np.complex128)
-    h1, h2, h3 = los_w * los + sc_w * scatter
+    h1, h2, h3 = los_w + sc_w * _cn01(rng, 3)
     return ChannelDraw(h1=complex(h1), h2=complex(h2), h3=complex(h3),
                        sigma2_R=float(sigma2_R), n_tau=int(n_tau))
 

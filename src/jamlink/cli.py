@@ -79,10 +79,15 @@ def _resolve_config(args):
     else:
         raise ConfigError("one of --preset or --config is required")
     if args.trials is not None:
+        if not (math.isfinite(args.trials) and args.trials > 0):
+            raise ConfigError(
+                f"--trials must be finite and > 0, got {args.trials!r}")
         blocks = max(1, round(args.trials / cfg.payload_bits_per_block))
         cfg = replace(cfg, blocks=blocks)
     if args.threads is not None:
-        cfg = replace(cfg, threads=int(args.threads))
+        if args.threads < 1:
+            raise ConfigError(f"--threads must be >= 1, got {args.threads}")
+        cfg = replace(cfg, threads=args.threads)
     return cfg
 
 
@@ -95,8 +100,7 @@ def _cmd_sweep(args):
     result = harness.run_ber_sweep(cfg, progress=progress)
     harness.emit_csv(result, args.out)
     if not args.quiet:
-        print(f"wrote {args.out} ({len(result.rows)} rows, "
-              f"backend={result.meta['backend']})")
+        print(f"wrote {args.out} ({len(result.rows)} rows)")
     return 0
 
 

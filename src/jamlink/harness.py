@@ -19,11 +19,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import baselines, capacity as cap, channel, kernels, modem, signals, theory
+from . import baselines, capacity as cap, channel, modem, signals, theory
 from .capacity import QuadratureConfig
 from .channel import ChannelDraw, RicianParams
 from .config import coerce, load_config
-from .errors import ConfigError
+from .errors import ConfigError, DegenerateChannelError
 from .mc import BerEstimate
 from .modem import FrameConfig
 from .signals import JammerKind, JammerSpec
@@ -128,6 +128,8 @@ class ExperimentConfig:
                 raise ConfigError("capacity model must be 'real' or 'complex'")
         if int(self.blocks) < 1 or int(self.payload_bits_per_block) < 1:
             raise ConfigError("blocks and payload_bits_per_block must be >= 1")
+        if self.n_tau < 0:
+            raise ConfigError("n_tau must be >= 0")
         object.__setattr__(self, "axis_values", vals)
         object.__setattr__(self, "blocks", int(self.blocks))
         object.__setattr__(self, "payload_bits_per_block",
@@ -275,7 +277,20 @@ _KNOWN_KEYS = {
 
 
 def config_from_mapping(raw):
-    """Build an ExperimentConfig from parsed config-file keys."""
+    """Build an ExperimentConfig from parsed config-file keys.
+
+    A value that a config object rejects raises ``ConfigError``, like every
+    other bad input from the file.
+    """
+    try:
+        return _config_from_mapping(raw)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _config_from_mapping(raw):
     unknown = set(raw) - _KNOWN_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -320,6 +335,8 @@ def config_from_mapping(raw):
                                 **common)
 
     p1 = get("frame.p1", "float", 0.5)
+    if not 0 < p1 < 1:
+        raise ConfigError(f"frame.p1 must lie in (0, 1), got {p1!r}")
     a2 = get("frame.a2", "float")
     if a2 is None:
         snr_db = get("snr.db", "float")
@@ -328,8 +345,7 @@ def config_from_mapping(raw):
         a2 = _a2_from_snr(snr_db, sigma2, get("snr.map", "str", "average"),
                           p2=1.0 - p1)
     frame = FrameConfig(N=get("frame.n", "int", 10), M=get("frame.m", "int", 10),
-                        a1=get("frame.a1", "float", 0.0), a2=a2,
-                        p1=p1, p2=1.0 - p1)
+                        a1=get("frame.a1", "float", 0.0), a2=a2, p1=p1)
     kinds = get("jammer.kind", "list") or ["random_broadband"]
     tmode = get("threshold.mode", "str", "estimated")
     curves = tuple(Curve(k, JammerSpec(kind=JammerKind.parse(k), power=1.0),
@@ -386,11 +402,8 @@ def _axis_point(cfg, value):
     """Resolve (P_J, frame) for one axis value."""
     if cfg.axis_name == "jnr_db":
         return 10.0 ** (value / 10.0) * cfg.sigma2_R, cfg.frame
-    n = int(round(value))
-    if n < 1:
-        raise ConfigError(f"axis value N={value} is not a positive symbol length")
     pj = 10.0 ** (cfg.jnr_db_fixed / 10.0) * cfg.sigma2_R
-    return pj, replace(cfg.frame, N=n)
+    return pj, replace(cfg.frame, N=int(round(value)))
 
 
 def _spec_at_power(prepared, pj):
@@ -506,8 +519,8 @@ _MODELS = {
 def _theory_columns(model, levels, ch, frame, pj):
     """(ber_theory, ber_gauss, sinr) predictions for one block.
 
-    ``levels`` is None when the block's levels were rejected; that, or a
-    closed form rejecting them, makes all three columns NaN.
+    ``levels`` is None when the block's levels coincide; that, or a closed
+    form finding them degenerate, makes all three columns NaN.
     """
     nan3 = (math.nan, math.nan, math.nan)
     if levels is None and model.theory is not None:
@@ -516,7 +529,7 @@ def _theory_columns(model, levels, ch, frame, pj):
         ber, gauss = model.theory(levels, frame) if model.theory \
             else (math.nan, math.nan)
         return ber, gauss, channel.sinr(ch, frame.a2, pj, model.random)
-    except ValueError:  # DegenerateChannelError included
+    except DegenerateChannelError:
         return nan3
 
 
@@ -540,7 +553,7 @@ def _run_ber_block(cfg, spec, curve, frame, axis_i, curve_i, block_i):
     offset = link_offset + n_pre
     try:
         levels = model.levels(spec, ch, frame, n_tot, offset)
-    except ValueError:
+    except DegenerateChannelError:
         if exact:
             raise
         levels = None
@@ -641,8 +654,7 @@ def run_ber_sweep(cfg, progress=None):
                                  f"ber={est.ber:.3e}")
             rows.append(tuple(row))
     return SweepResult(columns=tuple(columns), rows=tuple(rows),
-                       meta={"preset": cfg.preset, "mode": "ber",
-                             "backend": kernels.BACKEND})
+                       meta={"preset": cfg.preset, "mode": "ber"})
 
 
 # ---------------------------------------------------------------------------

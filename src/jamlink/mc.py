@@ -6,9 +6,11 @@ from scipy.stats import binomtest
 
 __all__ = ["BerEstimate", "wilson_interval"]
 
+_CONFIDENCE = 0.95
 
-def wilson_interval(errors, bits, confidence=0.95):
-    """Wilson score interval for an error fraction.
+
+def wilson_interval(errors, bits):
+    """Wilson score 95% interval for an error fraction.
 
     Preferred over the normal approximation because error counts at low BER
     are routinely small or zero.
@@ -16,7 +18,7 @@ def wilson_interval(errors, bits, confidence=0.95):
     if bits < 1:
         raise ValueError("bits must be >= 1")
     ci = binomtest(int(errors), int(bits)).proportion_ci(
-        confidence_level=confidence, method="wilson")
+        confidence_level=_CONFIDENCE, method="wilson")
     return float(ci.low), float(ci.high)
 
 

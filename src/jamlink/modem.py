@@ -37,8 +37,8 @@ class FrameConfig:
         Preamble length in symbols; even, >= 2.
     a1, a2 : float
         Amplification factors for bits '0' and '1'; 0 <= a1 < a2.
-    p1, p2 : float
-        Prior probabilities of '0' and '1'; each in (0, 1), summing to 1.
+    p1 : float
+        Prior probability of '0', in (0, 1); '1' has prior ``p2 = 1 - p1``.
     """
 
     N: int
@@ -46,7 +46,6 @@ class FrameConfig:
     a1: float
     a2: float
     p1: float = 0.5
-    p2: float = 0.5
 
     def __post_init__(self):
         if int(self.N) < 1:
@@ -55,12 +54,14 @@ class FrameConfig:
             raise ValueError("M must be even and >= 2")
         if not 0 <= self.a1 < self.a2:
             raise ValueError("alphabet requires 0 <= a1 < a2")
-        if not (0 < self.p1 < 1 and 0 < self.p2 < 1):
-            raise ValueError("priors must lie in (0, 1)")
-        if abs(self.p1 + self.p2 - 1.0) > 1e-9:
-            raise ValueError("priors must sum to 1")
+        if not 0 < self.p1 < 1:
+            raise ValueError("prior p1 must lie in (0, 1)")
         object.__setattr__(self, "N", int(self.N))
         object.__setattr__(self, "M", int(self.M))
+
+    @property
+    def p2(self):
+        return 1.0 - self.p1
 
 
 @dataclass(frozen=True)

@@ -134,17 +134,14 @@ class ToneSet:
 class JammerSpec:
     """Parametric description of one jamming waveform.
 
-    ``center_freq`` and ``bandwidth`` control tone placement for the tonal
-    kinds and default to the layout table when left as None.  ``toneset`` is
-    filled in by :func:`prepare_jammer` (phases are drawn there, once per
-    experiment) and must satisfy the declared power within 1e-9 relative.
+    Tonal kinds take their tone placement from ``DEFAULT_TONE_LAYOUTS``.
+    ``toneset`` is filled in by :func:`prepare_jammer` (phases are drawn
+    there, once per experiment) and must satisfy the declared power within
+    1e-9 relative.
     """
 
     kind: JammerKind
     power: float
-    center_freq: float | None = None
-    bandwidth: float | None = None
-    n_tones: int | None = None
     toneset: ToneSet | None = field(default=None, compare=False)
 
     def __post_init__(self):
@@ -166,21 +163,6 @@ class JammerSpec:
             raise ValueError("narrowband tone span exceeds 1 percent of the source band")
         if self.kind is JammerKind.DET_BROADBAND and ts.span < 0.1 * _SOURCE_WIDTH:
             raise ValueError("deterministic broadband span is below 10 percent of the source band")
-
-    def layout(self):
-        """Resolved (center, bandwidth, J) for tonal kinds."""
-        if not self.kind.is_tonal:
-            raise ValueError(f"{self.kind.value} has no tone layout")
-        center, bw, j = DEFAULT_TONE_LAYOUTS[self.kind]
-        if self.center_freq is not None:
-            center = float(self.center_freq)
-        if self.bandwidth is not None:
-            bw = float(self.bandwidth)
-        if self.n_tones is not None:
-            j = int(self.n_tones)
-        if self.kind is JammerKind.SINGLE_TONE:
-            j, bw = 1, 0.0
-        return center, bw, j
 
 
 def gen_cscg(P_J, n, rng):
@@ -211,7 +193,7 @@ def gen_cscg(P_J, n, rng):
     return scale * (z[0] + 1j * z[1])
 
 
-def make_toneset(kind, center_freq, bandwidth, J, P_J, rng):
+def make_toneset(center_freq, bandwidth, J, P_J, rng):
     """Build an equal-amplitude tone set on a uniform inclusive grid.
 
     ``J`` tones are placed across ``[center_freq - bandwidth/2,
@@ -224,7 +206,6 @@ def make_toneset(kind, center_freq, bandwidth, J, P_J, rng):
     ValueError
         If the band leaves ``[0, 0.5)`` or the arguments are degenerate.
     """
-    kind = kind if isinstance(kind, JammerKind) else JammerKind.parse(kind)
     J = int(J)
     if J < 1:
         raise ValueError("J must be >= 1")
@@ -305,8 +286,8 @@ def prepare_jammer(spec, rng):
     """
     if spec.toneset is not None or not spec.kind.is_tonal:
         return spec
-    center, bw, j = spec.layout()
-    ts = make_toneset(spec.kind, center, bw, j, spec.power, rng)
+    center, bw, j = DEFAULT_TONE_LAYOUTS[spec.kind]
+    ts = make_toneset(center, bw, j, spec.power, rng)
     return replace(spec, toneset=ts)
 
 

@@ -207,7 +207,11 @@ def optimal_threshold_det(d, p1, p2, N):
     return float((d.qd_1 - xi * d.qd_2) / (1.0 - xi))
 
 
-def refine_threshold_det(d, p1, p2, N, grid_points=512, ber_fn=None):
+# points of the coarse grid that brackets the refined threshold
+_REFINE_GRID_POINTS = 512
+
+
+def refine_threshold_det(d, p1, p2, N, ber_fn=None):
     """Golden-section refinement of the deterministic-case BER minimum.
 
     The closed form above can sit measurably off the true minimizer, so this
@@ -220,10 +224,10 @@ def refine_threshold_det(d, p1, p2, N, grid_points=512, ber_fn=None):
     ber_fn = ber_fn or ber_det
     lo = d.qd_1
     hi = d.qd_2 + 15.0 * d.sigma2_R
-    grid = np.linspace(lo, hi, grid_points)
+    grid = np.linspace(lo, hi, _REFINE_GRID_POINTS)
     vals = ber_fn(d, p1, p2, N, grid)
     i = int(np.argmin(vals))
-    i = min(max(i, 1), grid_points - 2)
+    i = min(max(i, 1), _REFINE_GRID_POINTS - 2)
     try:
         res = optimize.minimize_scalar(
             lambda t: ber_fn(d, p1, p2, N, t),

@@ -10,7 +10,6 @@ from jamlink import capacity as capacity_module
 from jamlink.capacity import (CapacityResult, QuadratureConfig, capacity,
                               dt_capacity, gaussian_mixture_components,
                               mi_derivative, mutual_information)
-from jamlink.channel import ChannelDraw
 from jamlink.theory import ConditionalVariances
 
 V12 = ConditionalVariances(1.0, 2.0)
@@ -192,11 +191,6 @@ class TestDtCapacity:
     def test_jammed_hand_value(self):
         assert np.isclose(dt_capacity(30.0, 10.0, 1.0),
                           np.log2(1.0 + 30.0 / 11.0), rtol=1e-12)
-
-    def test_channel_gains_enter(self):
-        ch = ChannelDraw(1.0, 2.0, 0.5, 1.0, 0)
-        want = np.log2(1.0 + 4.0 * 8.0 / (0.25 * 4.0 + 1.0))
-        assert np.isclose(dt_capacity(8.0, 4.0, 1.0, ch), want, rtol=1e-12)
 
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError):

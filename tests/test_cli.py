@@ -49,6 +49,27 @@ class TestExitCodes:
                          capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("bad_line, flags", [
+        ("frame.p1 = 1.5", []),
+        ("jammer.kind = bogus", []),
+        ("frame.m = 3", []),
+        ("capacity.points = 4", []),
+        ("channel.n_tau = -1", []),
+        ("", ["--trials", "nan"]),
+        ("", ["--trials", "-5", "--threads", "-2"]),
+        ("", ["--threads", "0"]),
+    ])
+    def test_bad_config_value_is_config_error(self, capsys, tmp_path,
+                                              bad_line, flags):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"axis.values = 0, 10\nsnr.db = 5\n{bad_line}\n")
+        out = tmp_path / "o.csv"
+        code, _, err = run(["sweep", "--config", str(cfg), "--out", str(out),
+                            "--quiet", *flags], capsys)
+        assert code == 1
+        assert err.startswith("config error:")
+        assert not out.exists()
+
 
 class TestTheoryOps:
     def test_optimal_threshold(self, capsys):

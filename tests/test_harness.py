@@ -5,8 +5,9 @@ import pytest
 from dataclasses import replace
 from scipy import stats
 
-from jamlink import baselines, harness, signals
-from jamlink.errors import ConfigError
+from jamlink import baselines, harness, signals, theory
+from jamlink.channel import ChannelDraw
+from jamlink.errors import ConfigError, DegenerateChannelError
 from jamlink.harness import (Curve, ExperimentConfig, PRESET_NAMES,
                              SweepResult, config_from_file,
                              config_from_mapping, emit_csv, preset_config,
@@ -330,6 +331,50 @@ class TestBerSweep:
                 for a in (frame.a1, frame.a2))
             np.testing.assert_allclose([levels.qd_1, levels.qd_2], want,
                                        rtol=1e-12)
+
+    @staticmethod
+    def _degenerate_cfg(monkeypatch, kind, mode):
+        # h1 h2 a_k + h3 is -1 for a1 = 0 and +1 for a2 = 2, so both symbols
+        # reach the receiver at one level
+        def draw(cfg, rng):
+            return ChannelDraw(h1=1.0, h2=1.0, h3=-1.0, sigma2_R=cfg.sigma2_R,
+                               n_tau=cfg.n_tau)
+
+        monkeypatch.setattr(harness, "_draw_block_channel", draw)
+        return config_from_mapping({
+            "axis.values": "10",
+            "jammer.kind": kind,
+            "threshold.mode": mode,
+            "frame.a1": "0",
+            "frame.a2": "2",
+            "run.blocks": "2",
+            "run.payload_bits_per_block": "200",
+            "run.threads": "1",
+        })
+
+    @pytest.mark.parametrize("kind", ["random_broadband", "mod_bpsk"])
+    def test_degenerate_levels_give_nan_theory(self, monkeypatch, kind):
+        res = run_ber_sweep(self._degenerate_cfg(monkeypatch, kind,
+                                                 "estimated"))
+        row = dict(zip(res.columns, res.rows[0]))
+        assert row[f"{kind}.bits"] == 400
+        for col in ("ber_theory", "ber_gauss", "sinr"):
+            assert np.isnan(row[f"{kind}.{col}"])
+
+    @pytest.mark.parametrize("kind", ["random_broadband", "mod_bpsk"])
+    def test_degenerate_levels_abort_exact_mode(self, monkeypatch, kind):
+        cfg = self._degenerate_cfg(monkeypatch, kind, "exact")
+        with pytest.raises(DegenerateChannelError):
+            run_ber_sweep(cfg)
+
+    def test_closed_form_value_error_propagates(self, monkeypatch):
+        # only degenerate levels turn into NaN; any other error is a bug
+        def broken(*args):
+            raise ValueError("closed form failed")
+
+        monkeypatch.setattr(theory, "ber_random", broken)
+        with pytest.raises(ValueError, match="closed form failed"):
+            run_ber_sweep(_tiny_ber_cfg(axis_values=(10.0,), blocks=1))
 
     @pytest.mark.parametrize("mode", ["estimated", "exact"])
     @pytest.mark.parametrize("kind", [k.value for k in JammerKind])

@@ -16,7 +16,7 @@ from jamlink.signals import (JammerKind, JammerSpec, gen_cscg,
 
 
 def _cfg(**kw):
-    base = dict(N=10, M=10, a1=0.0, a2=2.0, p1=0.5, p2=0.5)
+    base = dict(N=10, M=10, a1=0.0, a2=2.0, p1=0.5)
     base.update(kw)
     return FrameConfig(**base)
 
@@ -32,7 +32,7 @@ class TestFrameConfig:
 
     def test_rejects_bad_priors(self):
         with pytest.raises(ValueError):
-            _cfg(p1=0.7, p2=0.5)
+            _cfg(p1=1.5)
 
 
 class TestFraming:

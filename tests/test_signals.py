@@ -34,28 +34,28 @@ class TestGenCscg:
 
 class TestMakeToneset:
     def test_five_tone_grid(self):
-        ts = make_toneset("multi_tone", 0.25, 0.4, 5, 3.0, 0)
+        ts = make_toneset(0.25, 0.4, 5, 3.0, 0)
         np.testing.assert_allclose(ts.freqs, [0.05, 0.15, 0.25, 0.35, 0.45])
         assert np.isclose(ts.power, 3.0, rtol=1e-9)
 
     def test_single_tone_amplitude(self):
-        ts = make_toneset("single_tone", 0.25, 0.0, 1, 2.0, 0)
+        ts = make_toneset(0.25, 0.0, 1, 2.0, 0)
         assert ts.amps.shape == (1,)
         # a^2/2 = 2 -> a = 2
         assert np.isclose(ts.amps[0], 2.0)
 
     def test_equal_power_split(self):
-        ts = make_toneset("multi_tone", 0.25, 0.2, 3, 1.0, 0)
+        ts = make_toneset(0.25, 0.2, 3, 1.0, 0)
         np.testing.assert_allclose(ts.amps, np.sqrt(2.0 / 3.0))
 
     def test_band_exceeding_nyquist(self):
         with pytest.raises(ValueError):
-            make_toneset("multi_tone", 0.4, 0.3, 5, 1.0, 0)
+            make_toneset(0.4, 0.3, 5, 1.0, 0)
 
     def test_phases_from_stream(self):
-        a = make_toneset("multi_tone", 0.25, 0.4, 5, 1.0, 7)
-        b = make_toneset("multi_tone", 0.25, 0.4, 5, 1.0, 7)
-        c = make_toneset("multi_tone", 0.25, 0.4, 5, 1.0, 8)
+        a = make_toneset(0.25, 0.4, 5, 1.0, 7)
+        b = make_toneset(0.25, 0.4, 5, 1.0, 7)
+        c = make_toneset(0.25, 0.4, 5, 1.0, 8)
         np.testing.assert_array_equal(a.phases, b.phases)
         assert not np.array_equal(a.phases, c.phases)
 
@@ -83,20 +83,20 @@ class TestGenToneSum:
         np.testing.assert_array_equal(b.imag, 0.0)
 
     def test_shift_identity(self):
-        ts = make_toneset("multi_tone", 0.25, 0.3, 4, 1.0, 3)
+        ts = make_toneset(0.25, 0.3, 4, 1.0, 3)
         full = gen_tone_sum(ts, 50 + 7)
         shifted = gen_tone_sum(ts, 50, sample_offset=7)
         np.testing.assert_allclose(shifted, full[7:], rtol=1e-12, atol=1e-12)
 
     def test_empirical_power(self):
         # incommensurate-ish grid, long average converges to sum(a^2)/2
-        ts = make_toneset("multi_tone", 0.23, 0.37, 5, 2.0, 11)
+        ts = make_toneset(0.23, 0.37, 5, 2.0, 11)
         b = gen_tone_sum(ts, 10**5)
         assert np.isclose(average_power(b), 2.0, rtol=0.01)
 
     @given(offset=st.integers(min_value=-50, max_value=50))
     def test_offset_property(self, offset):
-        ts = make_toneset("narrowband", 0.25, 0.004, 5, 1.0, 5)
+        ts = make_toneset(0.25, 0.004, 5, 1.0, 5)
         a = gen_tone_sum(ts, 16, sample_offset=offset)
         b = gen_tone_sum(ts, 32, sample_offset=offset - 16)
         np.testing.assert_allclose(a, b[16:], rtol=1e-9, atol=1e-12)
@@ -140,17 +140,17 @@ class TestJammerSpec:
             JammerKind.parse("nope")
 
     def test_narrowband_span_enforced(self):
-        ts = make_toneset("multi_tone", 0.25, 0.2, 5, 1.0, 0)
+        ts = make_toneset(0.25, 0.2, 5, 1.0, 0)
         with pytest.raises(ValueError):
             JammerSpec(kind=JammerKind.NARROWBAND, power=1.0, toneset=ts)
 
     def test_broadband_span_enforced(self):
-        ts = make_toneset("narrowband", 0.25, 0.004, 5, 1.0, 0)
+        ts = make_toneset(0.25, 0.004, 5, 1.0, 0)
         with pytest.raises(ValueError):
             JammerSpec(kind=JammerKind.DET_BROADBAND, power=1.0, toneset=ts)
 
     def test_power_mismatch_rejected(self):
-        ts = make_toneset("single_tone", 0.25, 0.0, 1, 2.0, 0)
+        ts = make_toneset(0.25, 0.0, 1, 2.0, 0)
         with pytest.raises(ValueError):
             JammerSpec(kind=JammerKind.SINGLE_TONE, power=1.0, toneset=ts)
 
@@ -174,5 +174,5 @@ class TestJammerSpec:
 @given(pj=st.floats(min_value=0.1, max_value=50.0),
        j=st.integers(min_value=1, max_value=12))
 def test_toneset_power_invariant(pj, j):
-    ts = make_toneset("multi_tone", 0.25, 0.3 if j > 1 else 0.0, j, pj, 0)
+    ts = make_toneset(0.25, 0.3 if j > 1 else 0.0, j, pj, 0)
     assert np.isclose(ts.power, pj, rtol=1e-9, atol=0.0)
