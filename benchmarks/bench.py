@@ -4,14 +4,14 @@ Run from the repository root, with a checkout of the parent commit made
 outside it (``git worktree add ../parent HEAD~1`` or ``git archive``):
 
     python3 benchmarks/bench.py --parent ../parent --out benchmarks/BENCH_<n>.json
-    python3 benchmarks/bench.py --parent ../parent --workloads fig4_exact --pairs 3 --out /tmp/b.json
 
 For each workload and each of ``--pairs`` pairs, both checkouts run their own
 ``perfbench/run.py --workload <w> --seed <s> --seconds <t> --trace 0`` in a
 fresh process; the parent runs first in odd pairs and the change first in
 even ones.  The timers, checks and metrics are perfbench's: this script only
-reads the JSON line each run prints last.  The workloads and the end-to-end
-metrics, with their direction and bound, come from ``BENCHMARK.json``.
+reads the JSON line each run prints last.  The workloads, the run length
+``<t>`` and the end-to-end metrics, with their direction and bound, all come
+from ``BENCHMARK.json``.
 
 For every workload and metric the output holds both sides' samples, median
 and quartiles, how many pairs the change won (ties count for neither), the
@@ -75,24 +75,22 @@ def main(argv=None):
     ap.add_argument("--out", type=Path, required=True)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=12345)
-    ap.add_argument("--seconds", type=float, default=spec["run_seconds"])
-    ap.add_argument("--workloads", nargs="+",
-                    default=[w["name"] for w in spec["workloads"]])
     args = ap.parse_args(argv)
     if args.pairs < 2:
         ap.error("--pairs must be >= 2 for quartiles")
     sides = {"parent": args.parent.resolve(), "change": ROOT}
+    seconds = spec["run_seconds"]
 
-    report = {"seed": args.seed, "seconds": args.seconds, "pairs": args.pairs,
+    report = {"seed": args.seed, "seconds": seconds, "pairs": args.pairs,
               "python": platform.python_version(), "workloads": {}}
-    for workload in args.workloads:
+    for workload in (w["name"] for w in spec["workloads"]):
         runs = {"parent": [], "change": []}
         env = {}
         for pair in range(1, args.pairs + 1):
             order = ("parent", "change") if pair % 2 else ("change", "parent")
             for side in order:
                 result, env[side] = run_once(sides[side], workload,
-                                             args.seed, args.seconds)
+                                             args.seed, seconds)
                 runs[side].append(result)
                 print(f"{workload} pair {pair} {side}: " + " ".join(
                     f"{k}={m['value']:.4g}"

@@ -85,8 +85,6 @@ def _resolve_config(args):
         blocks = max(1, round(args.trials / cfg.payload_bits_per_block))
         cfg = replace(cfg, blocks=blocks)
     if args.threads is not None:
-        if args.threads < 1:
-            raise ConfigError(f"--threads must be >= 1, got {args.threads}")
         cfg = replace(cfg, threads=args.threads)
     return cfg
 

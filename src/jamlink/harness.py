@@ -130,6 +130,8 @@ class ExperimentConfig:
             raise ConfigError("blocks and payload_bits_per_block must be >= 1")
         if self.n_tau < 0:
             raise ConfigError("n_tau must be >= 0")
+        if self.threads is not None and self.threads < 1:
+            raise ConfigError(f"threads must be >= 1, got {self.threads}")
         object.__setattr__(self, "axis_values", vals)
         object.__setattr__(self, "blocks", int(self.blocks))
         object.__setattr__(self, "payload_bits_per_block",
@@ -147,8 +149,8 @@ class SweepResult:
 
 
 def _resolve_threads(cfg):
-    if cfg.threads:
-        return max(1, int(cfg.threads))
+    if cfg.threads is not None:
+        return cfg.threads
     return min(os.cpu_count() or 1, 8)
 
 

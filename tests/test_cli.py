@@ -55,6 +55,7 @@ class TestExitCodes:
         ("frame.m = 3", []),
         ("capacity.points = 4", []),
         ("channel.n_tau = -1", []),
+        ("run.threads = -2", []),
         ("", ["--trials", "nan"]),
         ("", ["--trials", "-5", "--threads", "-2"]),
         ("", ["--threads", "0"]),
