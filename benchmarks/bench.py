@@ -8,16 +8,18 @@ outside it (``git worktree add ../parent HEAD~1`` or ``git archive``):
 For each workload and each of ``--pairs`` pairs, both checkouts run their own
 ``perfbench/run.py --workload <w> --seed <s> --seconds <t> --trace 0`` in a
 fresh process; the parent runs first in odd pairs and the change first in
-even ones.  The timers, checks and metrics are perfbench's: this script only
-reads the JSON line each run prints last.  The workloads, the run length
-``<t>`` and the end-to-end metrics, with their direction and bound, all come
-from ``BENCHMARK.json``.
+even ones.  After the pairs, each checkout runs the workload once more with
+``--trace 1`` for its per-layer metrics.  The timers, tracer, checks and
+metrics are perfbench's: this script only reads the JSON line each run
+prints last.  The workloads, the run length ``<t>`` and the end-to-end
+metrics, with their direction and bound, all come from ``BENCHMARK.json``.
 
-For every workload and metric the output holds both sides' samples, median
-and quartiles, how many pairs the change won (ties count for neither), the
-relative change of the median and whether it stays within the bound; plus
-the ``attempted`` and ``failed`` point counts of each side.  Standard
-library only.
+For every workload and end-to-end metric the output holds both sides'
+samples, median and quartiles, how many pairs the change won (ties count
+for neither), the relative change of the median and whether it stays within
+the bound; plus the ``attempted`` and ``failed`` point counts of each side.
+Under ``per_layer`` it holds each side's traced run: every per-layer metric
+with its ``attempted`` and ``failed`` counts.  Standard library only.
 """
 
 import argparse
@@ -31,12 +33,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_once(checkout, workload, seed, seconds):
+def run_once(checkout, workload, seed, seconds, trace=0):
     """One perfbench run; returns its last-line JSON and its env record."""
     proc = subprocess.run(
         [sys.executable, str(checkout / "perfbench" / "run.py"),
          "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(seconds), "--trace", str(trace)],
         capture_output=True, text=True, cwd=checkout, timeout=1800,
         check=False)
     lines = proc.stdout.strip().splitlines()
@@ -95,7 +97,14 @@ def main(argv=None):
                 print(f"{workload} pair {pair} {side}: " + " ".join(
                     f"{k}={m['value']:.4g}"
                     for k, m in result["metrics"].items()), flush=True)
-        entry = {"env": env, "metrics": {}}
+        entry = {"env": env, "metrics": {}, "per_layer": {}}
+        for side in sides:
+            result, _ = run_once(sides[side], workload, args.seed, seconds,
+                                 trace=1)
+            entry["per_layer"][side] = {
+                "attempted": result["attempted"], "failed": result["failed"],
+                "metrics": {k: m["value"]
+                            for k, m in result["metrics"].items()}}
         for side in sides:
             entry[f"{side}_attempted"] = sum(r["attempted"] for r in runs[side])
             entry[f"{side}_failed"] = sum(r["failed"] for r in runs[side])
@@ -116,6 +125,11 @@ def main(argv=None):
                   f"{m['change']['median']:10.4g} "
                   f"({m['median_rel_change']:+.1%}, bound {m['bound']:.0%}, "
                   f"change wins {m['change_wins']}/{m['pairs']})")
+        traced = entry["per_layer"]
+        for name, before in traced["parent"]["metrics"].items():
+            after = traced["change"]["metrics"][name]
+            if before or after:
+                print(f"  {name:40s} {before:12.4g} -> {after:12.4g} (traced)")
     return 0
 
 

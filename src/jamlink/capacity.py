@@ -11,7 +11,7 @@ Integrals run on a split composite Simpson grid: one panel resolves the
 narrow delta2_1 component, a second covers the wide delta2_2 tail.  A
 single uniform grid loses the narrow spike entirely once the variance ratio
 is large.  The panels do not depend on p, so the last two channels' panels
-are kept and every integral in a capacity bisection reuses them.
+are kept and every integral in a capacity solve reuses them.
 """
 
 import functools
@@ -181,7 +181,8 @@ def capacity(v, quad=None, model="real"):
     """Maximize mutual information over the input distribution.
 
     The derivative decreases monotonically in p, so its unique root is
-    found by bisection on [1e-9, 1 - 1e-9] to an interval below 1e-6.
+    found by Brent's method (``brentq``) on [1e-9, 1 - 1e-9] with
+    ``xtol = 1e-6``.
 
     Raises
     ------
@@ -191,7 +192,7 @@ def capacity(v, quad=None, model="real"):
     quad = quad or QuadratureConfig()
     lo, hi = 1e-9, 1.0 - 1e-9
     try:
-        p_star = optimize.bisect(
+        p_star = optimize.brentq(
             lambda p: mi_derivative(p, v, quad, model), lo, hi, xtol=1e-6)
     except ValueError as exc:
         raise NumericalFailureError(

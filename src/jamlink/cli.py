@@ -158,12 +158,11 @@ def _cmd_theory(args):
             value = theory.ber_det(d, p1, p2, args.n, t)
         elif args.op == "ber-det-noncentral":
             # default: the law's own optimum, the threshold exact mode uses
-            t = args.t if args.t is not None else theory.refine_threshold_det(
-                d, p1, p2, args.n, ber_fn=theory.ber_det_noncentral)
+            t = args.t if args.t is not None else \
+                theory.optimal_threshold_noncentral(d, p1, p2, args.n)
             value = theory.ber_det_noncentral(d, p1, p2, args.n, t)
         else:
-            value = theory.refine_threshold_det(
-                d, p1, p2, args.n, ber_fn=theory.ber_det_noncentral)
+            value = theory.optimal_threshold_noncentral(d, p1, p2, args.n)
     print(f"{value:.17g}")
     return 0
 
@@ -182,6 +181,24 @@ def _check_threshold_optimality(rng):
         grid = np.linspace(v.delta2_1 * 0.2, v.delta2_2 * 2.0, 200)
         if best > theory.ber_random(v, 0.5, 0.5, n, grid).min() + 1e-12:
             raise AssertionError(f"threshold beaten on grid (N={n})")
+
+
+def _check_noncentral_threshold_root(rng):
+    # the likelihood-ratio root, built on special.ive, must be the exact
+    # law's BER minimum: no point of a 512-point grid may beat it
+    for _ in range(5):
+        s2 = rng.uniform(0.5, 2.0)
+        qd1 = rng.uniform(0.0, 2.0) * s2
+        d = theory.DeterministicEnergies(
+            qd_1=qd1, qd_2=qd1 + rng.uniform(0.5, 4.0) * s2, sigma2_R=s2)
+        n = int(rng.integers(1, 30))
+        p1 = rng.uniform(0.2, 0.8)
+        t_star = theory.optimal_threshold_noncentral(d, p1, 1 - p1, n)
+        best = theory.ber_det_noncentral(d, p1, 1 - p1, n, t_star)
+        grid = np.linspace(d.qd_1, d.qd_2 + 15.0 * s2, 512)
+        if best > theory.ber_det_noncentral(d, p1, 1 - p1, n, grid).min() \
+                + 1e-12:
+            raise AssertionError(f"noncentral threshold beaten on grid (N={n})")
 
 
 def _check_mi_endpoints(rng):
@@ -301,6 +318,7 @@ def _check_random_energy_law(rng):
 def _cmd_selftest(args):
     checks = [
         ("threshold-optimality", _check_threshold_optimality),
+        ("noncentral-threshold-root", _check_noncentral_threshold_root),
         ("mi-endpoints-concavity", _check_mi_endpoints),
         ("chi-square-law", _check_chi_square),
         ("thread-determinism", _check_determinism),

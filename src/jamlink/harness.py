@@ -128,6 +128,7 @@ class ExperimentConfig:
                 raise ConfigError("capacity model must be 'real' or 'complex'")
         if int(self.blocks) < 1 or int(self.payload_bits_per_block) < 1:
             raise ConfigError("blocks and payload_bits_per_block must be >= 1")
+        _check_sigma2(self.sigma2_R)
         if self.n_tau < 0:
             raise ConfigError("n_tau must be >= 0")
         if self.threads is not None and self.threads < 1:
@@ -137,6 +138,12 @@ class ExperimentConfig:
         object.__setattr__(self, "payload_bits_per_block",
                            int(self.payload_bits_per_block))
         object.__setattr__(self, "master_seed", int(self.master_seed))
+
+
+def _check_sigma2(sigma2_R):
+    if not (math.isfinite(sigma2_R) and sigma2_R > 0):
+        raise ConfigError(
+            f"noise variance must be finite and > 0, got {sigma2_R!r}")
 
 
 @dataclass(frozen=True)
@@ -314,6 +321,7 @@ def _config_from_mapping(raw):
         raise ConfigError("axis.values is required for custom experiments")
     axis_values = tuple(float(v) for v in axis_raw)
     sigma2 = get("noise.sigma2", "float", 1.0)
+    _check_sigma2(sigma2)  # before _a2_from_snr scales by it
     n_tau = get("channel.n_tau", "int", 0)
     fading = get("channel.fading", "bool", True)
     rician = RicianParams(k_factor=get("channel.k_factor", "float", 10.0)) \
@@ -460,8 +468,7 @@ def _gamma_threshold(v, frame):
 
 
 def _noncentral_threshold(d, frame):
-    return theory.refine_threshold_det(d, frame.p1, frame.p2, frame.N,
-                                       ber_fn=theory.ber_det_noncentral)
+    return theory.optimal_threshold_noncentral(d, frame.p1, frame.p2, frame.N)
 
 
 def _gamma_theory(v, frame):

@@ -32,6 +32,7 @@ __all__ = [
     "ber_det",
     "ber_det_noncentral",
     "optimal_threshold_det",
+    "optimal_threshold_noncentral",
     "refine_threshold_det",
     "ber_gaussian_approx",
     "sinr_limit",
@@ -207,30 +208,75 @@ def optimal_threshold_det(d, p1, p2, N):
     return float((d.qd_1 - xi * d.qd_2) / (1.0 - xi))
 
 
+def _log_ncx2_over_chi2(x, N, lam):
+    """log of the noncentral (lam) over the central chi-square density, both
+    with 2N degrees of freedom, at x >= 0.
+
+    That is ``-lam/2 + log 0F1(; N; lam x / 4)``, written through
+    ``log I_v(z) = log ive(v, z) + z`` with ``z = sqrt(lam x)`` so that it
+    stays finite where the densities themselves underflow.  Where ``ive``
+    underflows (z tiny, or 0 as for the central law or at x = 0) the 0F1
+    factor is 1 to within ``lam x / 4N``.
+    """
+    z = math.sqrt(lam * x)
+    bessel = special.ive(N - 1, z) if z > 0 else 0.0
+    if bessel == 0:
+        return -lam / 2
+    return (-lam / 2 + special.gammaln(N) + (N - 1) * math.log(2.0 / z)
+            + math.log(bessel) + z)
+
+
+def optimal_threshold_noncentral(d, p1, p2, N):
+    """BER-minimizing threshold under the exact noncentral chi-square law.
+
+    The minimizer solves ``p1 f(x; 2N, lam1) = p2 f(x; 2N, lam2)`` with
+    ``x = 2N T / sigma2_R`` and ``lam_k = 2N qd_k / sigma2_R``; the central
+    density both share cancels from the ratio.  The family has a monotone
+    likelihood ratio (Karlin and Rubin 1956), so the log of that ratio rises
+    through one root, found by ``brentq`` on ``[qd_1, qd_2 + 15 sigma2_R]``.
+    Without a sign change there the BER is monotone on the bracket and the
+    end with the lower BER is returned.
+    """
+    lo = d.qd_1
+    hi = d.qd_2 + 15.0 * d.sigma2_R
+    scale = 2.0 * N / d.sigma2_R
+    log_prior = math.log(p2 / p1)
+
+    def log_ratio(t):
+        x = scale * t
+        return (log_prior + _log_ncx2_over_chi2(x, N, scale * d.qd_2)
+                - _log_ncx2_over_chi2(x, N, scale * d.qd_1))
+
+    if log_ratio(lo) <= 0 <= log_ratio(hi):
+        return float(optimize.brentq(log_ratio, lo, hi))
+    ends = np.array([lo, hi])
+    return float(ends[np.argmin(ber_det_noncentral(d, p1, p2, N, ends))])
+
+
 # points of the coarse grid that brackets the refined threshold
 _REFINE_GRID_POINTS = 512
 
 
-def refine_threshold_det(d, p1, p2, N, ber_fn=None):
-    """Golden-section refinement of the deterministic-case BER minimum.
+def refine_threshold_det(d, p1, p2, N):
+    """Golden-section refinement of the shifted-gamma BER minimum.
 
-    The closed form above can sit measurably off the true minimizer, so this
-    search is the authoritative optimum.  The bracket deliberately extends
-    past ``qd_2``: for N > 1 the '1'-branch density vanishes like
+    Serves only the :func:`ber_det` approximation; the exact law's optimum
+    is :func:`optimal_threshold_noncentral`.  The closed form above can sit
+    measurably off the minimizer, so this search is the authoritative
+    optimum of the approximation.  The bracket deliberately extends past
+    ``qd_2``: for N > 1 the '1'-branch density vanishes like
     ``(T - qd_2)^(N-1)`` at the level itself, which pushes the minimizer
-    strictly above it.  ``ber_fn`` defaults to :func:`ber_det`; pass
-    :func:`ber_det_noncentral` to optimize against the exact law.
+    strictly above it.
     """
-    ber_fn = ber_fn or ber_det
     lo = d.qd_1
     hi = d.qd_2 + 15.0 * d.sigma2_R
     grid = np.linspace(lo, hi, _REFINE_GRID_POINTS)
-    vals = ber_fn(d, p1, p2, N, grid)
+    vals = ber_det(d, p1, p2, N, grid)
     i = int(np.argmin(vals))
     i = min(max(i, 1), _REFINE_GRID_POINTS - 2)
     try:
         res = optimize.minimize_scalar(
-            lambda t: ber_fn(d, p1, p2, N, t),
+            lambda t: ber_det(d, p1, p2, N, t),
             bracket=(grid[i - 1], grid[i], grid[i + 1]),
             method="golden", options={"xtol": 1e-12})
     except ValueError:

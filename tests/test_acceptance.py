@@ -29,7 +29,8 @@ from jamlink.mc import BerEstimate
 from jamlink.signals import ToneSet, gen_cscg, gen_tone_sum
 from jamlink.theory import (ConditionalVariances, DeterministicEnergies,
                             ber_det_noncentral, ber_gaussian_approx,
-                            ber_random, optimal_threshold_random, q_det,
+                            ber_random, optimal_threshold_noncentral,
+                            optimal_threshold_random, q_det,
                             refine_threshold_det, variances)
 
 UNIT_CH = ChannelDraw(1.0, 1.0, 1.0, 1.0, 0)
@@ -121,8 +122,7 @@ def test_criterion_02_theory_simulation_cross_validation(case):
             d = DeterministicEnergies(qd_1=q_det(ts, ch, 0.0, n),
                                       qd_2=q_det(ts, ch, a2, n),
                                       sigma2_R=1.0)
-            t_opt = refine_threshold_det(d, 0.5, 0.5, n,
-                                         ber_fn=ber_det_noncentral)
+            t_opt = optimal_threshold_noncentral(d, 0.5, 0.5, n)
             t_sg = refine_threshold_det(d, 0.5, 0.5, n)
             checks = [(label, t, ber_det_noncentral(d, 0.5, 0.5, n, t))
                       for label, t in (("optimal", t_opt),

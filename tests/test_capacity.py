@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, optimize
 
 from jamlink import capacity as capacity_module
+from jamlink import harness
 from jamlink.capacity import (CapacityResult, QuadratureConfig, capacity,
                               dt_capacity, gaussian_mixture_components,
                               mi_derivative, mutual_information)
@@ -175,6 +176,36 @@ class TestCapacity:
     def test_p_star_above_half(self):
         # the wider '1' level is costlier, so mass shifts toward '0'
         assert capacity(ConditionalVariances(1.0, 10.0)).p_star > 0.5
+
+    def test_matches_tight_root_on_preset_channels(self, monkeypatch):
+        # every channel fig7 and fig8 solve, against a root to 1e-12
+        cases = []
+        for name in ("fig7", "fig8"):
+            cfg = harness.preset_config(name)
+            pjs = [10.0 ** (cfg.jnr_db_fixed / 10.0)] if name == "fig7" \
+                else [10.0 ** (j / 10.0) for j in cfg.axis_values]
+            cases += [(harness._capacity_variances(cfg, s, pj)[0], cfg)
+                      for s in cfg.snr_curves_db for pj in pjs]
+        assert len(cases) == 4 + 121
+        derivative = capacity_module.mi_derivative
+        calls = []
+
+        def counted(*args):
+            calls.append(args[0])
+            return derivative(*args)
+
+        for v, cfg in cases:
+            def slope(p):
+                return derivative(p, v, cfg.quad, cfg.capacity_model)
+            p_tight = optimize.brentq(slope, 1e-9, 1 - 1e-9, xtol=1e-12)
+            calls.clear()
+            with monkeypatch.context() as m:
+                m.setattr(capacity_module, "mi_derivative", counted)
+                res = capacity(v, cfg.quad, cfg.capacity_model)
+            assert len(calls) <= 12
+            assert abs(res.p_star - p_tight) < 2e-6
+            assert abs(res.capacity_bits - mutual_information(
+                p_tight, v, cfg.quad, cfg.capacity_model)) < 1e-9
 
     def test_result_validation(self):
         with pytest.raises(ValueError):

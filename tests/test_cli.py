@@ -59,6 +59,8 @@ class TestExitCodes:
         ("", ["--trials", "nan"]),
         ("", ["--trials", "-5", "--threads", "-2"]),
         ("", ["--threads", "0"]),
+        ("noise.sigma2 = 0\nframe.a2 = 2", []),
+        ("noise.sigma2 = -1", []),
     ])
     def test_bad_config_value_is_config_error(self, capsys, tmp_path,
                                               bad_line, flags):
@@ -99,8 +101,7 @@ class TestTheoryOps:
                             "--n", "8"], capsys)
         assert code == 0
         t = float(out.strip())
-        assert t == theory.refine_threshold_det(
-            d, 0.5, 0.5, 8, ber_fn=theory.ber_det_noncentral)
+        assert t == theory.optimal_threshold_noncentral(d, 0.5, 0.5, 8)
         assert t != theory.refine_threshold_det(d, 0.5, 0.5, 8)
         # between the two mean energies qd_k + sigma2
         assert 1.0 < t < 5.0
@@ -118,8 +119,7 @@ class TestTheoryOps:
     def test_ber_det_noncentral(self, capsys):
         # default threshold: the noncentral law's own optimum
         d = theory.DeterministicEnergies(qd_1=0.5, qd_2=3.0, sigma2_R=1.0)
-        t = theory.refine_threshold_det(d, 0.5, 0.5, 4,
-                                        ber_fn=theory.ber_det_noncentral)
+        t = theory.optimal_threshold_noncentral(d, 0.5, 0.5, 4)
         args = ["theory", "--op", "ber-det-noncentral", "--qd1", "0.5",
                 "--qd2", "3", "--sigma2", "1", "--n", "4"]
         code, out, _ = run(args, capsys)
@@ -206,6 +206,19 @@ class TestSelftest:
         code, out, _ = run(["selftest"], capsys)
         assert code == 0, out
         assert "ok noncentral-law-matches-stats" in out
+
+    def test_selftest_checks_the_noncentral_threshold_root(self, capsys,
+                                                          monkeypatch):
+        code, out, _ = run(["selftest"], capsys)
+        assert code == 0, out
+        assert "ok noncentral-threshold-root" in out
+        # a root moved off the exact law's optimum is caught
+        root = theory.optimal_threshold_noncentral
+        monkeypatch.setattr(theory, "optimal_threshold_noncentral",
+                            lambda d, p1, p2, n: 1.05 * root(d, p1, p2, n))
+        code, out, _ = run(["selftest"], capsys)
+        assert code == 2
+        assert "FAIL noncentral-threshold-root" in out
 
     def test_selftest_checks_the_random_energy_law(self, capsys, monkeypatch):
         code, out, _ = run(["selftest"], capsys)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, optimize, stats
 
 from jamlink.channel import ChannelDraw
 from jamlink.errors import DegenerateChannelError, UnboundedLimitError
@@ -10,8 +10,9 @@ from jamlink.signals import ToneSet
 from jamlink.theory import (ConditionalVariances, DeterministicEnergies,
                             ber_det, ber_det_noncentral, ber_gaussian_approx,
                             ber_random, delta2, energy_pdf_random,
-                            optimal_threshold_det, optimal_threshold_random,
-                            q_det, refine_threshold_det, sinr_limit, variances)
+                            optimal_threshold_det, optimal_threshold_noncentral,
+                            optimal_threshold_random, q_det,
+                            refine_threshold_det, sinr_limit, variances)
 
 V12 = ConditionalVariances(1.0, 2.0)
 
@@ -193,7 +194,7 @@ class TestBerDet:
         rng = np.random.default_rng(11)
         n, n_sym = 8, 200_000
         d = DeterministicEnergies(qd_1=1.0, qd_2=9.0, sigma2_R=1.0)
-        t = refine_threshold_det(d, 0.5, 0.5, n, ber_fn=ber_det_noncentral)
+        t = optimal_threshold_noncentral(d, 0.5, 0.5, n)
         bits = rng.random(n_sym) < 0.5
         amp_field = np.where(bits, 3.0, 1.0)  # |h12 a + h3| per symbol
         ph = rng.uniform(0, 2 * np.pi, (n_sym, n))
@@ -278,6 +279,86 @@ class TestOptimalThresholdDet:
         grid = np.linspace(0.5, 3.0 + 15.0, 4001)
         best = min(ber_det(d, 0.5, 0.5, 6, g) for g in grid)
         assert ber_det(d, 0.5, 0.5, 6, t) <= best + 1e-12
+
+
+def _grid_golden_noncentral(d, p1, p2, n):
+    # the search the root replaced: a 512-point grid on the root's bracket,
+    # then golden-section refinement of the exact law's BER
+    grid = np.linspace(d.qd_1, d.qd_2 + 15.0 * d.sigma2_R, 512)
+    i = min(max(int(np.argmin(ber_det_noncentral(d, p1, p2, n, grid))), 1),
+            510)
+    try:
+        return optimize.minimize_scalar(
+            lambda t: ber_det_noncentral(d, p1, p2, n, t),
+            bracket=(grid[i - 1], grid[i], grid[i + 1]), method="golden",
+            options={"xtol": 1e-12}).x
+    except ValueError:
+        # flat around the grid minimum
+        return grid[i]
+
+
+def _log_ratio(d, p1, p2, n, t):
+    # log(p2 f1 / p1 f0) at t from scipy's own log densities
+    x = 2.0 * n * t / d.sigma2_R
+    lam1, lam2 = (2.0 * n * q / d.sigma2_R for q in (d.qd_1, d.qd_2))
+    log_f0 = stats.ncx2.logpdf(x, 2 * n, lam1) if lam1 > 0 \
+        else stats.chi2.logpdf(x, 2 * n)
+    return np.log(p2 / p1) + stats.ncx2.logpdf(x, 2 * n, lam2) - log_f0
+
+
+class TestOptimalThresholdNoncentral:
+    @pytest.mark.parametrize("n", [1, 2, 10, 50])
+    @pytest.mark.parametrize("qd1", [0.0, 0.8])
+    @pytest.mark.parametrize("p1", [0.3, 0.5, 0.7])
+    def test_root_matches_grid_and_golden_search(self, n, qd1, p1):
+        p2 = 1.0 - p1
+        compared = 0
+        for s2 in (0.2, 1.0, 5.0):
+            for gap in (1.0, 3.0, 8.0):
+                d = DeterministicEnergies(qd_1=qd1 * s2, qd_2=(qd1 + gap) * s2,
+                                          sigma2_R=s2)
+                t = optimal_threshold_noncentral(d, p1, p2, n)
+                t_ref = _grid_golden_noncentral(d, p1, p2, n)
+                ber = ber_det_noncentral(d, p1, p2, n, t)
+                ber_ref = ber_det_noncentral(d, p1, p2, n, t_ref)
+                # the search also lands on the law's evaluation noise, which
+                # is about 1e-13 of the BER
+                assert ber <= ber_ref * (1.0 + 1e-12)
+                if ber_ref <= 1e-12 or t in (d.qd_1, d.qd_2 + 15.0 * s2):
+                    # a deep tail, or a BER monotone on the whole bracket
+                    continue
+                compared += 1
+                assert t == pytest.approx(t_ref, rel=1e-6)
+        assert compared >= 3
+
+    @pytest.mark.parametrize("jnr_db", [28.0, 30.0])
+    @pytest.mark.parametrize("n", [1, 10, 50])
+    def test_finite_where_the_ber_underflows(self, jnr_db, n):
+        # fig3's plateau: unit gains, a1 = 0, a2 at 5 dB average SNR
+        pj = 10.0 ** (jnr_db / 10.0)
+        a2 = np.sqrt(10.0 ** 0.5 / 0.5)
+        d = DeterministicEnergies(qd_1=pj, qd_2=(a2 + 1.0) ** 2 * pj,
+                                  sigma2_R=1.0)
+        t = optimal_threshold_noncentral(d, 0.5, 0.5, n)
+        assert d.qd_1 < t < d.qd_2 + 15.0
+        if n > 1:
+            assert ber_det_noncentral(d, 0.5, 0.5, n, t) == 0.0
+        # the log densities run to -1e3 and beyond here; their difference
+        # still vanishes
+        assert abs(_log_ratio(d, 0.5, 0.5, n, t)) < 1e-6
+
+    @pytest.mark.parametrize("p1, end", [(0.999, "hi"), (1e-3, "lo")])
+    def test_no_sign_change_returns_the_lower_ber_end(self, p1, end):
+        # levels a tenth of a noise variance apart: the prior outweighs the
+        # likelihood ratio over the whole bracket
+        d = DeterministicEnergies(qd_1=0.0, qd_2=0.1, sigma2_R=1.0)
+        hi = d.qd_2 + 15.0
+        assert _log_ratio(d, p1, 1 - p1, 4, 1e-9) * \
+            _log_ratio(d, p1, 1 - p1, 4, hi) > 0
+        t = optimal_threshold_noncentral(d, p1, 1 - p1, 4)
+        assert t == (hi if end == "hi" else d.qd_1)
+        ends = ber_det_noncentral(d, p1, 1 - p1, 4, np.array([d.qd_1, hi]))
+        assert ber_det_noncentral(d, p1, 1 - p1, 4, t) == ends.min()
 
 
 class TestGaussianApprox:
