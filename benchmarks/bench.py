@@ -19,18 +19,37 @@ samples, median and quartiles, how many pairs the change won (ties count
 for neither), the relative change of the median and whether it stays within
 the bound; plus the ``attempted`` and ``failed`` point counts of each side.
 Under ``per_layer`` it holds each side's traced run: every per-layer metric
-with its ``attempted`` and ``failed`` counts.  Standard library only.
+with its ``attempted`` and ``failed`` counts.
+
+After the workloads, each checkout runs every preset in full through its own
+CLI (``python -m jamlink.cli sweep|capacity --preset <p> --seed <s>`` with
+``PYTHONPATH=<checkout>/src``), once at ``--threads 1`` and once at
+``--threads 2``.  Under ``presets`` the output holds, per preset, each
+side's 2-thread wall time and whether its 1- and 2-thread CSVs are
+identical, and per CSV column the number of cells of the change's 2-thread
+CSV that differ from the parent's, with the worst relative change (inf
+where one side is 0).  Standard library only.
 """
 
 import argparse
+import csv
 import json
+import math
+import os
 import platform
 import statistics
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+# every preset and the CLI subcommand that runs it
+PRESETS = (("fig2", "sweep"), ("fig3", "sweep"), ("fig4", "sweep"),
+           ("fig5", "sweep"), ("fig6", "sweep"), ("fig7", "capacity"),
+           ("fig8", "capacity"))
 
 
 def run_once(checkout, workload, seed, seconds, trace=0):
@@ -67,6 +86,90 @@ def compare(parent, change, better, bound):
             "pairs": len(parent), "median_rel_change": rel,
             "parent_iqr": p_side["q3"] - p_side["q1"],
             "within_bound": sign * rel <= bound}
+
+
+def run_preset(checkout, preset, command, seed, threads, out):
+    """One full preset run through the checkout's CLI; returns wall seconds."""
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "jamlink.cli", command, "--preset", preset,
+         "--seed", str(seed), "--threads", str(threads), "--out", str(out),
+         "--quiet"],
+        capture_output=True, text=True, cwd=checkout, env=env, timeout=1800,
+        check=False)
+    wall = time.perf_counter() - start
+    if proc.returncode != 0:
+        raise RuntimeError(f"{checkout} {preset} --threads {threads}: exit "
+                           f"{proc.returncode}\n{proc.stderr.strip()}")
+    return wall
+
+
+def read_columns(path):
+    """{column: list of cell strings} of an emitted CSV."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        fh.readline()  # the schema line
+        reader = csv.reader(fh)
+        columns = next(reader)
+        cells = {c: [] for c in columns}
+        for row in reader:
+            for c, v in zip(columns, row):
+                cells[c].append(v)
+    return cells
+
+
+def relative_change(before, after):
+    """|after - before| / |before| of two differing cells; inf where one
+    side is 0 or either is not finite."""
+    b, a = float(before), float(after)
+    if b == 0 or a == 0 or not (math.isfinite(b) and math.isfinite(a)):
+        return math.inf
+    return abs(a - b) / abs(b)
+
+
+def compare_csvs(parent, change):
+    """Per column: cells of ``change`` that differ from ``parent`` and the
+    worst relative change among them."""
+    before, after = read_columns(parent), read_columns(change)
+    out = {}
+    for name in dict.fromkeys([*before, *after]):
+        p, c = before.get(name, []), after.get(name, [])
+        diffs = [relative_change(x, y) for x, y in zip(p, c) if x != y]
+        diffs += [math.inf] * abs(len(p) - len(c))
+        out[name] = {"cells_changed": len(diffs),
+                     "max_rel_change": max(diffs, default=0.0)}
+    return out
+
+
+def bench_presets(sides, seed):
+    """Every preset at 1 and 2 threads on each side, compared cell by cell."""
+    report = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for preset, command in PRESETS:
+            entry = {}
+            for side, checkout in sides.items():
+                csvs = {t: Path(tmp) / f"{side}_{preset}_{t}.csv"
+                        for t in (1, 2)}
+                run_preset(checkout, preset, command, seed, 1, csvs[1])
+                wall = run_preset(checkout, preset, command, seed, 2, csvs[2])
+                entry[side] = {
+                    "wall_s_threads_2": wall,
+                    "threads_1_2_identical":
+                        csvs[1].read_bytes() == csvs[2].read_bytes()}
+            entry["columns"] = compare_csvs(Path(tmp) / f"parent_{preset}_2.csv",
+                                            Path(tmp) / f"change_{preset}_2.csv")
+            report[preset] = entry
+            changed = {k: v for k, v in entry["columns"].items()
+                       if v["cells_changed"]}
+            print(f"{preset}: wall {entry['parent']['wall_s_threads_2']:.2f} -> "
+                  f"{entry['change']['wall_s_threads_2']:.2f} s, 1/2 threads "
+                  f"identical {entry['parent']['threads_1_2_identical']}/"
+                  f"{entry['change']['threads_1_2_identical']}, "
+                  f"{len(changed)} columns changed", flush=True)
+            for name, v in changed.items():
+                print(f"  {name:32s} {v['cells_changed']:5d} cells, "
+                      f"max rel {v['max_rel_change']:.3g}")
+    return report
 
 
 def main(argv=None):
@@ -116,6 +219,8 @@ def main(argv=None):
                 metric["better"], metric["bound"])
         report["workloads"][workload] = entry
         args.out.write_text(json.dumps(report, indent=1) + "\n")
+    report["presets"] = bench_presets(sides, args.seed)
+    args.out.write_text(json.dumps(report, indent=1) + "\n")
     for workload, entry in report["workloads"].items():
         print(f"{workload}: failed parent {entry['parent_failed']}/"
               f"{entry['parent_attempted']}, change {entry['change_failed']}/"

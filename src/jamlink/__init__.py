@@ -51,8 +51,8 @@ from .theory import (ConditionalVariances, DeterministicEnergies,
                      ber_det, ber_det_noncentral, ber_gaussian_approx,
                      ber_random, delta2, energy_pdf_random,
                      optimal_threshold_det, optimal_threshold_noncentral,
-                     optimal_threshold_random, q_det, refine_threshold_det,
-                     sinr_limit, variances)
+                     optimal_threshold_random, q_det, sinr_limit,
+                     variances)
 
 __version__ = "0.1.0"
 
@@ -76,8 +76,7 @@ __all__ = [
     "ConditionalVariances", "DeterministicEnergies", "delta2", "variances",
     "energy_pdf_random", "optimal_threshold_random", "ber_random", "q_det",
     "ber_det", "ber_det_noncentral", "optimal_threshold_det",
-    "optimal_threshold_noncentral", "refine_threshold_det",
-    "ber_gaussian_approx", "sinr_limit",
+    "optimal_threshold_noncentral", "ber_gaussian_approx", "sinr_limit",
     # capacity
     "QuadratureConfig", "CapacityResult", "mutual_information",
     "mi_derivative", "channel_capacity", "dt_capacity",

@@ -154,7 +154,7 @@ def _cmd_theory(args):
                                          sigma2_R=args.sigma2)
         if args.op == "ber-det":
             t = args.t if args.t is not None else \
-                theory.refine_threshold_det(d, p1, p2, args.n)
+                theory.optimal_threshold_det(d, p1, p2, args.n)
             value = theory.ber_det(d, p1, p2, args.n, t)
         elif args.op == "ber-det-noncentral":
             # default: the law's own optimum, the threshold exact mode uses

@@ -92,7 +92,6 @@ class ExperimentConfig:
     quad: QuadratureConfig = field(default_factory=QuadratureConfig)
     include_baselines: bool = False
     baseline_eb_n0_db: float = 10.0
-    baseline_spread: int = 8
 
     def __post_init__(self):
         if self.mode not in ("ber", "capacity"):
@@ -215,8 +214,7 @@ def _preset_fig4(seed):
     return _ber_preset("fig4", "jnr_db", tuple(range(0, 41, 5)), (curve,),
                        frame, fading=False, blocks=200,
                        payload_bits_per_block=50_000, include_baselines=True,
-                       baseline_eb_n0_db=10.0, baseline_spread=8,
-                       master_seed=seed)
+                       baseline_eb_n0_db=10.0, master_seed=seed)
 
 
 def _preset_fig5(seed):
@@ -281,7 +279,7 @@ _KNOWN_KEYS = {
     "threshold.mode",
     "capacity.model", "capacity.points", "capacity.half_width_sigmas",
     "capacity.snr_db",
-    "baselines.enabled", "baselines.eb_n0_db", "baselines.spread_factor",
+    "baselines.enabled", "baselines.eb_n0_db",
 }
 
 
@@ -336,8 +334,7 @@ def _config_from_mapping(raw):
         threads=get("run.threads", "int"),
         capacity_model=get("capacity.model", "str", "real"),
         quad=_quad_from(get), include_baselines=get("baselines.enabled", "bool", False),
-        baseline_eb_n0_db=get("baselines.eb_n0_db", "float", 10.0),
-        baseline_spread=get("baselines.spread_factor", "int", 8))
+        baseline_eb_n0_db=get("baselines.eb_n0_db", "float", 10.0))
 
     if mode == "capacity":
         snrs = get("capacity.snr_db", "list") or ["10"]
@@ -485,7 +482,7 @@ def _noncentral_theory(d, frame):
 def _shifted_gamma_theory(d, frame):
     # the shifted-gamma approximation at its own optimum, a labelled
     # comparison rather than the exact law
-    t = theory.refine_threshold_det(d, frame.p1, frame.p2, frame.N)
+    t = theory.optimal_threshold_det(d, frame.p1, frame.p2, frame.N)
     return theory.ber_det(d, frame.p1, frame.p2, frame.N, t), math.nan
 
 
@@ -591,9 +588,8 @@ def _run_baseline_point(cfg, scheme_i, axis_i, jnr_db, trials):
     ss = np.random.SeedSequence(cfg.master_seed,
                                 spawn_key=(_STREAM_BASELINE, axis_i, scheme_i))
     _, scheme, simulator = _BASELINES[scheme_i]
-    bl_cfg = baselines.BaselineConfig(
-        scheme=scheme, eb_n0_db=cfg.baseline_eb_n0_db,
-        spread_factor=cfg.baseline_spread)
+    bl_cfg = baselines.BaselineConfig(scheme=scheme,
+                                      eb_n0_db=cfg.baseline_eb_n0_db)
     return getattr(baselines, simulator)(bl_cfg, jnr_db, trials,
                                          np.random.default_rng(ss))
 

@@ -4,7 +4,7 @@ The Monte Carlo inner loop (compose the received block, integrate per-symbol
 energy) and tone-sum synthesis dominate runtime.  All random numbers are
 drawn by the caller through ``numpy.random.Generator`` before entering a
 kernel, so the kernels themselves are deterministic.  ``BACKEND`` names the
-implementation and is recorded in sweep metadata.
+implementation; perfbench records it on its ``env`` line.
 
 ``tone_sum`` never forms the J x n matrix of cosine arguments.  It splits
 each sample index as ``m = r*cols + k`` with ``cols`` about sqrt(n), so a

@@ -18,7 +18,7 @@ from scipy import optimize, special, stats
 from scipy.special._ufuncs import _ncx2_sf
 
 from . import signals
-from .errors import DegenerateChannelError, NumericalFailureError, UnboundedLimitError
+from .errors import DegenerateChannelError, UnboundedLimitError
 
 __all__ = [
     "ConditionalVariances",
@@ -33,7 +33,6 @@ __all__ = [
     "ber_det_noncentral",
     "optimal_threshold_det",
     "optimal_threshold_noncentral",
-    "refine_threshold_det",
     "ber_gaussian_approx",
     "sinr_limit",
 ]
@@ -122,14 +121,16 @@ def optimal_threshold_random(v, p1, p2, N):
 def ber_random(v, p1, p2, N, threshold):
     """Exact BER of the energy detector under CSCG jamming at a threshold.
 
-    ``p1 (1 - P(N, N T / d1)) + p2 P(N, N T / d2)`` with P the regularized
-    lower incomplete gamma function.  Broadcasts over ``threshold``.
+    ``p1 Q(N, N T / d1) + p2 P(N, N T / d2)`` with P and Q = 1 - P the
+    regularized lower and upper incomplete gamma functions; Q is evaluated
+    directly, so a '0' tail far below 1e-16 keeps its relative accuracy.
+    Broadcasts over ``threshold``.
 
     Energies are nonnegative, so any threshold below zero decides '1'
     always; such thresholds are evaluated as zero, which is exact.
     """
     t = np.maximum(np.asarray(threshold, dtype=np.float64), 0.0)
-    miss0 = 1.0 - special.gammainc(N, N * t / v.delta2_1)
+    miss0 = special.gammaincc(N, N * t / v.delta2_1)
     miss1 = special.gammainc(N, N * t / v.delta2_2)
     out = p1 * miss0 + p2 * miss1
     return float(out) if out.ndim == 0 else out
@@ -152,13 +153,14 @@ def ber_det(d, p1, p2, N, threshold):
 
     Both branch arguments are clamped at zero so thresholds at or below a
     level degrade to the correct limiting probability instead of a domain
-    error.  This drops the noise-times-signal cross term; see
-    :func:`ber_det_noncentral` for the exact law.
+    error.  The model drops the noise-times-signal cross term; see
+    :func:`ber_det_noncentral` for the exact law.  As in :func:`ber_random`,
+    the '0' tail is the upper incomplete gamma function itself.
     """
     t = np.asarray(threshold, dtype=np.float64)
     x0 = np.maximum(t - d.qd_1, 0.0)
     x1 = np.maximum(t - d.qd_2, 0.0)
-    miss0 = 1.0 - special.gammainc(N, N * x0 / d.sigma2_R)
+    miss0 = special.gammaincc(N, N * x0 / d.sigma2_R)
     miss1 = special.gammainc(N, N * x1 / d.sigma2_R)
     out = p1 * miss0 + p2 * miss1
     return float(out) if out.ndim == 0 else out
@@ -193,19 +195,32 @@ def ber_det_noncentral(d, p1, p2, N, threshold):
 
 
 def optimal_threshold_det(d, p1, p2, N):
-    """Closed-form threshold between the two deterministic energy levels.
+    """BER-minimizing threshold of the shifted-gamma law of :func:`ber_det`.
 
-    Computes ``(qd_1 - xi qd_2) / (1 - xi)`` with
-    ``xi = (p2/p1) exp(((N-1)/N) (qd_2 - qd_1) / sigma2_R)``.  When xi is
-    numerically 1 (always the case for N = 1 with equal priors) the formula
-    is singular and the numeric refinement is returned instead.
+    Above ``qd_2`` the two energy densities are
+    ``f_k(T) ~ (T - qd_k)^(N-1) exp(-N (T - qd_k) / sigma2_R)`` with a
+    common constant, and below it the '1' density is zero, so the BER falls
+    there.  The derivative of the BER is ``p2 f_1 - p1 f_0``, and the log
+    of ``p2 f_1 / (p1 f_0)`` is ``k + (N-1) ln((T - qd_2) / (T - qd_1))``
+    with ``k = N (qd_2 - qd_1) / sigma2_R + ln(p2/p1)``.  It rises in T (a
+    monotone likelihood ratio), so it has at most one root, the minimizer:
+    with ``r = exp(-k / (N-1))``,
+    ``T* = (qd_2 - r qd_1) / (1 - r) = qd_2 + (qd_2 - qd_1) r / (1 - r)``,
+    evaluated in the second form through ``expm1``.
+
+    For N = 1 the ratio is ``exp(k)`` at every T above ``qd_2``, so the BER
+    turns there and ``T* = qd_2``.  When k <= 0, for any N, the ratio
+    stays below 1 and the BER falls over the whole bracket
+    ``[qd_1, qd_2 + 15 sigma2_R]`` that :func:`optimal_threshold_noncentral`
+    searches; its end is returned.
     """
-    log_xi = math.log(p2 / p1) + ((N - 1) / N) * (d.qd_2 - d.qd_1) / d.sigma2_R
-    if abs(log_xi) < 1e-12 or log_xi > 700.0:
-        # singular or overflowing: hand off to the search
-        return refine_threshold_det(d, p1, p2, N)
-    xi = math.exp(log_xi)
-    return float((d.qd_1 - xi * d.qd_2) / (1.0 - xi))
+    k = N * (d.qd_2 - d.qd_1) / d.sigma2_R + math.log(p2 / p1)
+    if k <= 0:
+        return float(d.qd_2 + 15.0 * d.sigma2_R)
+    if N == 1:
+        return float(d.qd_2)
+    x = k / (N - 1)
+    return float(d.qd_2 + (d.qd_2 - d.qd_1) * math.exp(-x) / -math.expm1(-x))
 
 
 def _log_ncx2_over_chi2(x, N, lam):
@@ -251,40 +266,6 @@ def optimal_threshold_noncentral(d, p1, p2, N):
         return float(optimize.brentq(log_ratio, lo, hi))
     ends = np.array([lo, hi])
     return float(ends[np.argmin(ber_det_noncentral(d, p1, p2, N, ends))])
-
-
-# points of the coarse grid that brackets the refined threshold
-_REFINE_GRID_POINTS = 512
-
-
-def refine_threshold_det(d, p1, p2, N):
-    """Golden-section refinement of the shifted-gamma BER minimum.
-
-    Serves only the :func:`ber_det` approximation; the exact law's optimum
-    is :func:`optimal_threshold_noncentral`.  The closed form above can sit
-    measurably off the minimizer, so this search is the authoritative
-    optimum of the approximation.  The bracket deliberately extends past
-    ``qd_2``: for N > 1 the '1'-branch density vanishes like
-    ``(T - qd_2)^(N-1)`` at the level itself, which pushes the minimizer
-    strictly above it.
-    """
-    lo = d.qd_1
-    hi = d.qd_2 + 15.0 * d.sigma2_R
-    grid = np.linspace(lo, hi, _REFINE_GRID_POINTS)
-    vals = ber_det(d, p1, p2, N, grid)
-    i = int(np.argmin(vals))
-    i = min(max(i, 1), _REFINE_GRID_POINTS - 2)
-    try:
-        res = optimize.minimize_scalar(
-            lambda t: ber_det(d, p1, p2, N, t),
-            bracket=(grid[i - 1], grid[i], grid[i + 1]),
-            method="golden", options={"xtol": 1e-12})
-    except ValueError:
-        # flat plateau around the grid minimum; the grid point is good enough
-        return float(grid[i])
-    if not np.isfinite(res.x):
-        raise NumericalFailureError("threshold refinement did not converge")
-    return float(res.x)
 
 
 def ber_gaussian_approx(v, p1, p2, N, threshold):

@@ -29,9 +29,9 @@ from jamlink.mc import BerEstimate
 from jamlink.signals import ToneSet, gen_cscg, gen_tone_sum
 from jamlink.theory import (ConditionalVariances, DeterministicEnergies,
                             ber_det_noncentral, ber_gaussian_approx,
-                            ber_random, optimal_threshold_noncentral,
-                            optimal_threshold_random, q_det,
-                            refine_threshold_det, variances)
+                            ber_random, optimal_threshold_det,
+                            optimal_threshold_noncentral,
+                            optimal_threshold_random, q_det, variances)
 
 UNIT_CH = ChannelDraw(1.0, 1.0, 1.0, 1.0, 0)
 
@@ -112,8 +112,9 @@ def test_criterion_02_theory_simulation_cross_validation(case):
             # same for every window, so the two levels are exact and the
             # noncentral chi-square law is the exact BER.  At the law's own
             # optimum the BER is far below what 1e6 bits can resolve, so the
-            # law is also checked at the lower shifted-gamma optimum, where
-            # errors are frequent enough to measure.
+            # law is also checked at the shifted-gamma optimum, which for
+            # these widely spaced levels sits at qd_2, where errors are
+            # frequent enough to measure.
             n = int(rng.choice([4, 8, 12, 16]))
             ch = UNIT_CH
             ts = ToneSet(amps=np.array([np.sqrt(2.0 * pj)]),
@@ -123,7 +124,7 @@ def test_criterion_02_theory_simulation_cross_validation(case):
                                       qd_2=q_det(ts, ch, a2, n),
                                       sigma2_R=1.0)
             t_opt = optimal_threshold_noncentral(d, 0.5, 0.5, n)
-            t_sg = refine_threshold_det(d, 0.5, 0.5, n)
+            t_sg = optimal_threshold_det(d, 0.5, 0.5, n)
             checks = [(label, t, ber_det_noncentral(d, 0.5, 0.5, n, t))
                       for label, t in (("optimal", t_opt),
                                        ("shifted-gamma optimal", t_sg))]

@@ -61,6 +61,8 @@ class TestExitCodes:
         ("", ["--threads", "0"]),
         ("noise.sigma2 = 0\nframe.a2 = 2", []),
         ("noise.sigma2 = -1", []),
+        # an unknown key: the spreading factor cancels from the BER
+        ("baselines.spread_factor = 8", []),
     ])
     def test_bad_config_value_is_config_error(self, capsys, tmp_path,
                                               bad_line, flags):
@@ -102,7 +104,7 @@ class TestTheoryOps:
         assert code == 0
         t = float(out.strip())
         assert t == theory.optimal_threshold_noncentral(d, 0.5, 0.5, 8)
-        assert t != theory.refine_threshold_det(d, 0.5, 0.5, 8)
+        assert t != theory.optimal_threshold_det(d, 0.5, 0.5, 8)
         # between the two mean energies qd_k + sigma2
         assert 1.0 < t < 5.0
 

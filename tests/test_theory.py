@@ -11,8 +11,8 @@ from jamlink.theory import (ConditionalVariances, DeterministicEnergies,
                             ber_det, ber_det_noncentral, ber_gaussian_approx,
                             ber_random, delta2, energy_pdf_random,
                             optimal_threshold_det, optimal_threshold_noncentral,
-                            optimal_threshold_random, q_det,
-                            refine_threshold_det, sinr_limit, variances)
+                            optimal_threshold_random, q_det, sinr_limit,
+                            variances)
 
 V12 = ConditionalVariances(1.0, 2.0)
 
@@ -139,6 +139,29 @@ class TestBerRandom:
         assert ber_at(80.0) > 0
 
 
+class TestGammaTails:
+    """Both tails come straight from the incomplete gamma functions, so a
+    '0' tail far below 1e-16 is not lost to ``1 - P`` cancellation."""
+
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    def test_ber_random_matches_stats(self, n):
+        v = ConditionalVariances(1.0, 10.0)
+        ts = np.linspace(1.0, 10.0, 19)
+        want = (0.5 * stats.gamma.sf(n * ts / 1.0, n)
+                + 0.5 * stats.gamma.cdf(n * ts / 10.0, n))
+        np.testing.assert_allclose(ber_random(v, 0.5, 0.5, n, ts), want,
+                                   rtol=1e-12)
+
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    def test_ber_det_matches_stats(self, n):
+        d = DeterministicEnergies(qd_1=1.0, qd_2=9.0, sigma2_R=1.0)
+        ts = np.linspace(1.0, 12.0, 23)
+        want = (0.5 * stats.gamma.sf(n * (ts - 1.0), n)
+                + 0.5 * stats.gamma.cdf(n * np.maximum(ts - 9.0, 0.0), n))
+        np.testing.assert_allclose(ber_det(d, 0.5, 0.5, n, ts), want,
+                                   rtol=1e-12)
+
+
 class TestDeterministicEnergies:
     def test_ordering_enforced(self):
         with pytest.raises(ValueError):
@@ -245,40 +268,62 @@ class TestBerDet:
 
 
 class TestOptimalThresholdDet:
-    def test_closed_form_agrees_with_refinement(self):
-        rng = np.random.default_rng(8)
-        for _ in range(20):
-            qd1 = rng.uniform(0.0, 2.0)
-            qd2 = qd1 + rng.uniform(0.5, 8.0)
-            s2 = rng.uniform(0.5, 2.0)
-            n = int(rng.integers(2, 30))
-            p1 = rng.uniform(0.2, 0.8)
+    def test_beats_fine_grid_over_random_laws(self):
+        # no point of a 20 001-point grid on [qd_1, qd_2 + 15 sigma2_R]
+        # has a lower shifted-gamma BER than the closed-form root
+        rng = np.random.default_rng(13)
+        for _ in range(200):
+            qd1 = rng.uniform(0.0, 5.0)
+            qd2 = qd1 + rng.uniform(0.05, 10.0)
+            s2 = rng.uniform(0.1, 5.0)
+            n = int(rng.integers(1, 61))
+            p1 = rng.uniform(0.05, 0.95)
             d = DeterministicEnergies(qd_1=qd1, qd_2=qd2, sigma2_R=s2)
-            t_cf = optimal_threshold_det(d, p1, 1 - p1, n)
-            b_cf = ber_det(d, p1, 1 - p1, n, t_cf)
-            t_ref = refine_threshold_det(d, p1, 1 - p1, n)
-            b_ref = ber_det(d, p1, 1 - p1, n, t_ref)
-            assert b_ref <= b_cf + 1e-12
+            t = optimal_threshold_det(d, p1, 1 - p1, n)
+            grid = np.linspace(qd1, qd2 + 15.0 * s2, 20_001)
+            best = ber_det(d, p1, 1 - p1, n, grid).min()
+            assert ber_det(d, p1, 1 - p1, n, t) <= best * (1 + 1e-10), \
+                (qd1, qd2, s2, n, p1)
 
-    def test_n1_equal_priors_falls_back(self):
-        # the closed-form ratio is singular here; a finite optimum must
-        # still come back from the numeric path
+    def test_beats_grid(self):
+        d = DeterministicEnergies(qd_1=0.5, qd_2=3.0, sigma2_R=1.0)
+        t = optimal_threshold_det(d, 0.5, 0.5, 6)
+        grid = np.linspace(0.5, 3.0 + 15.0, 4001)
+        best = min(ber_det(d, 0.5, 0.5, 6, g) for g in grid)
+        assert ber_det(d, 0.5, 0.5, 6, t) <= best + 1e-12
+
+    @pytest.mark.parametrize("p1", [0.2, 0.5, 0.9])
+    def test_n1_returns_upper_level(self, p1):
+        # the likelihood ratio is constant above qd_2, so the BER turns there
         d = DeterministicEnergies(qd_1=0.0, qd_2=4.0, sigma2_R=1.0)
-        t = optimal_threshold_det(d, 0.5, 0.5, 1)
-        assert np.isfinite(t) and 0.0 < t < 4.0 + 15.0
+        assert optimal_threshold_det(d, p1, 1 - p1, 1) == 4.0
+
+    @pytest.mark.parametrize("n", [1, 2, 10])
+    def test_k_nonpositive_returns_bracket_end(self, n):
+        # k = N (qd_2 - qd_1) / sigma2_R + ln(p2/p1) <= 0: the BER falls
+        # over the whole bracket
+        d = DeterministicEnergies(qd_1=1.0, qd_2=1.1, sigma2_R=2.0)
+        p2 = 1e-3
+        assert n * 0.1 / 2.0 + np.log(p2 / (1 - p2)) <= 0
+        assert optimal_threshold_det(d, 1 - p2, p2, n) == 1.1 + 15.0 * 2.0
+
+    @pytest.mark.parametrize("n", [2, 6, 20, 60])
+    @pytest.mark.parametrize("p1", [0.3, 0.5, 0.8])
+    def test_log_likelihood_ratio_vanishes(self, n, p1):
+        # p1 f_0(T*) = p2 f_1(T*) for the two shifted-gamma densities
+        d = DeterministicEnergies(qd_1=0.5, qd_2=3.0, sigma2_R=1.0)
+        t = optimal_threshold_det(d, p1, 1 - p1, n)
+        scale = d.sigma2_R / n
+        log_ratio = (np.log((1 - p1) / p1)
+                     + stats.gamma.logpdf(t - d.qd_2, n, scale=scale)
+                     - stats.gamma.logpdf(t - d.qd_1, n, scale=scale))
+        assert abs(log_ratio) < 1e-9
 
     def test_threshold_sits_above_upper_level_for_n_gt1(self):
         # the '1' density vanishes like (T - qd_2)^(N-1), so the optimum
         # lies strictly above qd_2
         d = DeterministicEnergies(qd_1=0.0, qd_2=4.0, sigma2_R=1.0)
         assert optimal_threshold_det(d, 0.5, 0.5, 8) > 4.0
-
-    def test_refine_beats_grid(self):
-        d = DeterministicEnergies(qd_1=0.5, qd_2=3.0, sigma2_R=1.0)
-        t = refine_threshold_det(d, 0.5, 0.5, 6)
-        grid = np.linspace(0.5, 3.0 + 15.0, 4001)
-        best = min(ber_det(d, 0.5, 0.5, 6, g) for g in grid)
-        assert ber_det(d, 0.5, 0.5, 6, t) <= best + 1e-12
 
 
 def _grid_golden_noncentral(d, p1, p2, n):
