@@ -28,7 +28,14 @@ CLI (``python -m jamlink.cli sweep|capacity --preset <p> --seed <s>`` with
 side's 2-thread wall time and whether its 1- and 2-thread CSVs are
 identical, and per CSV column the number of cells of the change's 2-thread
 CSV that differ from the parent's, with the worst relative change (inf
-where one side is 0).  Standard library only.
+where one side is 0).
+
+Last, each checkout runs each of the six slowest Tier-1 tests
+(``SLOW_TESTS``) alone, ``python -m pytest -q <node id>`` with
+``PYTHONPATH=<checkout>/src``, the two sides alternating which goes first.
+Under ``slow_tests`` the output holds, per node id, each side's wall time
+(pytest start-up included), the test's own time (the setup, call and
+teardown durations pytest reports) and the exit code.  Standard library only.
 """
 
 import argparse
@@ -37,6 +44,7 @@ import json
 import math
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -50,6 +58,20 @@ ROOT = Path(__file__).resolve().parent.parent
 PRESETS = (("fig2", "sweep"), ("fig3", "sweep"), ("fig4", "sweep"),
            ("fig5", "sweep"), ("fig6", "sweep"), ("fig7", "capacity"),
            ("fig8", "capacity"))
+
+# the six slowest Tier-1 tests by ``pytest --durations`` at commit 6813812
+# on a 2-CPU host; the criterion 9 node's time is mostly its fig2 fixture
+SLOW_TESTS = (
+    "tests/test_acceptance.py::"
+    "test_criterion_02_theory_simulation_cross_validation[random]",
+    "tests/test_acceptance.py::"
+    "test_criterion_09_jamming_type_ordering[single_tone-multi_tone]",
+    "tests/test_acceptance.py::"
+    "test_criterion_02_theory_simulation_cross_validation[deterministic]",
+    "tests/test_channel.py::TestDrawChannel::test_empirical_k_ratio",
+    "tests/test_acceptance.py::test_criterion_07_capacity_machinery",
+    "tests/test_channel.py::TestDrawChannel::test_rician_moment_identity",
+)
 
 
 def run_once(checkout, workload, seed, seconds, trace=0):
@@ -172,6 +194,37 @@ def bench_presets(sides, seed):
     return report
 
 
+def bench_slow_tests(sides):
+    """Wall time and exit code of each slow test, run alone on each side."""
+    report = {}
+    for i, node in enumerate(SLOW_TESTS):
+        order = list(sides) if i % 2 == 0 else list(sides)[::-1]
+        entry = {}
+        for side in order:
+            checkout = sides[side]
+            env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+            start = time.perf_counter()
+            proc = subprocess.run(
+                [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                 "--durations=0", "--durations-min=0", node],
+                capture_output=True, text=True, cwd=checkout, env=env,
+                timeout=1800, check=False)
+            # pytest's own setup + call + teardown lines, start-up excluded
+            phases = re.findall(r"^([0-9.]+)s (?:setup|call|teardown) ",
+                                proc.stdout, re.MULTILINE)
+            entry[side] = {"wall_s": time.perf_counter() - start,
+                           "test_s": sum(map(float, phases)),
+                           "returncode": proc.returncode}
+        report[node] = entry
+        print(f"{node}: wall {entry['parent']['wall_s']:.2f} -> "
+              f"{entry['change']['wall_s']:.2f} s, test "
+              f"{entry['parent']['test_s']:.2f} -> "
+              f"{entry['change']['test_s']:.2f} s (exit "
+              f"{entry['parent']['returncode']}/"
+              f"{entry['change']['returncode']})", flush=True)
+    return report
+
+
 def main(argv=None):
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
@@ -220,6 +273,8 @@ def main(argv=None):
         report["workloads"][workload] = entry
         args.out.write_text(json.dumps(report, indent=1) + "\n")
     report["presets"] = bench_presets(sides, args.seed)
+    args.out.write_text(json.dumps(report, indent=1) + "\n")
+    report["slow_tests"] = bench_slow_tests(sides)
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     for workload, entry in report["workloads"].items():
         print(f"{workload}: failed parent {entry['parent_failed']}/"

@@ -5,8 +5,9 @@ Reproducibility contract: every random draw derives from
 feeds per-curve jammer preparation (tone phases, drawn once per
 experiment), stream 1 feeds per-block simulation keyed by (axis index,
 curve index, block index) and stream 2 feeds baseline trials.  Blocks run
-on a thread pool but land in preallocated arrays and are reduced in block
-order, so results do not depend on the thread count.
+on a thread pool, queued one axis point ahead: point i + 1's blocks and
+baselines are submitted before point i is reduced.  Each point is reduced
+in block order, so results do not depend on the thread count.
 """
 
 import csv
@@ -19,7 +20,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import baselines, capacity as cap, channel, modem, signals, theory
+from . import (baselines, capacity as cap, channel, kernels, modem,
+               signals, theory)
 from .capacity import QuadratureConfig
 from .channel import ChannelDraw, RicianParams
 from .config import coerce, load_config
@@ -434,12 +436,12 @@ def _draw_block_channel(cfg, rng):
 # detection models: one table entry per jammer kind
 
 
-def _variance_levels(spec, ch, frame, n_tot, offset):
+def _variance_levels(spec, ch, frame, jam):
     """Conditional variances of the received samples for both symbols."""
     return theory.variances(ch, frame.a1, frame.a2, spec.power)
 
 
-def _envelope_levels(spec, ch, frame, n_tot, offset):
+def _envelope_levels(spec, ch, frame, jam):
     """Exact per-symbol energy levels for constant-envelope modulated jamming."""
     h12 = ch.h1 * ch.h2
     e1 = abs(h12 * frame.a1 + ch.h3) ** 2 * spec.power
@@ -448,14 +450,25 @@ def _envelope_levels(spec, ch, frame, n_tot, offset):
     return theory.DeterministicEnergies(qd_1=lo, qd_2=hi, sigma2_R=ch.sigma2_R)
 
 
-def _tone_levels(spec, ch, frame, n_tot, offset):
-    """Deterministic energy levels of a tonal jammer, averaged over the block."""
-    s = signals.gen_tone_sum(spec.toneset, n_tot, offset)
-    s_del = signals.gen_tone_sum(spec.toneset, n_tot, offset - ch.n_tau) \
-        if ch.n_tau else s
-    h12 = ch.h1 * ch.h2
-    e1 = float(np.mean(np.abs(h12 * frame.a1 * s + ch.h3 * s_del) ** 2))
-    e2 = float(np.mean(np.abs(h12 * frame.a2 * s + ch.h3 * s_del) ** 2))
+def _tone_levels(spec, ch, frame, jam):
+    """Deterministic energy levels of a tonal jammer, averaged over the payload.
+
+    ``jam`` holds the payload's real tone samples ``s`` after the ``n_tau``
+    look-back of the delayed samples ``s_d``; the mean of ``|h12 a s +
+    h3 s_d|^2`` is expanded into the mean products of the two.
+    """
+    n = jam.shape[0] - ch.n_tau
+    s, s_d = jam[ch.n_tau:], jam[:n]
+    ss = float(np.dot(s, s)) / n
+    if ch.n_tau:
+        dd, sd = float(np.dot(s_d, s_d)) / n, float(np.dot(s, s_d)) / n
+    else:
+        dd = sd = ss
+    h12 = complex(ch.h1 * ch.h2)
+    h3 = complex(ch.h3)
+    cross = 2.0 * (h12 * h3.conjugate()).real
+    e1, e2 = (abs(h12) ** 2 * a * a * ss + abs(h3) ** 2 * dd + a * cross * sd
+              for a in (frame.a1, frame.a2))
     lo, hi = sorted((e1, e2))
     return theory.DeterministicEnergies(qd_1=lo, qd_2=hi, sigma2_R=ch.sigma2_R)
 
@@ -490,8 +503,9 @@ def _shifted_gamma_theory(d, frame):
 class _Model:
     """How the detector and the theory columns treat one jammer kind.
 
-    ``levels(spec, ch, frame, n_tot, offset)`` gives a block's two levels
-    for the ``n_tot`` payload samples from ``offset``; ``threshold(levels,
+    ``levels(spec, ch, frame, jam)`` gives a block's two levels; tonal
+    models read them off ``jam``, the payload's real tone samples after
+    their ``n_tau`` look-back, and the others ignore it; ``threshold(levels,
     frame)`` is the exact-mode detection threshold; ``theory(levels,
     frame)`` gives ``(ber_theory, ber_gauss)``, or is None where no closed
     form applies.  ``random`` counts the direct jammer path as interference
@@ -557,19 +571,26 @@ def _run_ber_block(cfg, spec, curve, frame, axis_i, curve_i, block_i):
     n_pre = 0 if exact else frame.M * frame.N
     link_offset = block_i * (n_pre + n_tot)
     offset = link_offset + n_pre
+    # a tonal block's real samples [link_offset - n_tau, offset + n_tot),
+    # synthesized once for both the link and the theory levels
+    ts = spec.toneset
+    jam = None if ts is None else kernels.tone_sum(
+        ts.amps, ts.freqs, ts.phases, link_offset - ch.n_tau,
+        n_pre + n_tot + ch.n_tau)
     try:
-        levels = model.levels(spec, ch, frame, n_tot, offset)
+        levels = model.levels(spec, ch, frame,
+                              None if jam is None else jam[n_pre:])
     except DegenerateChannelError:
         if exact:
             raise
         levels = None
 
     if exact:
-        q = modem.block_energies(spec, ch, frame, payload, rng, offset)
+        q = modem.block_energies(spec, ch, frame, payload, rng, offset, jam)
         decoded = modem.decode(q, model.threshold(levels, frame))
     else:
         decoded, _, _ = modem.run_link(spec, ch, frame, payload, rng,
-                                       sample_offset=link_offset)
+                                       sample_offset=link_offset, jam=jam)
 
     errors = int(np.count_nonzero(decoded != payload))
     return (errors,) + _theory_columns(model, levels, ch, frame, spec.power)
@@ -599,6 +620,48 @@ _CURVE_FIELDS = ("errors", "bits", "ber_sim", "ci_low", "ci_high",
 _BASELINE_FIELDS = ("ber_sim", "ci_low", "ci_high")
 
 
+def _submit_point(pool, cfg, prepared, axis_i):
+    """Submit one axis point: its blocks curve by curve, then its baselines."""
+    value = cfg.axis_values[axis_i]
+    pj, frame = _axis_point(cfg, value)
+    futures = []
+    for curve_i, curve in enumerate(cfg.curves):
+        spec = _spec_at_power(prepared[curve_i], pj)
+        futures += [pool.submit(_run_ber_block, cfg, spec, curve, frame,
+                                axis_i, curve_i, block_i)
+                    for block_i in range(cfg.blocks)]
+    if cfg.include_baselines:
+        trials = max(cfg.blocks * cfg.payload_bits_per_block, 1000)
+        futures += [pool.submit(_run_baseline_point, cfg, s, axis_i, value,
+                                trials)
+                    for s in range(len(_BASELINES))]
+    return futures
+
+
+def _reduce_point(cfg, value, futures, progress):
+    """One row from a submitted point's futures, read in block order."""
+    bits_per_point = cfg.blocks * cfg.payload_bits_per_block
+    row = [value if cfg.axis_name != "n" else int(round(value))]
+    for curve_i, curve in enumerate(cfg.curves):
+        blocks = futures[curve_i * cfg.blocks:(curve_i + 1) * cfg.blocks]
+        out = np.array([f.result() for f in blocks], dtype=np.float64)
+        errors = int(out[:, 0].sum())
+        est = BerEstimate.from_counts(errors, bits_per_point)
+        row += [est.errors, est.bits, est.ber, est.ci_low, est.ci_high,
+                float(out[:, 1].mean()), float(out[:, 2].mean()),
+                float(out[:, 3].mean())]
+        if progress:
+            progress(f"{cfg.axis_name}={value:g} {curve.label}: "
+                     f"ber={est.ber:.3e} ({est.bits} bits)")
+    base = futures[len(cfg.curves) * cfg.blocks:]
+    for (name, _, _), fut in zip(_BASELINES, base):
+        est = fut.result()
+        row += [est.ber, est.ci_low, est.ci_high]
+        if progress:
+            progress(f"{cfg.axis_name}={value:g} {name}: ber={est.ber:.3e}")
+    return tuple(row)
+
+
 def run_ber_sweep(cfg, progress=None):
     """Run a BER sweep; returns one row per axis value, wide columns.
 
@@ -625,39 +688,24 @@ def run_ber_sweep(cfg, progress=None):
         for name, _, _ in _BASELINES:
             columns += [f"{name}.{f}" for f in _BASELINE_FIELDS]
 
+    # blocks are queued one point ahead: point i + 1 is submitted before
+    # point i is reduced, so the pool does not drain between points and at
+    # most two points' futures are held.  On an error the queued ones are
+    # cancelled, so the sweep stops once the running blocks finish.
     rows = []
-    bits_per_point = cfg.blocks * cfg.payload_bits_per_block
+    queue = []
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        for axis_i, value in enumerate(cfg.axis_values):
-            pj, frame = _axis_point(cfg, value)
-            row = [value if cfg.axis_name != "n" else int(round(value))]
-            for curve_i, curve in enumerate(cfg.curves):
-                spec = _spec_at_power(prepared[curve_i], pj)
-                futures = [
-                    pool.submit(_run_ber_block, cfg, spec, curve, frame,
-                                axis_i, curve_i, block_i)
-                    for block_i in range(cfg.blocks)]
-                out = np.array([f.result() for f in futures], dtype=np.float64)
-                errors = int(out[:, 0].sum())
-                est = BerEstimate.from_counts(errors, bits_per_point)
-                row += [est.errors, est.bits, est.ber, est.ci_low, est.ci_high,
-                        float(out[:, 1].mean()), float(out[:, 2].mean()),
-                        float(out[:, 3].mean())]
-                if progress:
-                    progress(f"{cfg.axis_name}={value:g} {curve.label}: "
-                             f"ber={est.ber:.3e} ({est.bits} bits)")
-            if cfg.include_baselines:
-                trials = max(bits_per_point, 1000)
-                futures = [pool.submit(_run_baseline_point, cfg, s, axis_i,
-                                       value, trials)
-                           for s in range(len(_BASELINES))]
-                for (name, _, _), fut in zip(_BASELINES, futures):
-                    est = fut.result()
-                    row += [est.ber, est.ci_low, est.ci_high]
-                    if progress:
-                        progress(f"{cfg.axis_name}={value:g} {name}: "
-                                 f"ber={est.ber:.3e}")
-            rows.append(tuple(row))
+        try:
+            queue.append(_submit_point(pool, cfg, prepared, 0))
+            for axis_i, value in enumerate(cfg.axis_values):
+                if axis_i + 1 < len(cfg.axis_values):
+                    queue.append(_submit_point(pool, cfg, prepared,
+                                               axis_i + 1))
+                rows.append(_reduce_point(cfg, value, queue[0], progress))
+                queue.pop(0)
+        finally:
+            for fut in (f for futures in queue for f in futures):
+                fut.cancel()
     return SweepResult(columns=tuple(columns), rows=tuple(rows),
                        meta={"preset": cfg.preset, "mode": "ber"})
 

@@ -29,13 +29,22 @@ def compose_energies(jam, jam_delayed, noise, amps, h12, h3, n_per_symbol):
     """Per-symbol average energies of h12*a*jam + h3*jam_delayed + noise.
 
     ``amps`` holds one amplification factor per symbol; each applies to
-    ``n_per_symbol`` consecutive samples.
+    ``n_per_symbol`` consecutive samples.  A real ``jam`` and
+    ``jam_delayed`` (tone sums) are composed in real arithmetic, part by
+    part in the complex path's operation order, so they give the same bits
+    as their complex copies with zero imaginary part.
     """
     amps = np.asarray(amps, dtype=np.float64)
     n_per_symbol = int(n_per_symbol)
     a = np.repeat(amps, n_per_symbol)
-    y = complex(h12) * a * jam + complex(h3) * jam_delayed + noise
-    e = y.real * y.real + y.imag * y.imag
+    h12, h3 = complex(h12), complex(h3)
+    if np.iscomplexobj(jam) or np.iscomplexobj(jam_delayed):
+        y = h12 * a * jam + h3 * jam_delayed + noise
+        y_re, y_im = y.real, y.imag
+    else:
+        y_re = h12.real * a * jam + h3.real * jam_delayed + noise.real
+        y_im = h12.imag * a * jam + h3.imag * jam_delayed + noise.imag
+    e = y_re * y_re + y_im * y_im
     return e.reshape(amps.shape[0], n_per_symbol).sum(axis=1) / n_per_symbol
 
 

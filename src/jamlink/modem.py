@@ -83,7 +83,7 @@ def build_preamble(M):
     return bits
 
 
-def block_energies(jam_spec, ch, cfg, bits, rng, sample_offset=0):
+def block_energies(jam_spec, ch, cfg, bits, rng, sample_offset=0, jam=None):
     """Per-symbol received energies of one block carrying ``bits``.
 
     Each energy averages ``|h1 h2 a_k j[n] + h3 j[n - n_tau] + z[n]|^2``
@@ -96,9 +96,10 @@ def block_energies(jam_spec, ch, cfg, bits, rng, sample_offset=0):
     Every other case draws samples.  The jamming block covers samples
     ``[sample_offset - ch.n_tau, sample_offset + len(bits) * cfg.N)``: the
     ``n_tau`` look-back feeds the delayed jammer-to-receiver path, so tonal
-    waveforms continue smoothly across consecutive blocks.  Receiver noise,
-    CN(0, sigma2_R) per sample, is drawn from ``rng`` after the jamming
-    samples.
+    waveforms continue smoothly across consecutive blocks.  A caller that
+    already holds those samples passes them as ``jam``, real or complex;
+    otherwise they are generated here.  Receiver noise, CN(0, sigma2_R) per
+    sample, is drawn from ``rng`` after the jamming samples.
     """
     bits = np.asarray(bits, dtype=np.int64)
     rng = np.random.default_rng(rng)
@@ -108,8 +109,12 @@ def block_energies(jam_spec, ch, cfg, bits, rng, sample_offset=0):
         return rng.standard_gamma(cfg.N, size=bits.shape[0]) * (d2 / cfg.N)
     amps_sym = np.where(bits == 0, float(cfg.a1), float(cfg.a2))
     n_tot = bits.shape[0] * cfg.N
-    jam = signals.gen_jammer_block(
-        jam_spec, n_tot + ch.n_tau, sample_offset - ch.n_tau, rng)
+    if jam is None:
+        jam = signals.gen_jammer_block(
+            jam_spec, n_tot + ch.n_tau, sample_offset - ch.n_tau, rng)
+    elif jam.shape != (n_tot + ch.n_tau,):
+        raise ValueError(f"jam must hold {n_tot + ch.n_tau} samples, "
+                         f"got shape {jam.shape}")
     noise = signals.gen_cscg(ch.sigma2_R, n_tot, rng)
     return kernels.compose_energies(jam[ch.n_tau:], jam[:n_tot], noise,
                                     amps_sym, ch.h1 * ch.h2, ch.h3, cfg.N)
@@ -148,11 +153,11 @@ def decode(energies, t_hat):
     return (q > t_hat).astype(np.int64)
 
 
-def run_link(jam_spec, ch, cfg, payload_bits, rng, sample_offset=0):
+def run_link(jam_spec, ch, cfg, payload_bits, rng, sample_offset=0, jam=None):
     """Run one block: preamble plus payload through one channel draw.
 
     The preamble starts at absolute sample ``sample_offset``; see
-    :func:`block_energies` for how the block is drawn.
+    :func:`block_energies` for how the block is drawn and for ``jam``.
 
     Returns
     -------
@@ -169,7 +174,7 @@ def run_link(jam_spec, ch, cfg, payload_bits, rng, sample_offset=0):
     if payload_bits.size == 0:
         raise ValueError("payload must be non-empty")
     bits = np.concatenate([build_preamble(cfg.M), payload_bits])
-    q = block_energies(jam_spec, ch, cfg, bits, rng, sample_offset)
+    q = block_energies(jam_spec, ch, cfg, bits, rng, sample_offset, jam)
     est = estimate_threshold(q[:cfg.M], cfg)
     decoded = decode(q[cfg.M:], est.t_hat)
     return decoded, est, q

@@ -190,7 +190,10 @@ def gen_cscg(P_J, n, rng):
     rng = np.random.default_rng(rng)
     scale = np.sqrt(P_J / 2.0)
     z = rng.standard_normal((2, n))
-    return scale * (z[0] + 1j * z[1])
+    out = np.empty(n, dtype=np.complex128)
+    np.multiply(z[0], scale, out=out.real)
+    np.multiply(z[1], scale, out=out.imag)
+    return out
 
 
 def make_toneset(center_freq, bandwidth, J, P_J, rng):

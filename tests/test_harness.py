@@ -1,5 +1,7 @@
 """Experiment presets, sweep execution, and CSV emission."""
 
+import time
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -264,6 +266,75 @@ class TestBerSweep:
         r2 = run_ber_sweep(replace(cfg, threads=3))
         assert r1.rows == r2.rows
 
+    @pytest.mark.parametrize("name", ["fig4_baselines", "tonal_n_tau"])
+    def test_queued_blocks_keep_rows_and_progress_order(self, name):
+        # blocks are queued one point ahead and finish in any order; rows
+        # and progress lines must not depend on the thread count
+        if name == "fig4_baselines":
+            cfg = _tiny_ber_cfg(axis_values=(0.0, 20.0, 40.0), blocks=3)
+        else:
+            cfg = config_from_mapping({
+                "axis.values": "0, 10, 20",
+                "jammer.kind": "single_tone, det_broadband",
+                "channel.n_tau": "2",
+                "snr.db": "5",
+                "run.blocks": "3",
+                "run.payload_bits_per_block": "300",
+            })
+        runs = []
+        for threads in (1, 2, 4):
+            lines = []
+            res = run_ber_sweep(replace(cfg, threads=threads),
+                                progress=lines.append)
+            # repr: NaN cells compare equal and every bit is compared
+            runs.append(([list(map(repr, r)) for r in res.rows], lines))
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+        labels = [c.label for c in cfg.curves]
+        if cfg.include_baselines:
+            labels += ["dsss", "fh"]
+        want = [f"jnr_db={v:g} {lab}:" for v in cfg.axis_values
+                for lab in labels]
+        assert [line.split(" ber=")[0] for line in runs[0][1]] == want
+
+    def test_at_most_one_point_is_queued_ahead(self, monkeypatch):
+        # the pool is built through the module attribute, which tracers
+        # replace; when point i is reported, nothing past i + 1 is queued
+        submitted = []
+
+        class Recording(harness.ThreadPoolExecutor):
+            def submit(self, fn, /, *args, **kwargs):
+                submitted.append(args[4] if fn is harness._run_ber_block
+                                 else args[2])
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", Recording)
+        cfg = _tiny_ber_cfg(axis_values=(0.0, 10.0, 20.0, 30.0), blocks=2,
+                            threads=2)
+        ahead = []
+        run_ber_sweep(cfg, progress=lambda _: ahead.append(max(submitted)))
+        # one curve and two baselines per point
+        assert ahead == [1, 1, 1, 2, 2, 2, 3, 3, 3, 3, 3, 3]
+        assert sorted(submitted) == [i for i in range(4) for _ in range(4)]
+
+    def test_failing_block_cancels_the_queued_ones(self, monkeypatch):
+        run = harness._run_ber_block
+        calls = []
+
+        def failing(cfg, spec, curve, frame, axis_i, curve_i, block_i):
+            calls.append((axis_i, block_i))
+            if (axis_i, block_i) == (0, 0):
+                raise RuntimeError("block failed")
+            time.sleep(0.2)
+            return run(cfg, spec, curve, frame, axis_i, curve_i, block_i)
+
+        monkeypatch.setattr(harness, "_run_ber_block", failing)
+        cfg = _tiny_ber_cfg(axis_values=(0.0, 10.0, 20.0, 30.0), blocks=4,
+                            include_baselines=False)
+        with pytest.raises(RuntimeError, match="block failed"):
+            run_ber_sweep(cfg)
+        # the one worker had at most started the next block
+        assert len(calls) <= 2, calls
+
     def test_tonal_curve_gets_nan_gaussian_column(self):
         cfg = preset_config("fig2", seed=5)
         cfg = replace(cfg, axis_values=(10.0,), blocks=2,
@@ -311,8 +382,8 @@ class TestBerSweep:
         model = harness._MODELS[JammerKind.MULTI_TONE]
         seen = []
 
-        def spy(spec, ch, frame, n_tot, offset):
-            levels = model.levels(spec, ch, frame, n_tot, offset)
+        def spy(spec, ch, frame, jam):
+            levels = model.levels(spec, ch, frame, jam)
             seen.append((spec, ch, frame, levels))
             return levels
 

@@ -213,6 +213,36 @@ class TestBlockEnergies:
                                  np.random.default_rng(6), 40)
         np.testing.assert_array_equal(got, want)
 
+    @pytest.mark.parametrize("n_tau", [0, 3])
+    @pytest.mark.parametrize("kind", [JammerKind.SINGLE_TONE,
+                                      JammerKind.DET_BROADBAND])
+    def test_real_tone_samples_give_the_complex_path_bits(self, kind, n_tau):
+        # tone samples synthesized once as real numbers and handed in give
+        # the energies of their complex copies, bit for bit
+        spec = prepare_jammer(JammerSpec(kind=kind, power=3.0),
+                              np.random.default_rng(4))
+        ch = ChannelDraw(self.CH.h1, self.CH.h2, self.CH.h3,
+                         self.CH.sigma2_R, n_tau)
+        cfg = _cfg(N=8, M=2, a1=0.5, a2=2.0)
+        bits = np.random.default_rng(5).integers(0, 2, 300)
+        n_tot = bits.size * cfg.N
+        ts = spec.toneset
+        jam = kernels.tone_sum(ts.amps, ts.freqs, ts.phases, 40 - n_tau,
+                               n_tot + n_tau)
+        got = block_energies(spec, ch, cfg, bits, np.random.default_rng(6),
+                             40, jam)
+        want = self._sample_path(spec, ch, cfg, bits,
+                                 np.random.default_rng(6), 40)
+        assert np.array_equal(got, want)
+
+    def test_supplied_samples_must_cover_the_block(self):
+        spec = prepare_jammer(JammerSpec(kind=JammerKind.SINGLE_TONE,
+                                         power=1.0), np.random.default_rng(4))
+        cfg = _cfg(N=4, M=2)
+        with pytest.raises(ValueError, match="jam must hold 40 samples"):
+            block_energies(spec, self.CH, cfg, np.zeros(10), 1, 0,
+                           np.zeros(39))
+
     def test_run_link_draws_the_preamble_from_the_gamma_law(self):
         cfg = _cfg(N=8, M=10, a1=0.5, a2=2.0)
         payload = np.random.default_rng(7).integers(0, 2, 50)

@@ -26,6 +26,17 @@ class TestGenCscg:
     def test_seeded_determinism(self):
         assert gen_cscg(1.0, 1, 42) == gen_cscg(1.0, 1, 42)
 
+    @pytest.mark.parametrize("pj", [1e-3, 1.0, 3.7, 1e4])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_bits_match_the_complex_expression(self, pj, seed):
+        # the parts are written in place; the values are those of
+        # scale * (z0 + 1j z1), bit for bit
+        z = np.random.default_rng(seed).standard_normal((2, 1001))
+        want = np.sqrt(pj / 2.0) * (z[0] + 1j * z[1])
+        got = gen_cscg(pj, 1001, np.random.default_rng(seed))
+        assert got.dtype == np.complex128
+        assert np.array_equal(got, want)
+
     @pytest.mark.parametrize("pj,n", [(0.0, 5), (-1.0, 5), (1.0, 0)])
     def test_invalid_args(self, pj, n):
         with pytest.raises(ValueError):
