@@ -30,6 +30,14 @@ identical, and per CSV column the number of cells of the change's 2-thread
 CSV that differ from the parent's, with the worst relative change (inf
 where one side is 0).
 
+Under ``setup`` the output holds the per-layer view of ``setup_s``: each
+checkout runs ``python -X importtime -c "import jamlink, jamlink.harness"``
+(``PYTHONPATH=<checkout>/src``) ``SETUP_SAMPLES`` times in fresh processes,
+the sides alternating, and the median cumulative import time in
+microseconds of ``jamlink``, ``numpy`` and each ``scipy.<name>`` subpackage
+it loads is kept, with the samples (see ``import_times`` for how a scipy
+subpackage is timed).
+
 Last, each checkout runs each of the six slowest Tier-1 tests
 (``SLOW_TESTS``) alone, ``python -m pytest -q <node id>`` with
 ``PYTHONPATH=<checkout>/src``, the two sides alternating which goes first.
@@ -72,6 +80,87 @@ SLOW_TESTS = (
     "tests/test_acceptance.py::test_criterion_07_capacity_machinery",
     "tests/test_channel.py::TestDrawChannel::test_rician_moment_identity",
 )
+
+
+# fresh-process imports per side for the ``setup`` section
+SETUP_SAMPLES = 5
+_IMPORTTIME = re.compile(r"^import time:\s+\d+ \|\s+(\d+) \| ( *)(\S+)$")
+
+
+def _package(name):
+    """jamlink, numpy or scipy.<name> for a module of one, else None."""
+    parts = name.split(".")
+    if parts[0] in ("jamlink", "numpy"):
+        return parts[0]
+    if parts[0] == "scipy" and len(parts) > 1 and not parts[1].startswith("_"):
+        return f"scipy.{parts[1]}"
+    return None
+
+
+def import_times(checkout):
+    """{package: cumulative microseconds} of one fresh ``import jamlink``.
+
+    ``-X importtime`` prints each import after its children, indented by
+    depth, but not the imports made through ``importlib``: scipy loads its
+    subpackages that way, so their own line is missing and their modules
+    hang below whatever imported them.  A package's time is therefore the
+    sum of the cumulative times of its topmost printed modules.  A package
+    whose own line is printed (jamlink, numpy) takes that line's time.
+    """
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-c",
+         "import jamlink, jamlink.harness"],
+        capture_output=True, text=True, cwd=checkout, env=env, timeout=300,
+        check=False)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{checkout} import: exit {proc.returncode}\n"
+                           f"{proc.stderr.strip()}")
+    # pending subtrees: (depth, {package: time of its topmost modules})
+    pending = []
+    own = {}
+    for line in proc.stderr.splitlines():
+        m = _IMPORTTIME.match(line)
+        if not m:
+            continue
+        depth = len(m[2]) // 2
+        tops = {}
+        while pending and pending[-1][0] > depth:
+            for pkg, us in pending.pop()[1].items():
+                tops[pkg] = tops.get(pkg, 0) + us
+        pkg = _package(m[3])
+        if pkg:
+            tops[pkg] = int(m[1])
+        if pkg == m[3]:
+            own[pkg] = int(m[1])
+        pending.append((depth, tops))
+    out = {}
+    for _depth, tops in pending:
+        for pkg, us in tops.items():
+            out[pkg] = out.get(pkg, 0) + us
+    return {**out, **own}
+
+
+def bench_setup(sides):
+    """Median cumulative import time per package, per side."""
+    samples = {side: [] for side in sides}
+    for i in range(SETUP_SAMPLES):
+        for side in (list(sides) if i % 2 == 0 else list(sides)[::-1]):
+            samples[side].append(import_times(sides[side]))
+    report = {}
+    for side, runs in samples.items():
+        names = sorted({name for run in runs for name in run})
+        report[side] = {
+            name: {"median_us": statistics.median(r.get(name, 0)
+                                                  for r in runs),
+                   "samples_us": [r.get(name, 0) for r in runs]}
+            for name in names}
+    for name in dict.fromkeys([*report["parent"], *report["change"]]):
+        before, after = (report[side].get(name, {}).get("median_us", 0)
+                         for side in ("parent", "change"))
+        print(f"import {name:24s} {before / 1e3:8.1f} -> {after / 1e3:8.1f} ms",
+              flush=True)
+    return report
 
 
 def run_once(checkout, workload, seed, seconds, trace=0):
@@ -241,6 +330,7 @@ def main(argv=None):
 
     report = {"seed": args.seed, "seconds": seconds, "pairs": args.pairs,
               "python": platform.python_version(), "workloads": {}}
+    report["setup"] = bench_setup(sides)
     for workload in (w["name"] for w in spec["workloads"]):
         runs = {"parent": [], "change": []}
         env = {}

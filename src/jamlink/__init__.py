@@ -45,14 +45,12 @@ from .mc import BerEstimate, wilson_interval
 from .modem import (FrameConfig, ThresholdEstimate, block_energies,
                     build_preamble, decode, estimate_threshold, run_link)
 from .signals import (JammerKind, JammerSpec, ToneSet, average_power,
-                      gen_cscg, gen_modulated, gen_tone_sum, make_toneset,
-                      prepare_jammer)
+                      gen_cscg, gen_modulated, make_toneset, prepare_jammer)
 from .theory import (ConditionalVariances, DeterministicEnergies,
                      ber_det, ber_det_noncentral, ber_gaussian_approx,
-                     ber_random, delta2, energy_pdf_random,
-                     optimal_threshold_det, optimal_threshold_noncentral,
-                     optimal_threshold_random, q_det, sinr_limit,
-                     variances)
+                     ber_random, delta2, optimal_threshold_det,
+                     optimal_threshold_noncentral, optimal_threshold_random,
+                     q_det, sinr_limit, variances)
 
 __version__ = "0.1.0"
 
@@ -66,7 +64,7 @@ __all__ = [
     "UnboundedLimitError", "NumericalFailureError", "ConfigError",
     # signals
     "JammerKind", "JammerSpec", "ToneSet", "gen_cscg", "make_toneset",
-    "gen_tone_sum", "gen_modulated", "average_power", "prepare_jammer",
+    "gen_modulated", "average_power", "prepare_jammer",
     # channel
     "RicianParams", "ChannelDraw", "draw_channel", "sinr",
     # modem
@@ -74,8 +72,8 @@ __all__ = [
     "estimate_threshold", "decode", "run_link",
     # theory
     "ConditionalVariances", "DeterministicEnergies", "delta2", "variances",
-    "energy_pdf_random", "optimal_threshold_random", "ber_random", "q_det",
-    "ber_det", "ber_det_noncentral", "optimal_threshold_det",
+    "optimal_threshold_random", "ber_random", "q_det", "ber_det",
+    "ber_det_noncentral", "optimal_threshold_det",
     "optimal_threshold_noncentral", "ber_gaussian_approx", "sinr_limit",
     # capacity
     "QuadratureConfig", "CapacityResult", "mutual_information",

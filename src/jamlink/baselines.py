@@ -20,6 +20,7 @@ hop.
 import enum
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -37,16 +38,15 @@ class BaselineScheme(enum.Enum):
 
 @dataclass(frozen=True)
 class BaselineConfig:
-    """Baseline link parameters; unit gains (perfect CSI assumed)."""
+    """Baseline link parameters; unit gains (perfect CSI assumed).
+
+    ``spread_factor`` is the DS-SS chip count L, a class constant: L cancels
+    from the despread statistic, so no value of it changes a result.
+    """
 
     scheme: BaselineScheme
     eb_n0_db: float
-    spread_factor: int = 8
-
-    def __post_init__(self):
-        if int(self.spread_factor) < 2:
-            raise ValueError("spread_factor must be >= 2")
-        object.__setattr__(self, "spread_factor", int(self.spread_factor))
+    spread_factor: ClassVar[int] = 8
 
 
 def _bpsk_ber(amp, noise_var, trials, rng):

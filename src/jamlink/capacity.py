@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, stats
+from scipy import optimize
 
 from .errors import NumericalFailureError
 
@@ -68,10 +68,15 @@ class CapacityResult:
 
 
 def gaussian_mixture_components(y, v):
-    """The two zero-mean real Gaussian conditional densities at y."""
+    """The two zero-mean real Gaussian conditional densities at y.
+
+    Each is ``stats.norm.pdf(y, scale=s)`` bit for bit: the standard
+    density at ``y / s`` in scipy's operation order, divided by ``s``.
+    """
     y = np.asarray(y, dtype=np.float64)
-    phi1 = stats.norm.pdf(y, scale=math.sqrt(v.delta2_1))
-    phi2 = stats.norm.pdf(y, scale=math.sqrt(v.delta2_2))
+    s1, s2 = math.sqrt(v.delta2_1), math.sqrt(v.delta2_2)
+    phi1 = np.exp(-(y / s1) ** 2 / 2.0) / math.sqrt(2 * math.pi) / s1
+    phi2 = np.exp(-(y / s2) ** 2 / 2.0) / math.sqrt(2 * math.pi) / s2
     return phi1, phi2
 
 

@@ -20,8 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import (baselines, capacity as cap, channel, kernels, modem,
-               signals, theory)
+from . import baselines, capacity as cap, channel, modem, signals, theory
 from .capacity import QuadratureConfig
 from .channel import ChannelDraw, RicianParams
 from .config import coerce, load_config
@@ -132,6 +131,13 @@ class ExperimentConfig:
         _check_sigma2(self.sigma2_R)
         if self.n_tau < 0:
             raise ConfigError("n_tau must be >= 0")
+        delayed = [c.label for c in self.curves if self.n_tau > 0
+                   and c.threshold_mode == "exact"
+                   and _MODELS[c.jammer.kind].random]
+        if delayed:
+            raise ConfigError(
+                f"exact threshold mode has no threshold at n_tau > 0 for "
+                f"non-tonal jammers: {delayed}")
         if self.threads is not None and self.threads < 1:
             raise ConfigError(f"threads must be >= 1, got {self.threads}")
         object.__setattr__(self, "axis_values", vals)
@@ -508,8 +514,9 @@ class _Model:
     their ``n_tau`` look-back, and the others ignore it; ``threshold(levels,
     frame)`` is the exact-mode detection threshold; ``theory(levels,
     frame)`` gives ``(ber_theory, ber_gauss)``, or is None where no closed
-    form applies.  ``random`` counts the direct jammer path as interference
-    in the SINR.
+    form applies.  ``random`` marks a jammer of random samples: its direct
+    path counts as interference in the SINR, and its levels add the relayed
+    and direct paths coherently, which holds only at ``n_tau = 0``.
     """
 
     levels: Callable
@@ -540,13 +547,16 @@ def _theory_columns(model, levels, ch, frame, pj):
     """(ber_theory, ber_gauss, sinr) predictions for one block.
 
     ``levels`` is None when the block's levels coincide; that, or a closed
-    form finding them degenerate, makes all three columns NaN.
+    form finding them degenerate, makes all three columns NaN.  A random
+    jammer's two paths carry different samples at ``n_tau > 0``, where its
+    levels do not hold, so only the SINR is given there.
     """
     nan3 = (math.nan, math.nan, math.nan)
-    if levels is None and model.theory is not None:
+    closed_form = None if model.random and ch.n_tau else model.theory
+    if levels is None and closed_form is not None:
         return nan3
     try:
-        ber, gauss = model.theory(levels, frame) if model.theory \
+        ber, gauss = closed_form(levels, frame) if closed_form \
             else (math.nan, math.nan)
         return ber, gauss, channel.sinr(ch, frame.a2, pj, model.random)
     except DegenerateChannelError:
@@ -573,10 +583,9 @@ def _run_ber_block(cfg, spec, curve, frame, axis_i, curve_i, block_i):
     offset = link_offset + n_pre
     # a tonal block's real samples [link_offset - n_tau, offset + n_tot),
     # synthesized once for both the link and the theory levels
-    ts = spec.toneset
-    jam = None if ts is None else kernels.tone_sum(
-        ts.amps, ts.freqs, ts.phases, link_offset - ch.n_tau,
-        n_pre + n_tot + ch.n_tau)
+    jam = signals.gen_jammer_block(
+        spec, n_pre + n_tot + ch.n_tau, link_offset - ch.n_tau, rng) \
+        if spec.kind.is_tonal else None
     try:
         levels = model.levels(spec, ch, frame,
                               None if jam is None else jam[n_pre:])

@@ -1,8 +1,9 @@
 """Discrete-time complex baseband jamming waveform generators.
 
-Every generator works in cycles/sample and returns a 1-D complex128 numpy
-array (a "sample block").  Average power is controlled exactly for tone sets
-and constant-envelope constellations, and statistically for Gaussian noise.
+Every generator works in cycles/sample and returns a 1-D numpy array (a
+"sample block"): complex128 for random and modulated jamming, real float64
+for tone sums.  Average power is controlled exactly for tone sets and
+constant-envelope constellations, and statistically for Gaussian noise.
 
 Tone placement convention: a tone layout is a center frequency plus a
 bandwidth, both in cycles/sample, and ``J`` equal-amplitude tones are laid on
@@ -24,7 +25,6 @@ __all__ = [
     "JammerSpec",
     "gen_cscg",
     "make_toneset",
-    "gen_tone_sum",
     "gen_modulated",
     "average_power",
     "prepare_jammer",
@@ -229,20 +229,6 @@ def make_toneset(center_freq, bandwidth, J, P_J, rng):
     return ts
 
 
-def gen_tone_sum(ts, n, sample_offset=0):
-    """Synthesize ``sum_j a_j cos(2 pi f_j (m + sample_offset) + phi_j)``.
-
-    Returns a complex block with zero imaginary part.  ``sample_offset``
-    shifts the time origin, so a delayed path can be generated by calling
-    with a negative offset.
-    """
-    n = int(n)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    real = kernels.tone_sum(ts.amps, ts.freqs, ts.phases, int(sample_offset), n)
-    return real.astype(np.complex128)
-
-
 _QPSK = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2.0)
 _16QAM_LEVELS = np.array([-3.0, -1.0, 1.0, 3.0])
 # mean energy of the 16 points is 10 before normalization
@@ -297,10 +283,11 @@ def prepare_jammer(spec, rng):
 def gen_jammer_block(spec, n, sample_offset, rng):
     """Generate samples ``[sample_offset, sample_offset + n)`` of a jammer.
 
-    Tonal kinds are evaluated at the absolute sample offset so consecutive
-    blocks continue the same waveform instead of restarting it.  Random and
-    modulated kinds draw fresh samples from ``rng`` (their offset is
-    immaterial by i.i.d.-ness).
+    Tonal kinds are the real float64 tone sum
+    ``sum_j a_j cos(2 pi f_j m + phi_j)`` at the absolute sample indexes
+    ``m``, so consecutive blocks continue the same waveform instead of
+    restarting it.  Random and modulated kinds draw fresh complex samples
+    from ``rng`` (their offset is immaterial by i.i.d.-ness).
     """
     if spec.kind is JammerKind.RANDOM_BROADBAND:
         return gen_cscg(spec.power, n, rng)
@@ -308,4 +295,5 @@ def gen_jammer_block(spec, n, sample_offset, rng):
         return gen_modulated(spec.kind, spec.power, n, rng)
     if spec.toneset is None:
         raise ValueError("tonal spec is not prepared; call prepare_jammer first")
-    return gen_tone_sum(spec.toneset, n, sample_offset)
+    ts = spec.toneset
+    return kernels.tone_sum(ts.amps, ts.freqs, ts.phases, sample_offset, n)

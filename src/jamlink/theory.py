@@ -12,12 +12,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, special, stats
+from scipy import optimize, special
 # the ufunc stats.ncx2._sf calls in scipy 1.17.1; private, so the selftest
 # check noncentral-law-matches-stats compares it against stats.ncx2.sf
 from scipy.special._ufuncs import _ncx2_sf
 
-from . import signals
+from . import kernels
 from .errors import DegenerateChannelError, UnboundedLimitError
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "DeterministicEnergies",
     "delta2",
     "variances",
-    "energy_pdf_random",
     "optimal_threshold_random",
     "ber_random",
     "q_det",
@@ -80,7 +79,11 @@ class DeterministicEnergies:
 
 
 def delta2(ch, a_k, P_J):
-    """Conditional variance |h1 h2 a_k + h3|^2 P_J + sigma2_R."""
+    """Conditional variance |h1 h2 a_k + h3|^2 P_J + sigma2_R.
+
+    The two paths add coherently, so this holds when both carry the same
+    jammer sample: ``ch.n_tau = 0``.
+    """
     if not P_J > 0:
         raise ValueError("P_J must be > 0")
     return float(abs(ch.h1 * ch.h2 * a_k + ch.h3) ** 2 * P_J + ch.sigma2_R)
@@ -89,20 +92,6 @@ def delta2(ch, a_k, P_J):
 def variances(ch, a1, a2, P_J):
     """ConditionalVariances for an amplification alphabet on one channel draw."""
     return ConditionalVariances(delta2(ch, a1, P_J), delta2(ch, a2, P_J))
-
-
-def energy_pdf_random(q, N, delta2_k):
-    """Density of the per-symbol average energy under CSCG jamming.
-
-    A gamma density with shape ``N`` and scale ``delta2_k / N`` (mean
-    ``delta2_k``, variance ``delta2_k^2 / N``); zero for q <= 0.
-    """
-    if not delta2_k > 0:
-        raise ValueError("delta2_k must be > 0")
-    q = np.asarray(q, dtype=np.float64)
-    pdf = stats.gamma.pdf(q, a=N, scale=delta2_k / N)
-    out = np.where(q > 0, pdf, 0.0)
-    return float(out) if out.ndim == 0 else out
 
 
 def optimal_threshold_random(v, p1, p2, N):
@@ -142,8 +131,9 @@ def q_det(ts, ch, a_k, N, n_offset=0):
     Direct N-sample summation of |h1 h2 a_k s[n] + h3 s[n - n_tau]|^2 / N
     starting at absolute sample ``n_offset``; no approximation involved.
     """
-    s = signals.gen_tone_sum(ts, N, n_offset)
-    s_del = signals.gen_tone_sum(ts, N, n_offset - ch.n_tau)
+    s = kernels.tone_sum(ts.amps, ts.freqs, ts.phases, n_offset, N)
+    s_del = kernels.tone_sum(ts.amps, ts.freqs, ts.phases,
+                             n_offset - ch.n_tau, N)
     comp = ch.h1 * ch.h2 * a_k * s + ch.h3 * s_del
     return float(np.mean(np.abs(comp) ** 2))
 
@@ -277,8 +267,9 @@ def ber_gaussian_approx(v, p1, p2, N, threshold):
     """
     t = np.asarray(threshold, dtype=np.float64)
     rn = math.sqrt(N)
-    out = p1 * stats.norm.sf((t - v.delta2_1) * rn / v.delta2_1) \
-        + p2 * stats.norm.sf((v.delta2_2 - t) * rn / v.delta2_2)
+    # Q(z) = ndtr(-z), the ufunc under stats.norm.sf, bit for bit
+    out = p1 * special.ndtr(-((t - v.delta2_1) * rn / v.delta2_1)) \
+        + p2 * special.ndtr(-((v.delta2_2 - t) * rn / v.delta2_2))
     return float(out) if out.ndim == 0 else out
 
 

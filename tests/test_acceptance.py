@@ -24,9 +24,9 @@ from jamlink.capacity import capacity, mi_derivative, mutual_information
 from jamlink.channel import ChannelDraw
 from jamlink.harness import emit_csv, preset_config, run_ber_sweep, \
     run_capacity_sweep
-from jamlink.kernels import compose_energies
+from jamlink.kernels import compose_energies, tone_sum
 from jamlink.mc import BerEstimate
-from jamlink.signals import ToneSet, gen_cscg, gen_tone_sum
+from jamlink.signals import ToneSet, gen_cscg
 from jamlink.theory import (ConditionalVariances, DeterministicEnergies,
                             ber_det_noncentral, ber_gaussian_approx,
                             ber_random, optimal_threshold_det,
@@ -129,8 +129,10 @@ def test_criterion_02_theory_simulation_cross_validation(case):
                       for label, t in (("optimal", t_opt),
                                        ("shifted-gamma optimal", t_sg))]
             ests = _mc_ber_exact_threshold(
-                ch, a2, lambda m, off, r: gen_tone_sum(ts, m, off), n,
-                [t for _, t, _ in checks], 10**6, seed=2000 + i)
+                ch, a2,
+                lambda m, off, r: tone_sum(ts.amps, ts.freqs, ts.phases,
+                                           off, m),
+                n, [t for _, t, _ in checks], 10**6, seed=2000 + i)
         for (label, t, ber_th), est in zip(checks, ests):
             slack = 3.0 * est.half_width
             if abs(est.ber - ber_th) > slack:

@@ -36,6 +36,22 @@ class TestMixtureComponents:
         np.testing.assert_allclose(f2, stats.norm.pdf(y, scale=np.sqrt(2.0)),
                                    rtol=1e-12)
 
+    def test_equal_to_stats_norm_bit_for_bit(self):
+        # the densities are stats.norm.pdf's own expression, so the Simpson
+        # panels and every capacity built on them keep their bits
+        from scipy import stats
+        rng = np.random.default_rng(15)
+        for _ in range(100):
+            v = ConditionalVariances(*10.0 ** rng.uniform(-3, 5, 2))
+            y = np.concatenate([np.linspace(0.0, 13.0 * np.sqrt(v.delta2_2),
+                                            4001),
+                                -rng.uniform(0, 40.0, 100), [-0.0]])
+            f1, f2 = gaussian_mixture_components(y, v)
+            assert np.array_equal(
+                f1, stats.norm.pdf(y, scale=math.sqrt(v.delta2_1)))
+            assert np.array_equal(
+                f2, stats.norm.pdf(y, scale=math.sqrt(v.delta2_2)))
+
 
 class TestMutualInformation:
     def test_endpoints_vanish(self):

@@ -85,7 +85,7 @@ class TestComposeReceived:
         spec = _tones([1.0, 0.5, 0.8], [0.05, 0.17, 0.31],
                       rng.uniform(0.0, 2 * np.pi, 3))
         q = block_energies(spec, ch, _frame(4, a2=2.0), np.ones(16), rng)
-        jam = signals.gen_tone_sum(spec.toneset, 64, 0)
+        jam = signals.gen_jammer_block(spec, 64, 0, None)
         want = abs(ch.h1 * ch.h2 * 2.0 + ch.h3) ** 2 * \
             (np.abs(jam) ** 2).reshape(16, 4).mean(axis=1)
         np.testing.assert_allclose(q, want, rtol=1e-10, atol=1e-12)
@@ -103,8 +103,8 @@ class TestComposeReceived:
         ch = ChannelDraw(1.0, 1.0, 1.0, 1e-30, n_tau=3)
         spec = _tones([1.0, 0.7], [0.11, 0.23], [0.4, 2.0])
         q = block_energies(spec, ch, _frame(2), np.ones(5), rng)
-        y = signals.gen_tone_sum(spec.toneset, 10, 0) \
-            + signals.gen_tone_sum(spec.toneset, 10, -3)
+        y = signals.gen_jammer_block(spec, 10, 0, None) \
+            + signals.gen_jammer_block(spec, 10, -3, None)
         want = (np.abs(y) ** 2).reshape(5, 2).mean(axis=1)
         np.testing.assert_allclose(q, want, rtol=1e-10, atol=1e-12)
 

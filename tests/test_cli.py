@@ -1,5 +1,9 @@
 """Command-line entry points and exit-code contract."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -63,6 +67,8 @@ class TestExitCodes:
         ("noise.sigma2 = -1", []),
         # an unknown key: the spreading factor cancels from the BER
         ("baselines.spread_factor = 8", []),
+        # no closed-form threshold for a delayed random jammer
+        ("channel.n_tau = 3\nthreshold.mode = exact", []),
     ])
     def test_bad_config_value_is_config_error(self, capsys, tmp_path,
                                               bad_line, flags):
@@ -196,6 +202,18 @@ class TestSweepCommand:
         cols = read_csv(out_path)
         assert cols["jnr_db"] == [10.0, 12.0, 14.0]
         assert all(c >= 0.0 for c in cols["aaj_capacity_bits"])
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # every density and tail in the package is a scipy.special ufunc;
+    # scipy.stats is imported only inside the selftest checks
+    code = ("import sys, jamlink, jamlink.harness, jamlink.cli; "
+            "print('scipy.stats' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, check=True,
+                          env=dict(os.environ,
+                                   PYTHONPATH=os.pathsep.join(sys.path)))
+    assert proc.stdout.strip() == "False"
 
 
 class TestSelftest:

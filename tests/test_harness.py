@@ -394,9 +394,9 @@ class TestBerSweep:
         nbits = cfg.payload_bits_per_block
         for block_i, (spec, ch, frame, levels) in enumerate(seen):
             start = block_i * (frame.M + nbits) * frame.N + frame.M * frame.N
-            s = signals.gen_tone_sum(spec.toneset, nbits * frame.N, start)
-            s_del = signals.gen_tone_sum(spec.toneset, nbits * frame.N,
-                                         start - ch.n_tau)
+            s = signals.gen_jammer_block(spec, nbits * frame.N, start, None)
+            s_del = signals.gen_jammer_block(spec, nbits * frame.N,
+                                             start - ch.n_tau, None)
             want = sorted(
                 np.mean(np.abs(ch.h1 * ch.h2 * a * s + ch.h3 * s_del) ** 2)
                 for a in (frame.a1, frame.a2))
@@ -447,28 +447,51 @@ class TestBerSweep:
         with pytest.raises(ValueError, match="closed form failed"):
             run_ber_sweep(_tiny_ber_cfg(axis_values=(10.0,), blocks=1))
 
-    @pytest.mark.parametrize("mode", ["estimated", "exact"])
-    @pytest.mark.parametrize("kind", [k.value for k in JammerKind])
-    def test_every_kind_maps_to_a_model(self, kind, mode):
-        # each jammer kind runs in both threshold modes, with a delayed
-        # direct path, and fills the theory columns its model defines
-        cfg = config_from_mapping({
+    @staticmethod
+    def _kind_cfg(kind, mode, n_tau):
+        return config_from_mapping({
             "axis.values": "10, 20",
             "jammer.kind": kind,
             "threshold.mode": mode,
-            "channel.n_tau": "3",
+            "channel.n_tau": str(n_tau),
             "snr.db": "5",
             "run.blocks": "2",
             "run.payload_bits_per_block": "200",
             "run.threads": "1",
         })
-        res = run_ber_sweep(cfg)
+
+    @pytest.mark.parametrize("mode", ["estimated", "exact"])
+    @pytest.mark.parametrize("kind", [k.value for k in JammerKind])
+    def test_every_kind_maps_to_a_model(self, kind, mode):
+        # each jammer kind runs in both threshold modes and fills the theory
+        # columns its model defines
+        res = run_ber_sweep(self._kind_cfg(kind, mode, 0))
         for r in res.rows:
             row = dict(zip(res.columns, r))
             assert 0 <= row[f"{kind}.errors"] <= row[f"{kind}.bits"] == 400
             assert np.isnan(row[f"{kind}.ber_theory"]) == (kind == "mod_16qam")
             assert np.isfinite(row[f"{kind}.ber_gauss"]) == \
                 (kind == "random_broadband")
+            assert np.isfinite(row[f"{kind}.sinr"])
+
+    @pytest.mark.parametrize("mode", ["estimated", "exact"])
+    @pytest.mark.parametrize("kind", [k.value for k in JammerKind])
+    def test_delayed_path_theory_only_for_tones(self, kind, mode):
+        # with a delayed direct path the two paths of a random jammer carry
+        # different samples, so its coherent levels do not hold: its theory
+        # reads NaN and exact mode, which needs them, is refused.  Tonal
+        # levels are computed from the samples of both paths.
+        tonal = JammerKind.parse(kind).is_tonal
+        if mode == "exact" and not tonal:
+            with pytest.raises(ConfigError, match="n_tau > 0"):
+                self._kind_cfg(kind, mode, 3)
+            return
+        res = run_ber_sweep(self._kind_cfg(kind, mode, 3))
+        for r in res.rows:
+            row = dict(zip(res.columns, r))
+            assert 0 <= row[f"{kind}.errors"] <= row[f"{kind}.bits"] == 400
+            assert np.isfinite(row[f"{kind}.ber_theory"]) == tonal
+            assert np.isnan(row[f"{kind}.ber_gauss"])
             assert np.isfinite(row[f"{kind}.sinr"])
 
     def test_window_axis_sweep(self):

@@ -216,9 +216,9 @@ class TestBlockEnergies:
     @pytest.mark.parametrize("n_tau", [0, 3])
     @pytest.mark.parametrize("kind", [JammerKind.SINGLE_TONE,
                                       JammerKind.DET_BROADBAND])
-    def test_real_tone_samples_give_the_complex_path_bits(self, kind, n_tau):
-        # tone samples synthesized once as real numbers and handed in give
-        # the energies of their complex copies, bit for bit
+    def test_supplied_tones_match_generated(self, kind, n_tau):
+        # tone samples synthesized once and handed in give the energies of
+        # a block that synthesizes its own, bit for bit
         spec = prepare_jammer(JammerSpec(kind=kind, power=3.0),
                               np.random.default_rng(4))
         ch = ChannelDraw(self.CH.h1, self.CH.h2, self.CH.h3,
@@ -231,8 +231,8 @@ class TestBlockEnergies:
                                n_tot + n_tau)
         got = block_energies(spec, ch, cfg, bits, np.random.default_rng(6),
                              40, jam)
-        want = self._sample_path(spec, ch, cfg, bits,
-                                 np.random.default_rng(6), 40)
+        want = block_energies(spec, ch, cfg, bits, np.random.default_rng(6),
+                              40)
         assert np.array_equal(got, want)
 
     def test_supplied_samples_must_cover_the_block(self):

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from jamlink import signals
 from jamlink.signals import (JammerKind, JammerSpec, ToneSet, average_power,
-                             gen_cscg, gen_modulated, gen_tone_sum,
-                             make_toneset, prepare_jammer)
+                             gen_cscg, gen_modulated, make_toneset,
+                             prepare_jammer)
 
 
 class TestGenCscg:
@@ -86,30 +86,38 @@ class TestToneSetValidation:
             ToneSet(np.array([1.0]), np.array([0.5]), np.array([0.0]))
 
 
+def _tone_block(ts, n, sample_offset=0):
+    kind = JammerKind.SINGLE_TONE if ts.amps.size == 1 else JammerKind.MULTI_TONE
+    spec = JammerSpec(kind=kind, power=ts.power, toneset=ts)
+    return signals.gen_jammer_block(spec, n, sample_offset, None)
+
+
 class TestGenToneSum:
+    """Tone sums as :func:`signals.gen_jammer_block` returns them."""
+
     def test_quarter_rate_cosine(self):
         ts = ToneSet(np.array([1.0]), np.array([0.25]), np.array([0.0]))
-        b = gen_tone_sum(ts, 4)
-        np.testing.assert_allclose(b.real, [1.0, 0.0, -1.0, 0.0], atol=1e-12)
-        np.testing.assert_array_equal(b.imag, 0.0)
+        b = _tone_block(ts, 4)
+        assert b.dtype == np.float64
+        np.testing.assert_allclose(b, [1.0, 0.0, -1.0, 0.0], atol=1e-12)
 
     def test_shift_identity(self):
         ts = make_toneset(0.25, 0.3, 4, 1.0, 3)
-        full = gen_tone_sum(ts, 50 + 7)
-        shifted = gen_tone_sum(ts, 50, sample_offset=7)
+        full = _tone_block(ts, 50 + 7)
+        shifted = _tone_block(ts, 50, sample_offset=7)
         np.testing.assert_allclose(shifted, full[7:], rtol=1e-12, atol=1e-12)
 
     def test_empirical_power(self):
         # incommensurate-ish grid, long average converges to sum(a^2)/2
         ts = make_toneset(0.23, 0.37, 5, 2.0, 11)
-        b = gen_tone_sum(ts, 10**5)
+        b = _tone_block(ts, 10**5)
         assert np.isclose(average_power(b), 2.0, rtol=0.01)
 
     @given(offset=st.integers(min_value=-50, max_value=50))
     def test_offset_property(self, offset):
         ts = make_toneset(0.25, 0.004, 5, 1.0, 5)
-        a = gen_tone_sum(ts, 16, sample_offset=offset)
-        b = gen_tone_sum(ts, 32, sample_offset=offset - 16)
+        a = _tone_block(ts, 16, sample_offset=offset)
+        b = _tone_block(ts, 32, sample_offset=offset - 16)
         np.testing.assert_allclose(a, b[16:], rtol=1e-9, atol=1e-12)
 
 

@@ -2,15 +2,15 @@
 
 import numpy as np
 import pytest
-from scipy import integrate, optimize, stats
+from scipy import optimize, stats
 
 from jamlink.channel import ChannelDraw
 from jamlink.errors import DegenerateChannelError, UnboundedLimitError
 from jamlink.signals import ToneSet
 from jamlink.theory import (ConditionalVariances, DeterministicEnergies,
                             ber_det, ber_det_noncentral, ber_gaussian_approx,
-                            ber_random, delta2, energy_pdf_random,
-                            optimal_threshold_det, optimal_threshold_noncentral,
+                            ber_random, delta2, optimal_threshold_det,
+                            optimal_threshold_noncentral,
                             optimal_threshold_random, q_det, sinr_limit,
                             variances)
 
@@ -40,28 +40,6 @@ class TestVariances:
 
     def test_ratio(self):
         assert ConditionalVariances(2.0, 8.0).ratio == 4.0
-
-
-class TestEnergyPdf:
-    @pytest.mark.parametrize("n", [1, 5, 20])
-    def test_normalizes(self, n):
-        val, _ = integrate.quad(lambda q: energy_pdf_random(q, n, 2.5),
-                                0.0, np.inf)
-        assert np.isclose(val, 1.0, atol=1e-8)
-
-    def test_matches_gamma_density(self):
-        q = np.linspace(0.01, 10, 50)
-        want = stats.gamma.pdf(q, a=4, scale=1.5 / 4)
-        np.testing.assert_allclose(energy_pdf_random(q, 4, 1.5), want,
-                                   rtol=1e-12)
-
-    def test_zero_below_origin(self):
-        assert energy_pdf_random(-1.0, 3, 1.0) == 0.0
-
-    def test_n1_is_exponential(self):
-        q = np.linspace(0.01, 5, 20)
-        np.testing.assert_allclose(energy_pdf_random(q, 1, 2.0),
-                                   np.exp(-q / 2.0) / 2.0, rtol=1e-12)
 
 
 class TestOptimalThresholdRandom:
@@ -407,6 +385,23 @@ class TestOptimalThresholdNoncentral:
 
 
 class TestGaussianApprox:
+    def test_equals_the_stats_norm_expression(self):
+        # Q is ndtr(-z), the ufunc under stats.norm.sf, so the sum is the
+        # stats expression bit for bit, tails and threshold ends included
+        rng = np.random.default_rng(15)
+        for _ in range(50):
+            d1, d2 = np.sort(10.0 ** rng.uniform(-3, 4, 2))
+            v = ConditionalVariances(d1, d2)
+            n = int(rng.integers(1, 200))
+            p1 = rng.uniform(0.05, 0.95)
+            t = np.concatenate([rng.uniform(0.0, 3.0 * d2, 200),
+                                [0.0, d1, d2, np.inf, -np.inf, np.nan]])
+            rn = np.sqrt(n)
+            want = p1 * stats.norm.sf((t - d1) * rn / d1) \
+                + (1 - p1) * stats.norm.sf((d2 - t) * rn / d2)
+            got = ber_gaussian_approx(v, p1, 1 - p1, n, t)
+            assert np.array_equal(got, want, equal_nan=True)
+
     def test_tracks_exact_in_bulk(self):
         # standardized offsets u/sqrt(N) around each level stay accurate and
         # sharpen as N grows
