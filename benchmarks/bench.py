@@ -17,7 +17,10 @@ metrics, with their direction and bound, all come from ``BENCHMARK.json``.
 For every workload and end-to-end metric the output holds both sides'
 samples, median and quartiles, how many pairs the change won (ties count
 for neither), the relative change of the median and whether it stays within
-the bound; plus the ``attempted`` and ``failed`` point counts of each side.
+the bound, and whether the metric is resolved: ``resolved`` is false when
+either side's (q3 - q1)/median exceeds the bound, unless every change sample
+beats every parent sample.  Plus the ``attempted`` and ``failed`` point
+counts of each side.
 Under ``per_layer`` it holds each side's traced run: every per-layer metric
 with its ``attempted`` and ``failed`` counts.
 
@@ -186,17 +189,27 @@ def summarise(samples):
 
 
 def compare(parent, change, better, bound):
-    """Pair wins and the bound test for one metric, samples in pair order."""
+    """Pair wins and the bound test for one metric, samples in pair order.
+
+    A metric is unresolved when either side's interquartile spread over its
+    median exceeds the bound, since the bound test cannot then tell a change
+    from noise, unless every change sample beats every parent sample.
+    """
     sign = 1.0 if better == "lower" else -1.0
     wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
     losses = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
     p_side, c_side = summarise(parent), summarise(change)
     rel = (c_side["median"] - p_side["median"]) / p_side["median"]
+    spread = max((side["q3"] - side["q1"]) / side["median"]
+                 for side in (p_side, c_side))
+    beats_all = all(sign * (p - c) > 0 for p in parent for c in change)
     return {"better": better, "bound": bound, "parent": p_side,
             "change": c_side, "change_wins": wins, "change_losses": losses,
             "pairs": len(parent), "median_rel_change": rel,
             "parent_iqr": p_side["q3"] - p_side["q1"],
-            "within_bound": sign * rel <= bound}
+            "within_bound": sign * rel <= bound,
+            "relative_spread": spread,
+            "resolved": spread <= bound or beats_all}
 
 
 def run_preset(checkout, preset, command, seed, threads, out):
@@ -374,6 +387,8 @@ def main(argv=None):
             print(f"  {name:14s} {m['parent']['median']:10.4g} -> "
                   f"{m['change']['median']:10.4g} "
                   f"({m['median_rel_change']:+.1%}, bound {m['bound']:.0%}, "
+                  f"within bound {m['within_bound']}, resolved "
+                  f"{m['resolved']} (spread {m['relative_spread']:.2f}), "
                   f"change wins {m['change_wins']}/{m['pairs']})")
         traced = entry["per_layer"]
         for name, before in traced["parent"]["metrics"].items():

@@ -29,7 +29,7 @@ kernels
 """
 
 from . import baselines, capacity, channel, config, harness, kernels, modem, signals, theory
-from .baselines import BaselineConfig, BaselineScheme, dsss_ber_mc, fh_ber_mc
+from .baselines import BaselineConfig, dsss_ber_mc, fh_ber_mc
 from .capacity import (CapacityResult, QuadratureConfig, dt_capacity,
                        mutual_information)
 from .capacity import capacity as channel_capacity
@@ -79,7 +79,7 @@ __all__ = [
     "QuadratureConfig", "CapacityResult", "mutual_information",
     "mi_derivative", "channel_capacity", "dt_capacity",
     # baselines
-    "BaselineScheme", "BaselineConfig", "dsss_ber_mc", "fh_ber_mc",
+    "BaselineConfig", "dsss_ber_mc", "fh_ber_mc",
     # mc
     "BerEstimate", "wilson_interval",
     # harness

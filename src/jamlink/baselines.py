@@ -8,32 +8,26 @@ suppression is omitted: with the whole band jammed there is no clean band
 to select, so it degenerates to direct transmission.
 
 Neither spreading nor hopping buys any rejection, so both receivers slice
-one real Gaussian per bit, mean ``±amp`` and variance ``noise_var``, and
-BER = Q(sqrt(2 Eb / (N0 + P_J))).  The DS-SS correlator sums L chips of
-amplitude ``sqrt(Eb/L)``, each with real noise of variance ``(1 + P_J)/2``;
-mean² over variance is ``2 Eb / (1 + P_J)`` for any L, so L cancels at
-fixed Eb/N0.  Every FH hop lands in a jammed sub-channel, so the hop index
-changes nothing.  The simulation draws that statistic, not L chips or a
-hop.
+one real Gaussian statistic per bit, and BER = Q(sqrt(2 Eb / (N0 + P_J))).
+The DS-SS correlator sums L chips of amplitude ``sqrt(Eb/L)``, each with
+real noise of variance ``(1 + P_J)/2``; mean² over variance is
+``2 Eb / (1 + P_J)`` for any L, so L cancels at fixed Eb/N0.  Every FH hop
+lands in a jammed sub-channel, so the hop index changes nothing.  Each bit
+errs independently with that probability whichever value it carries, so
+the simulation draws the error count from its Binomial(trials, Q) law, not
+L chips, a hop or a per-bit statistic.
 """
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
+from scipy import special
 
 from .mc import BerEstimate
 
-__all__ = ["BaselineScheme", "BaselineConfig", "dsss_ber_mc", "fh_ber_mc"]
-
-_CHUNK = 200_000
-
-
-class BaselineScheme(enum.Enum):
-    DSSS = "dsss"
-    FH = "fh"
+__all__ = ["BaselineConfig", "dsss_ber_mc", "fh_ber_mc"]
 
 
 @dataclass(frozen=True)
@@ -44,38 +38,30 @@ class BaselineConfig:
     from the despread statistic, so no value of it changes a result.
     """
 
-    scheme: BaselineScheme
     eb_n0_db: float
     spread_factor: ClassVar[int] = 8
 
 
-def _bpsk_ber(amp, noise_var, trials, rng):
-    """Count BPSK errors of a statistic ``±amp`` plus N(0, noise_var)."""
+def _bpsk_ber(cfg, jnr_db, trials, rng):
+    """Binomial error count of coherent BPSK at Eb/(N0 + P_J)."""
     trials = int(trials)
     if trials < 1_000:
         raise ValueError("trials must be >= 1000 for a usable estimate")
-    rng = np.random.default_rng(rng)
-    sd = math.sqrt(noise_var)
-    errors = 0
-    for start in range(0, trials, _CHUNK):
-        m = min(_CHUNK, trials - start)
-        bits = rng.integers(0, 2, size=m)
-        stat = (1.0 - 2.0 * bits) * amp + sd * rng.standard_normal(m)
-        errors += int(np.count_nonzero((stat < 0) != (bits == 1)))
+    eb = 10.0 ** (cfg.eb_n0_db / 10.0)
+    pj = 10.0 ** (jnr_db / 10.0)
+    z = math.sqrt(2.0 * eb / (1.0 + pj))
+    errors = int(np.random.default_rng(rng).binomial(trials, special.ndtr(-z)))
     return BerEstimate.from_counts(errors, trials)
 
 
 def dsss_ber_mc(cfg, jnr_db, trials, rng):
     """Monte Carlo BER of direct-sequence spreading under fullband jamming.
 
-    Draws the despread correlator of ``spread_factor`` chips directly:
-    mean ``L·sqrt(Eb/L)``, variance ``L·(1 + 10^(jnr_db/10))/2``.
+    The despread correlator of ``spread_factor`` chips has mean
+    ``L·sqrt(Eb/L)`` and variance ``L·(1 + 10^(jnr_db/10))/2``; L cancels.
     ``jnr_db = -inf`` switches the jammer off.
     """
-    L = cfg.spread_factor
-    eb = 10.0 ** (cfg.eb_n0_db / 10.0)
-    pj = 10.0 ** (jnr_db / 10.0)
-    return _bpsk_ber(L * math.sqrt(eb / L), L * (1.0 + pj) / 2.0, trials, rng)
+    return _bpsk_ber(cfg, jnr_db, trials, rng)
 
 
 def fh_ber_mc(cfg, jnr_db, trials, rng):
@@ -85,6 +71,4 @@ def fh_ber_mc(cfg, jnr_db, trials, rng):
     ``10^(jnr_db/10)``, so the statistic is ``±sqrt(Eb)`` in real
     noise of variance ``(1 + P_J)/2`` whichever hop is taken.
     """
-    eb = 10.0 ** (cfg.eb_n0_db / 10.0)
-    pj = 10.0 ** (jnr_db / 10.0)
-    return _bpsk_ber(math.sqrt(eb), (1.0 + pj) / 2.0, trials, rng)
+    return _bpsk_ber(cfg, jnr_db, trials, rng)

@@ -70,8 +70,9 @@ class ExperimentConfig:
 
     ``axis_name`` is ``jnr_db`` or ``n`` for BER sweeps and ``jnr_db`` or
     ``p`` for capacity sweeps.  ``rician`` None means fixed unit gains.
-    ``snr_curves_db`` only matters in capacity mode (one curve per value;
-    the alphabet is a1 = 0, a2 = sqrt(2 P_A), the average-power mapping).
+    ``snr_curves_db`` only matters in capacity mode (one curve per value
+    over ``p``, exactly one value over ``jnr_db``; the alphabet is a1 = 0,
+    a2 = sqrt(2 P_A), the average-power mapping).
     """
 
     preset: str
@@ -124,6 +125,10 @@ class ExperimentConfig:
                 raise ConfigError("capacity sweep needs at least one SNR value")
             if self.axis_name == "p" and self.jnr_db_fixed is None:
                 raise ConfigError("sweeping p requires a fixed jammer JNR")
+            if self.axis_name == "jnr_db" and len(self.snr_curves_db) > 1:
+                raise ConfigError(
+                    f"a capacity sweep over jnr_db takes one SNR value, got "
+                    f"{len(self.snr_curves_db)}")
             if self.capacity_model not in ("real", "complex"):
                 raise ConfigError("capacity model must be 'real' or 'complex'")
         if int(self.blocks) < 1 or int(self.payload_bits_per_block) < 1:
@@ -133,7 +138,7 @@ class ExperimentConfig:
             raise ConfigError("n_tau must be >= 0")
         delayed = [c.label for c in self.curves if self.n_tau > 0
                    and c.threshold_mode == "exact"
-                   and _MODELS[c.jammer.kind].random]
+                   and not c.jammer.kind.is_tonal]
         if delayed:
             raise ConfigError(
                 f"exact threshold mode has no threshold at n_tau > 0 for "
@@ -514,26 +519,21 @@ class _Model:
     their ``n_tau`` look-back, and the others ignore it; ``threshold(levels,
     frame)`` is the exact-mode detection threshold; ``theory(levels,
     frame)`` gives ``(ber_theory, ber_gauss)``, or is None where no closed
-    form applies.  ``random`` marks a jammer of random samples: its direct
-    path counts as interference in the SINR, and its levels add the relayed
-    and direct paths coherently, which holds only at ``n_tau = 0``.
+    form applies.
     """
 
     levels: Callable
     threshold: Callable
     theory: Callable | None
-    random: bool
 
 
-_ENVELOPE = _Model(_envelope_levels, _noncentral_threshold, _noncentral_theory,
-                   True)
-_TONES = _Model(_tone_levels, _noncentral_threshold, _shifted_gamma_theory,
-                False)
+_ENVELOPE = _Model(_envelope_levels, _noncentral_threshold, _noncentral_theory)
+_TONES = _Model(_tone_levels, _noncentral_threshold, _shifted_gamma_theory)
 _MODELS = {
     JammerKind.RANDOM_BROADBAND: _Model(_variance_levels, _gamma_threshold,
-                                        _gamma_theory, True),
+                                        _gamma_theory),
     # no closed form for the 16QAM envelope mixture; simulate only
-    JammerKind.MOD_16QAM: _Model(_variance_levels, _gamma_threshold, None, True),
+    JammerKind.MOD_16QAM: _Model(_variance_levels, _gamma_threshold, None),
     JammerKind.MOD_BPSK: _ENVELOPE,
     JammerKind.MOD_QPSK: _ENVELOPE,
     JammerKind.SINGLE_TONE: _TONES,
@@ -543,22 +543,24 @@ _MODELS = {
 }
 
 
-def _theory_columns(model, levels, ch, frame, pj):
+def _theory_columns(spec, levels, ch, frame):
     """(ber_theory, ber_gauss, sinr) predictions for one block.
 
     ``levels`` is None when the block's levels coincide; that, or a closed
-    form finding them degenerate, makes all three columns NaN.  A random
-    jammer's two paths carry different samples at ``n_tau > 0``, where its
-    levels do not hold, so only the SINR is given there.
+    form finding them degenerate, makes all three columns NaN.  A non-tonal
+    jammer sends random samples: its direct path counts as interference in
+    the SINR, and its levels add the relayed and direct paths coherently,
+    which holds only at ``n_tau = 0``, so only the SINR is given beyond.
     """
     nan3 = (math.nan, math.nan, math.nan)
-    closed_form = None if model.random and ch.n_tau else model.theory
+    random = not spec.kind.is_tonal
+    closed_form = None if random and ch.n_tau else _MODELS[spec.kind].theory
     if levels is None and closed_form is not None:
         return nan3
     try:
         ber, gauss = closed_form(levels, frame) if closed_form \
             else (math.nan, math.nan)
-        return ber, gauss, channel.sinr(ch, frame.a2, pj, model.random)
+        return ber, gauss, channel.sinr(ch, frame.a2, spec.power, random)
     except DegenerateChannelError:
         return nan3
 
@@ -602,26 +604,21 @@ def _run_ber_block(cfg, spec, curve, frame, axis_i, curve_i, block_i):
                                        sample_offset=link_offset, jam=jam)
 
     errors = int(np.count_nonzero(decoded != payload))
-    return (errors,) + _theory_columns(model, levels, ch, frame, spec.power)
+    return (errors,) + _theory_columns(spec, levels, ch, frame)
 
 
-# (column prefix, scheme, simulator in `baselines`); the index is the
-# scheme's seed key.  The simulator is looked up by name at call time so
-# that wrappers installed on the module (profilers, tracers) see the call.
-_BASELINES = (
-    ("dsss", baselines.BaselineScheme.DSSS, "dsss_ber_mc"),
-    ("fh", baselines.BaselineScheme.FH, "fh_ber_mc"),
-)
+# (column prefix, simulator in `baselines`); the index is the scheme's
+# seed key.  The simulator is looked up by name at call time so that
+# wrappers installed on the module (profilers, tracers) see the call.
+_BASELINES = (("dsss", "dsss_ber_mc"), ("fh", "fh_ber_mc"))
 
 
 def _run_baseline_point(cfg, scheme_i, axis_i, jnr_db, trials):
     ss = np.random.SeedSequence(cfg.master_seed,
                                 spawn_key=(_STREAM_BASELINE, axis_i, scheme_i))
-    _, scheme, simulator = _BASELINES[scheme_i]
-    bl_cfg = baselines.BaselineConfig(scheme=scheme,
-                                      eb_n0_db=cfg.baseline_eb_n0_db)
-    return getattr(baselines, simulator)(bl_cfg, jnr_db, trials,
-                                         np.random.default_rng(ss))
+    simulator = getattr(baselines, _BASELINES[scheme_i][1])
+    return simulator(baselines.BaselineConfig(eb_n0_db=cfg.baseline_eb_n0_db),
+                     jnr_db, trials, np.random.default_rng(ss))
 
 
 _CURVE_FIELDS = ("errors", "bits", "ber_sim", "ci_low", "ci_high",
@@ -663,7 +660,7 @@ def _reduce_point(cfg, value, futures, progress):
             progress(f"{cfg.axis_name}={value:g} {curve.label}: "
                      f"ber={est.ber:.3e} ({est.bits} bits)")
     base = futures[len(cfg.curves) * cfg.blocks:]
-    for (name, _, _), fut in zip(_BASELINES, base):
+    for (name, _), fut in zip(_BASELINES, base):
         est = fut.result()
         row += [est.ber, est.ci_low, est.ci_high]
         if progress:
@@ -694,7 +691,7 @@ def run_ber_sweep(cfg, progress=None):
     for curve in cfg.curves:
         columns += [f"{curve.label}.{f}" for f in _CURVE_FIELDS]
     if cfg.include_baselines:
-        for name, _, _ in _BASELINES:
+        for name, _ in _BASELINES:
             columns += [f"{name}.{f}" for f in _BASELINE_FIELDS]
 
     # blocks are queued one point ahead: point i + 1 is submitted before

@@ -81,6 +81,18 @@ class TestExitCodes:
         assert err.startswith("config error:")
         assert not out.exists()
 
+    def test_capacity_over_jnr_with_two_snrs_is_config_error(self, capsys,
+                                                             tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("experiment.mode = capacity\naxis.values = 0, 10\n"
+                       "capacity.snr_db = 3, 4\n")
+        out = tmp_path / "o.csv"
+        code, _, err = run(["capacity", "--config", str(cfg), "--out",
+                            str(out), "--quiet"], capsys)
+        assert code == 1
+        assert err.startswith("config error:")
+        assert not out.exists()
+
 
 class TestTheoryOps:
     def test_optimal_threshold(self, capsys):

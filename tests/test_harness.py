@@ -148,6 +148,14 @@ class TestConfigFromMapping:
                                  "axis.values": "0, 10",
                                  "quad.points": "2001"})
 
+    def test_capacity_over_jnr_takes_one_snr(self):
+        # the JNR axis draws one capacity curve; a second SNR would be dropped
+        base = {"experiment.mode": "capacity", "axis.values": "0, 10"}
+        cfg = config_from_mapping({**base, "capacity.snr_db": "3"})
+        assert cfg.snr_curves_db == (3.0,)
+        with pytest.raises(ConfigError, match="one SNR"):
+            config_from_mapping({**base, "capacity.snr_db": "3, 4"})
+
     def test_file_roundtrip(self, tmp_path):
         p = tmp_path / "exp.cfg"
         p.write_text("experiment.preset = fig6\nrun.blocks = 3\n")
