@@ -30,8 +30,7 @@ kernels
 
 from . import baselines, capacity, channel, config, harness, kernels, modem, signals, theory
 from .baselines import BaselineConfig, dsss_ber_mc, fh_ber_mc
-from .capacity import (CapacityResult, QuadratureConfig, dt_capacity,
-                       mutual_information)
+from .capacity import CapacityResult, dt_capacity, mutual_information
 from .capacity import capacity as channel_capacity
 from .capacity import mi_derivative
 from .channel import ChannelDraw, RicianParams, draw_channel, sinr
@@ -76,7 +75,7 @@ __all__ = [
     "ber_det_noncentral", "optimal_threshold_det",
     "optimal_threshold_noncentral", "ber_gaussian_approx", "sinr_limit",
     # capacity
-    "QuadratureConfig", "CapacityResult", "mutual_information",
+    "CapacityResult", "mutual_information",
     "mi_derivative", "channel_capacity", "dt_capacity",
     # baselines
     "BaselineConfig", "dsss_ber_mc", "fh_ber_mc",

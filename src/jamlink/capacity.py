@@ -7,8 +7,8 @@ output with the same per-symbol variances, which matters when comparing
 against baselines defined on the complex baseband (conditional entropies
 differ by the dimension factor).
 
-Integrals run on a split composite Simpson grid: one panel resolves the
-narrow delta2_1 component, a second covers the wide delta2_2 tail.  A
+Integrals run on a fixed split composite Simpson grid: one panel resolves
+the narrow delta2_1 component, a second covers the wide delta2_2 tail.  A
 single uniform grid loses the narrow spike entirely once the variance ratio
 is large.  The panels do not depend on p, so the last two channels' panels
 are kept and every integral in a capacity solve reuses them.
@@ -24,7 +24,6 @@ from scipy import optimize
 from .errors import NumericalFailureError
 
 __all__ = [
-    "QuadratureConfig",
     "CapacityResult",
     "gaussian_mixture_components",
     "mutual_information",
@@ -33,24 +32,10 @@ __all__ = [
     "dt_capacity",
 ]
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Integration window and resolution for the entropy integrals.
-
-    ``half_width_sigmas`` sets the window edge in multiples of each
-    component's standard deviation (the truncated tail mass is below 1e-30
-    at the default 12).  ``points`` is the node count per Simpson panel.
-    """
-
-    half_width_sigmas: float = 12.0
-    points: int = 4001
-
-    def __post_init__(self):
-        if int(self.points) < 3 or int(self.points) % 2 == 0:
-            raise ValueError("points must be odd and >= 3")
-        if not self.half_width_sigmas >= 6:
-            raise ValueError("half_width_sigmas must be >= 6")
-        object.__setattr__(self, "points", int(self.points))
+# nodes per Simpson panel, and each panel's far edge in standard deviations
+# of its component: the Gaussian tail mass cut off beyond it is below 1e-30
+_POINTS = 4001
+_HALF_WIDTH_SIGMAS = 12.0
 
 
 @dataclass(frozen=True)
@@ -81,7 +66,7 @@ def gaussian_mixture_components(y, v):
 
 
 @functools.lru_cache(maxsize=2)
-def _panels(v, quad, model):
+def _panels(v, model):
     """Read-only ``(y, phi1, phi2, c, w0, w1, w2)`` for each Simpson panel.
 
     ``c * (g[0:-2:2] w0 + g[1::2] w1 + g[2::2] w2)`` sums to
@@ -89,16 +74,12 @@ def _panels(v, quad, model):
     unequal-spacing coefficients, built with the same operations as
     ``scipy.integrate._quadrature._basic_simpson``.
     """
-    # [0, w] resolves the narrow component, [w, W] the wide tail
-    w = quad.half_width_sigmas * math.sqrt(v.delta2_1)
-    W = quad.half_width_sigmas * math.sqrt(v.delta2_2)
-    if w >= W:
-        grids = [np.linspace(0.0, W, quad.points)]
-    else:
-        grids = [np.linspace(0.0, w, quad.points),
-                 np.linspace(w, W, quad.points)]
+    # [0, w] resolves the narrow component, [w, W] the wide tail;
+    # ConditionalVariances keeps delta2_1 < delta2_2, so w < W
+    w = _HALF_WIDTH_SIGMAS * math.sqrt(v.delta2_1)
+    W = _HALF_WIDTH_SIGMAS * math.sqrt(v.delta2_2)
     panels = []
-    for y in grids:
+    for y in (np.linspace(0.0, w, _POINTS), np.linspace(w, W, _POINTS)):
         if model == "real":
             phi1, phi2 = gaussian_mixture_components(y, v)
         elif model == "complex":
@@ -122,17 +103,24 @@ def _panels(v, quad, model):
     return tuple(panels)
 
 
-def _integrate_against_log_mixture(weight_fn, p, v, quad, model):
-    """Sum of Simpson panel integrals of weight(y, phi1, phi2) * log2(f)."""
+def _entropy_integral(weight, p, v, model):
+    """``-integral(weight(phi1, phi2) log2 f)`` over the output space.
+
+    The real model doubles the half-line integral; the complex model
+    integrates the radial form ``2 pi y weight`` in the plane.
+    """
     total = 0.0
-    for y, phi1, phi2, c, w0, w1, w2 in _panels(v, quad, model):
+    for y, phi1, phi2, c, w0, w1, w2 in _panels(v, model):
         f = p * phi1 + (1.0 - p) * phi2
         # f underflows to 0 only where every component does; the weight
         # vanishes there too, so masked nodes contribute exactly nothing
         log2f = np.where(f > 0, np.log2(np.where(f > 0, f, 1.0)), 0.0)
-        g = weight_fn(y, phi1, phi2) * log2f
+        if model == "real":
+            g = weight(phi1, phi2) * log2f
+        else:
+            g = 2.0 * math.pi * y * weight(phi1, phi2) * log2f
         total += np.sum(c * (g[0:-2:2] * w0 + g[1::2] * w1 + g[2::2] * w2))
-    return total
+    return -2.0 * total if model == "real" else -total
 
 
 def _cond_entropy(delta2_k, model):
@@ -141,7 +129,7 @@ def _cond_entropy(delta2_k, model):
     return math.log2(math.pi * math.e * delta2_k)
 
 
-def mutual_information(p, v, quad=None, model="real"):
+def mutual_information(p, v, model="real"):
     """Mutual information in bits of the binary-input mixture channel.
 
     ``-integral(f log2 f) - p h(Y|1) - (1-p) h(Y|2)`` with the output
@@ -151,19 +139,12 @@ def mutual_information(p, v, quad=None, model="real"):
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    quad = quad or QuadratureConfig()
-    if model == "real":
-        h_out = -2.0 * _integrate_against_log_mixture(
-            lambda y, a, b: p * a + (1.0 - p) * b, p, v, quad, model)
-    else:
-        h_out = -_integrate_against_log_mixture(
-            lambda y, a, b: 2.0 * math.pi * y * (p * a + (1.0 - p) * b),
-            p, v, quad, model)
+    h_out = _entropy_integral(lambda a, b: p * a + (1.0 - p) * b, p, v, model)
     return h_out - p * _cond_entropy(v.delta2_1, model) \
         - (1.0 - p) * _cond_entropy(v.delta2_2, model)
 
 
-def mi_derivative(p, v, quad=None, model="real"):
+def mi_derivative(p, v, model="real"):
     """d/dp of :func:`mutual_information`.
 
     The ``integral(phi1 - phi2)`` times ``log2 e`` term drops because both
@@ -171,18 +152,12 @@ def mi_derivative(p, v, quad=None, model="real"):
     ``-integral((phi1 - phi2) log2 f) - c log2(delta2_1/delta2_2)`` with
     c = 1/2 (real) or 1 (complex).
     """
-    quad = quad or QuadratureConfig()
     c = 0.5 if model == "real" else 1.0
-    if model == "real":
-        term = -2.0 * _integrate_against_log_mixture(
-            lambda y, a, b: a - b, p, v, quad, model)
-    else:
-        term = -_integrate_against_log_mixture(
-            lambda y, a, b: 2.0 * math.pi * y * (a - b), p, v, quad, model)
+    term = _entropy_integral(lambda a, b: a - b, p, v, model)
     return term - c * math.log2(v.delta2_1 / v.delta2_2)
 
 
-def capacity(v, quad=None, model="real"):
+def capacity(v, model="real"):
     """Maximize mutual information over the input distribution.
 
     The derivative decreases monotonically in p, so its unique root is
@@ -194,16 +169,15 @@ def capacity(v, quad=None, model="real"):
     NumericalFailureError
         If the derivative has the same sign at both bracket ends.
     """
-    quad = quad or QuadratureConfig()
     lo, hi = 1e-9, 1.0 - 1e-9
     try:
         p_star = optimize.brentq(
-            lambda p: mi_derivative(p, v, quad, model), lo, hi, xtol=1e-6)
+            lambda p: mi_derivative(p, v, model), lo, hi, xtol=1e-6)
     except ValueError as exc:
         raise NumericalFailureError(
             f"mutual-information derivative does not change sign on "
             f"[{lo}, {hi}]: {exc}") from exc
-    value = mutual_information(p_star, v, quad, model)
+    value = mutual_information(p_star, v, model)
     # quadrature noise can leave a tiny negative residue near degeneracy
     return CapacityResult(p_star=float(p_star),
                           capacity_bits=max(0.0, float(value)))

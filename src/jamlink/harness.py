@@ -21,7 +21,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import baselines, capacity as cap, channel, modem, signals, theory
-from .capacity import QuadratureConfig
 from .channel import ChannelDraw, RicianParams
 from .config import coerce, load_config
 from .errors import ConfigError, DegenerateChannelError
@@ -91,7 +90,6 @@ class ExperimentConfig:
     threads: int | None = None
     snr_curves_db: tuple = ()
     capacity_model: str = "real"
-    quad: QuadratureConfig = field(default_factory=QuadratureConfig)
     include_baselines: bool = False
     baseline_eb_n0_db: float = 10.0
 
@@ -101,6 +99,7 @@ class ExperimentConfig:
         vals = tuple(float(v) for v in self.axis_values)
         if not vals:
             raise ConfigError("axis values must be non-empty")
+        _check_finite("axis values", vals)
         diffs = np.diff(vals)
         if len(vals) > 1 and not (np.all(diffs > 0) or np.all(diffs < 0)):
             raise ConfigError("axis values must be strictly monotone")
@@ -125,12 +124,17 @@ class ExperimentConfig:
                 raise ConfigError("capacity sweep needs at least one SNR value")
             if self.axis_name == "p" and self.jnr_db_fixed is None:
                 raise ConfigError("sweeping p requires a fixed jammer JNR")
+            if self.axis_name == "p" and not all(0 <= v <= 1 for v in vals):
+                raise ConfigError("p axis values must lie in [0, 1]")
             if self.axis_name == "jnr_db" and len(self.snr_curves_db) > 1:
                 raise ConfigError(
                     f"a capacity sweep over jnr_db takes one SNR value, got "
                     f"{len(self.snr_curves_db)}")
             if self.capacity_model not in ("real", "complex"):
                 raise ConfigError("capacity model must be 'real' or 'complex'")
+        _check_finite("fixed jammer JNR", (self.jnr_db_fixed,))
+        _check_finite("capacity SNR values", self.snr_curves_db)
+        _check_finite("baseline Eb/N0", (self.baseline_eb_n0_db,))
         if int(self.blocks) < 1 or int(self.payload_bits_per_block) < 1:
             raise ConfigError("blocks and payload_bits_per_block must be >= 1")
         _check_sigma2(self.sigma2_R)
@@ -150,6 +154,11 @@ class ExperimentConfig:
         object.__setattr__(self, "payload_bits_per_block",
                            int(self.payload_bits_per_block))
         object.__setattr__(self, "master_seed", int(self.master_seed))
+
+
+def _check_finite(what, values):
+    if not all(v is None or math.isfinite(v) for v in values):
+        raise ConfigError(f"{what} must be finite, got {list(values)}")
 
 
 def _check_sigma2(sigma2_R):
@@ -290,8 +299,7 @@ _KNOWN_KEYS = {
     "run.blocks", "run.payload_bits_per_block", "run.master_seed",
     "run.threads",
     "threshold.mode",
-    "capacity.model", "capacity.points", "capacity.half_width_sigmas",
-    "capacity.snr_db",
+    "capacity.model", "capacity.snr_db",
     "baselines.enabled", "baselines.eb_n0_db",
 }
 
@@ -346,7 +354,7 @@ def _config_from_mapping(raw):
         master_seed=12345 if seed is None else seed,
         threads=get("run.threads", "int"),
         capacity_model=get("capacity.model", "str", "real"),
-        quad=_quad_from(get), include_baselines=get("baselines.enabled", "bool", False),
+        include_baselines=get("baselines.enabled", "bool", False),
         baseline_eb_n0_db=get("baselines.eb_n0_db", "float", 10.0))
 
     if mode == "capacity":
@@ -371,12 +379,6 @@ def _config_from_mapping(raw):
     curves = tuple(Curve(k, JammerSpec(kind=JammerKind.parse(k), power=1.0),
                          threshold_mode=tmode) for k in kinds)
     return ExperimentConfig(curves=curves, frame=frame, **common)
-
-
-def _quad_from(get):
-    return QuadratureConfig(
-        half_width_sigmas=get("capacity.half_width_sigmas", "float", 12.0),
-        points=get("capacity.points", "int", 4001))
 
 
 def _apply_overrides(cfg, raw, get):
@@ -546,23 +548,19 @@ _MODELS = {
 def _theory_columns(spec, levels, ch, frame):
     """(ber_theory, ber_gauss, sinr) predictions for one block.
 
-    ``levels`` is None when the block's levels coincide; that, or a closed
-    form finding them degenerate, makes all three columns NaN.  A non-tonal
-    jammer sends random samples: its direct path counts as interference in
-    the SINR, and its levels add the relayed and direct paths coherently,
-    which holds only at ``n_tau = 0``, so only the SINR is given beyond.
+    ``levels`` is None when the block's levels coincide, which makes all
+    three columns NaN.  A non-tonal jammer sends random samples: its direct
+    path counts as interference in the SINR, and its levels add the relayed
+    and direct paths coherently, which holds only at ``n_tau = 0``, so only
+    the SINR is given beyond.
     """
-    nan3 = (math.nan, math.nan, math.nan)
     random = not spec.kind.is_tonal
     closed_form = None if random and ch.n_tau else _MODELS[spec.kind].theory
     if levels is None and closed_form is not None:
-        return nan3
-    try:
-        ber, gauss = closed_form(levels, frame) if closed_form \
-            else (math.nan, math.nan)
-        return ber, gauss, channel.sinr(ch, frame.a2, spec.power, random)
-    except DegenerateChannelError:
-        return nan3
+        return math.nan, math.nan, math.nan
+    ber, gauss = closed_form(levels, frame) if closed_form \
+        else (math.nan, math.nan)
+    return ber, gauss, channel.sinr(ch, frame.a2, spec.power, random)
 
 
 def _run_ber_block(cfg, spec, curve, frame, axis_i, curve_i, block_i):
@@ -722,10 +720,9 @@ def run_ber_sweep(cfg, progress=None):
 
 def _capacity_variances(cfg, snr_db, pj):
     p_a = 10.0 ** (snr_db / 10.0) * cfg.sigma2_R
-    a2 = math.sqrt(2.0 * p_a)
-    d1 = pj + cfg.sigma2_R
-    d2 = (a2 + 1.0) ** 2 * pj + cfg.sigma2_R
-    return theory.ConditionalVariances(d1, d2), p_a
+    a2 = _a2_from_snr(snr_db, cfg.sigma2_R, "average")
+    ch = ChannelDraw(h1=1.0, h2=1.0, h3=1.0, sigma2_R=cfg.sigma2_R)
+    return theory.variances(ch, 0.0, a2, pj), p_a
 
 
 def run_capacity_sweep(cfg, progress=None):
@@ -748,10 +745,10 @@ def run_capacity_sweep(cfg, progress=None):
         peaks = {}
         for lab, s in zip(labels, cfg.snr_curves_db):
             v = _capacity_variances(cfg, s, pj)[0]
-            mi_columns.append([cap.mutual_information(value, v, cfg.quad,
+            mi_columns.append([cap.mutual_information(value, v,
                                                       cfg.capacity_model)
                                for value in cfg.axis_values])
-            res = cap.capacity(v, cfg.quad, cfg.capacity_model)
+            res = cap.capacity(v, cfg.capacity_model)
             peaks[lab] = {"p_star": res.p_star,
                           "capacity_bits": res.capacity_bits}
             if progress:
@@ -767,7 +764,7 @@ def run_capacity_sweep(cfg, progress=None):
     for value in cfg.axis_values:
         pj = 10.0 ** (value / 10.0) * cfg.sigma2_R
         v, p_a = _capacity_variances(cfg, snr_db, pj)
-        res = cap.capacity(v, cfg.quad, cfg.capacity_model)
+        res = cap.capacity(v, cfg.capacity_model)
         dt = cap.dt_capacity(p_a, pj, cfg.sigma2_R)
         rows.append((value, res.capacity_bits, res.p_star, dt))
         if progress:

@@ -8,22 +8,12 @@ from scipy import integrate, optimize
 
 from jamlink import capacity as capacity_module
 from jamlink import harness
-from jamlink.capacity import (CapacityResult, QuadratureConfig, capacity,
-                              dt_capacity, gaussian_mixture_components,
-                              mi_derivative, mutual_information)
+from jamlink.capacity import (CapacityResult, capacity, dt_capacity,
+                              gaussian_mixture_components, mi_derivative,
+                              mutual_information)
 from jamlink.theory import ConditionalVariances
 
 V12 = ConditionalVariances(1.0, 2.0)
-
-
-class TestQuadratureConfig:
-    def test_rejects_even_points(self):
-        with pytest.raises(ValueError):
-            QuadratureConfig(points=100)
-
-    def test_rejects_narrow_window(self):
-        with pytest.raises(ValueError):
-            QuadratureConfig(half_width_sigmas=2.0)
 
 
 class TestMixtureComponents:
@@ -87,10 +77,9 @@ class TestMutualInformation:
             assert mid >= chord - 1e-9
 
     def test_quadrature_doubling_stable(self):
-        base = QuadratureConfig(points=4001)
-        fine = QuadratureConfig(points=8001)
-        a = mutual_information(0.3, ConditionalVariances(1.0, 50.0), base)
-        b = mutual_information(0.3, ConditionalVariances(1.0, 50.0), fine)
+        v = ConditionalVariances(1.0, 50.0)
+        a = mutual_information(0.3, v)
+        b = _fresh_quadrature(0.3, v, "real", False, points=8001)
         assert abs(a - b) < 1e-7
 
     def test_complex_model_endpoints(self):
@@ -120,13 +109,13 @@ class TestMiDerivative:
         assert all(a > b for a, b in zip(ds, ds[1:]))
 
 
-def _fresh_quadrature(p, v, quad, model, derivative):
+def _fresh_quadrature(p, v, model, derivative, half_width_sigmas=12.0,
+                      points=4001):
     # fresh panels, densities and integrate.simpson on every call
-    w = quad.half_width_sigmas * math.sqrt(v.delta2_1)
-    W = quad.half_width_sigmas * math.sqrt(v.delta2_2)
+    w = half_width_sigmas * math.sqrt(v.delta2_1)
+    W = half_width_sigmas * math.sqrt(v.delta2_2)
     total = 0.0
-    for y in (np.linspace(0.0, w, quad.points),
-              np.linspace(w, W, quad.points)):
+    for y in (np.linspace(0.0, w, points), np.linspace(w, W, points)):
         if model == "real":
             a, b = gaussian_mixture_components(y, v)
         else:
@@ -157,19 +146,17 @@ class TestCachedPanels:
         # more channels than the cache holds, visited in interleaved order,
         # so a wrong key or a stale entry shows up as a different value
         capacity_module._panels.cache_clear()
-        quads = (QuadratureConfig(), QuadratureConfig(8.0, 301))
         vs = (ConditionalVariances(1.0, 4.0), ConditionalVariances(0.3, 900.0),
               ConditionalVariances(2.0, 2.5))
         for p in (0.2, 0.55, 0.9):
-            for quad in quads:
-                for v in vs:
-                    assert mutual_information(p, v, quad, model) == \
-                        _fresh_quadrature(p, v, quad, model, False)
-                    assert mi_derivative(p, v, quad, model) == \
-                        _fresh_quadrature(p, v, quad, model, True)
+            for v in vs:
+                assert mutual_information(p, v, model) == \
+                    _fresh_quadrature(p, v, model, False)
+                assert mi_derivative(p, v, model) == \
+                    _fresh_quadrature(p, v, model, True)
 
     def test_cached_arrays_are_read_only(self):
-        for panel in capacity_module._panels(V12, QuadratureConfig(), "real"):
+        for panel in capacity_module._panels(V12, "real"):
             for a in panel:
                 assert not a.flags.writeable
 
@@ -212,16 +199,16 @@ class TestCapacity:
 
         for v, cfg in cases:
             def slope(p):
-                return derivative(p, v, cfg.quad, cfg.capacity_model)
+                return derivative(p, v, cfg.capacity_model)
             p_tight = optimize.brentq(slope, 1e-9, 1 - 1e-9, xtol=1e-12)
             calls.clear()
             with monkeypatch.context() as m:
                 m.setattr(capacity_module, "mi_derivative", counted)
-                res = capacity(v, cfg.quad, cfg.capacity_model)
+                res = capacity(v, cfg.capacity_model)
             assert len(calls) <= 12
             assert abs(res.p_star - p_tight) < 2e-6
             assert abs(res.capacity_bits - mutual_information(
-                p_tight, v, cfg.quad, cfg.capacity_model)) < 1e-9
+                p_tight, v, cfg.capacity_model)) < 1e-9
 
     def test_result_validation(self):
         with pytest.raises(ValueError):

@@ -57,6 +57,7 @@ class TestExitCodes:
         ("frame.p1 = 1.5", []),
         ("jammer.kind = bogus", []),
         ("frame.m = 3", []),
+        # an unknown key: the Simpson grid is a constant
         ("capacity.points = 4", []),
         ("channel.n_tau = -1", []),
         ("run.threads = -2", []),
@@ -77,6 +78,32 @@ class TestExitCodes:
         out = tmp_path / "o.csv"
         code, _, err = run(["sweep", "--config", str(cfg), "--out", str(out),
                             "--quiet", *flags], capsys)
+        assert code == 1
+        assert err.startswith("config error:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, text", [
+        ("sweep", "axis.values = nan\nsnr.db = 5"),
+        ("sweep", "axis.values = inf\nsnr.db = 5"),
+        ("sweep", "axis.name = n\naxis.values = 2, 4\njammer.jnr_db = nan\n"
+                  "snr.db = 5"),
+        ("sweep", "axis.values = 0, 10\nsnr.db = 5\nbaselines.enabled = true\n"
+                  "baselines.eb_n0_db = nan"),
+        ("capacity", "experiment.mode = capacity\naxis.name = p\n"
+                     "jammer.jnr_db = 10\naxis.values = 0.5, 1.5"),
+        ("capacity", "experiment.mode = capacity\naxis.name = p\n"
+                     "jammer.jnr_db = nan\naxis.values = 0, 1"),
+        ("capacity", "experiment.mode = capacity\naxis.values = 0, 10\n"
+                     "capacity.snr_db = nan"),
+    ])
+    def test_bad_sweep_value_is_config_error(self, capsys, tmp_path, command,
+                                             text):
+        # values that would fail only once the sweep reached them
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"run.blocks = 2\n{text}\n")
+        out = tmp_path / "o.csv"
+        code, _, err = run([command, "--config", str(cfg), "--out", str(out),
+                            "--quiet"], capsys)
         assert code == 1
         assert err.startswith("config error:")
         assert not out.exists()

@@ -97,6 +97,28 @@ class TestConfigFromMapping:
         with pytest.raises(ConfigError, match="bogus.key"):
             config_from_mapping({"bogus.key": "1"})
 
+    @pytest.mark.parametrize("raw", [
+        {"axis.values": "nan", "snr.db": "5"},
+        {"axis.values": "inf", "snr.db": "5"},
+        {"axis.name": "n", "axis.values": "2, 4", "jammer.jnr_db": "nan",
+         "snr.db": "5"},
+        {"axis.values": "0, 10", "snr.db": "5", "baselines.enabled": "true",
+         "baselines.eb_n0_db": "nan"},
+        {"experiment.mode": "capacity", "axis.name": "p",
+         "jammer.jnr_db": "10", "axis.values": "0.5, 1.5"},
+        {"experiment.mode": "capacity", "axis.name": "p",
+         "jammer.jnr_db": "10", "axis.values": "-0.5, 0.5"},
+        {"experiment.mode": "capacity", "axis.name": "p",
+         "jammer.jnr_db": "inf", "axis.values": "0, 1"},
+        {"experiment.mode": "capacity", "axis.values": "0, 10",
+         "capacity.snr_db": "nan"},
+        {"experiment.preset": "fig7", "axis.values": "0.5, 1.5"},
+    ])
+    def test_bad_sweep_value_rejected(self, raw):
+        # rejected before any sweep runs, not midway through one
+        with pytest.raises(ConfigError, match="finite|lie in"):
+            config_from_mapping(raw)
+
     def test_custom_requires_axis(self):
         with pytest.raises(ConfigError, match="axis.values"):
             config_from_mapping({"frame.a2": "2.0"})
@@ -137,16 +159,12 @@ class TestConfigFromMapping:
             config_from_mapping({"axis.values": "0, 10"})
 
     def test_capacity_quadrature_keys(self):
-        cfg = config_from_mapping({"experiment.mode": "capacity",
-                                   "axis.values": "0, 10",
-                                   "capacity.points": "2001",
-                                   "capacity.half_width_sigmas": "10"})
-        assert cfg.quad.points == 2001
-        assert cfg.quad.half_width_sigmas == 10.0
-        with pytest.raises(ConfigError, match="quad.points"):
-            config_from_mapping({"experiment.mode": "capacity",
-                                 "axis.values": "0, 10",
-                                 "quad.points": "2001"})
+        # the Simpson grid is a constant of the capacity module
+        for key in ("capacity.points", "capacity.half_width_sigmas"):
+            with pytest.raises(ConfigError,
+                               match=f"unknown config keys.*{key}"):
+                config_from_mapping({"experiment.mode": "capacity",
+                                     "axis.values": "0, 10", key: "12"})
 
     def test_capacity_over_jnr_takes_one_snr(self):
         # the JNR axis draws one capacity curve; a second SNR would be dropped
