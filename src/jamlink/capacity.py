@@ -19,9 +19,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .errors import NumericalFailureError
+from .theory import brentq
 
 __all__ = [
     "CapacityResult",
@@ -161,8 +161,8 @@ def capacity(v, model="real"):
     """Maximize mutual information over the input distribution.
 
     The derivative decreases monotonically in p, so its unique root is
-    found by Brent's method (``brentq``) on [1e-9, 1 - 1e-9] with
-    ``xtol = 1e-6``.
+    found by Brent's method (:func:`theory.brentq`, scipy's ``brentq`` bit
+    for bit) on [1e-9, 1 - 1e-9] with ``xtol = 1e-6``.
 
     Raises
     ------
@@ -171,8 +171,8 @@ def capacity(v, model="real"):
     """
     lo, hi = 1e-9, 1.0 - 1e-9
     try:
-        p_star = optimize.brentq(
-            lambda p: mi_derivative(p, v, model), lo, hi, xtol=1e-6)
+        p_star = brentq(lambda p: mi_derivative(p, v, model), lo, hi,
+                        xtol=1e-6)
     except ValueError as exc:
         raise NumericalFailureError(
             f"mutual-information derivative does not change sign on "

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import harness, kernels, theory
 from .capacity import capacity as cap_capacity
-from .capacity import mutual_information
+from .capacity import mi_derivative, mutual_information
 from .channel import ChannelDraw
 from .errors import ConfigError, JamlinkError
 from .modem import FrameConfig, block_energies
@@ -315,6 +315,27 @@ def _check_random_energy_law(rng):
             raise AssertionError(f"bit {bit}: KS p={p:.2e} < 1e-3")
 
 
+def _check_brentq(rng):
+    # theory.brentq ports scipy's brentq.c, so every threshold root and p*
+    # must be scipy's bit for bit, at the default xtol and at capacity's
+    from scipy import optimize
+
+    v = theory.ConditionalVariances(1.0, 4.0)
+    cases = [(lambda p: mi_derivative(p, v), 1e-9, 1.0 - 1e-9, 1e-6)]
+    for xtol in (2e-12, 1e-6):
+        for _ in range(4):
+            r, k = rng.uniform(-2.0, 2.0), rng.uniform(0.5, 8.0)
+            cases.append((lambda x, r=r, k=k: math.tanh(k * (x - r))
+                          + 0.05 * (x - r), r - rng.uniform(0.1, 3.0),
+                          r + rng.uniform(0.1, 3.0), xtol))
+    for f, a, b, xtol in cases:
+        got = theory.brentq(f, a, b, xtol=xtol)
+        want = optimize.brentq(f, a, b, xtol=xtol)
+        if got != want:
+            raise AssertionError(
+                f"root {got!r} on [{a}, {b}] differs from scipy's {want!r}")
+
+
 def _cmd_selftest(args):
     checks = [
         ("threshold-optimality", _check_threshold_optimality),
@@ -326,6 +347,7 @@ def _cmd_selftest(args):
         ("tone-sum-large-offset", _check_tone_sum),
         ("noncentral-law-matches-stats", _check_noncentral_law),
         ("random-energy-law", _check_random_energy_law),
+        ("brentq-matches-scipy", _check_brentq),
     ]
     rng = np.random.default_rng(20240817)
     failed = 0

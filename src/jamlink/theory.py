@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 # the ufunc stats.ncx2._sf calls in scipy 1.17.1; private, so the selftest
 # check noncentral-law-matches-stats compares it against stats.ncx2.sf
 from scipy.special._ufuncs import _ncx2_sf
@@ -31,6 +31,7 @@ __all__ = [
     "ber_det",
     "ber_det_noncentral",
     "optimal_threshold_det",
+    "brentq",
     "optimal_threshold_noncentral",
     "ber_gaussian_approx",
     "sinr_limit",
@@ -231,6 +232,69 @@ def _log_ncx2_over_chi2(x, N, lam):
             + math.log(bessel) + z)
 
 
+def brentq(f, a, b, xtol=2e-12, rtol=4 * np.finfo(float).eps, maxiter=100):
+    """Root of ``f`` on ``[a, b]`` by Brent's method (Brent 1973, ch. 4).
+
+    A line-for-line port of scipy's ``brentq.c`` with the defaults of
+    scipy's ``brentq``, so every root is scipy's bit for bit.  Each step
+    tries inverse quadratic extrapolation (secant interpolation while only
+    two points are distinct), keeps it only when
+    ``2|s| < min(|s_prev|, 3|s_bis| - delta)`` and bisects otherwise; no
+    step is shorter than ``delta = (xtol + rtol |x|) / 2``.
+
+    Raises ``ValueError`` without a sign change or on a NaN value of ``f``,
+    and ``RuntimeError`` when ``maxiter`` steps do not converge.
+    """
+    def call(x):
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x} is NaN")
+        return fx
+
+    xpre, xcur = a, b
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and \
+                math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                den = dblk * dpre * (fblk - fpre)
+                # an underflowed den gives C an infinite step, so it bisects
+                stry = -fcur * (fblk * dblk - fpre * dpre) / den if den \
+                    else math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = call(xcur)
+    raise RuntimeError(
+        f"failed to converge after {maxiter} iterations, value is {xcur}")
+
+
 def optimal_threshold_noncentral(d, p1, p2, N):
     """BER-minimizing threshold under the exact noncentral chi-square law.
 
@@ -238,9 +302,10 @@ def optimal_threshold_noncentral(d, p1, p2, N):
     ``x = 2N T / sigma2_R`` and ``lam_k = 2N qd_k / sigma2_R``; the central
     density both share cancels from the ratio.  The family has a monotone
     likelihood ratio (Karlin and Rubin 1956), so the log of that ratio rises
-    through one root, found by ``brentq`` on ``[qd_1, qd_2 + 15 sigma2_R]``.
-    Without a sign change there the BER is monotone on the bracket and the
-    end with the lower BER is returned.
+    through one root, found by :func:`brentq` (scipy's ``brentq`` bit for
+    bit) on ``[qd_1, qd_2 + 15 sigma2_R]``.  Without a sign change there the
+    BER is monotone on the bracket and the end with the lower BER is
+    returned.
     """
     lo = d.qd_1
     hi = d.qd_2 + 15.0 * d.sigma2_R
@@ -253,7 +318,7 @@ def optimal_threshold_noncentral(d, p1, p2, N):
                 - _log_ncx2_over_chi2(x, N, scale * d.qd_1))
 
     if log_ratio(lo) <= 0 <= log_ratio(hi):
-        return float(optimize.brentq(log_ratio, lo, hi))
+        return float(brentq(log_ratio, lo, hi))
     ends = np.array([lo, hi])
     return float(ends[np.argmin(ber_det_noncentral(d, p1, p2, N, ends))])
 

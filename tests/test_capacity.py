@@ -11,6 +11,7 @@ from jamlink import harness
 from jamlink.capacity import (CapacityResult, capacity, dt_capacity,
                               gaussian_mixture_components, mi_derivative,
                               mutual_information)
+from jamlink.errors import NumericalFailureError
 from jamlink.theory import ConditionalVariances
 
 V12 = ConditionalVariances(1.0, 2.0)
@@ -206,9 +207,18 @@ class TestCapacity:
                 m.setattr(capacity_module, "mi_derivative", counted)
                 res = capacity(v, cfg.capacity_model)
             assert len(calls) <= 12
+            # the in-package root finder is scipy's, bit for bit
+            assert res.p_star == optimize.brentq(slope, 1e-9, 1 - 1e-9,
+                                                 xtol=1e-6)
             assert abs(res.p_star - p_tight) < 2e-6
             assert abs(res.capacity_bits - mutual_information(
                 p_tight, v, cfg.capacity_model)) < 1e-9
+
+    def test_no_sign_change_is_numerical_failure(self, monkeypatch):
+        monkeypatch.setattr(capacity_module, "mi_derivative",
+                            lambda p, v, model: 1.0)
+        with pytest.raises(NumericalFailureError, match="change sign"):
+            capacity(V12)
 
     def test_result_validation(self):
         with pytest.raises(ValueError):

@@ -243,16 +243,26 @@ class TestSweepCommand:
         assert all(c >= 0.0 for c in cols["aaj_capacity_bits"])
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    # every density and tail in the package is a scipy.special ufunc;
-    # scipy.stats is imported only inside the selftest checks
+def _loaded_by_a_fresh_import(module):
     code = ("import sys, jamlink, jamlink.harness, jamlink.cli; "
-            "print('scipy.stats' in sys.modules)")
+            f"print({module!r} in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=120, check=True,
                           env=dict(os.environ,
                                    PYTHONPATH=os.pathsep.join(sys.path)))
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip() == "True"
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # every density and tail in the package is a scipy.special ufunc;
+    # scipy.stats is imported only inside the selftest checks
+    assert not _loaded_by_a_fresh_import("scipy.stats")
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # the root finds run on theory.brentq; scipy.optimize (which loads
+    # linalg, sparse, spatial and fft) is imported only inside a selftest
+    assert not _loaded_by_a_fresh_import("scipy.optimize")
 
 
 class TestSelftest:
@@ -278,6 +288,20 @@ class TestSelftest:
         code, out, _ = run(["selftest"], capsys)
         assert code == 2
         assert "FAIL noncentral-threshold-root" in out
+
+    def test_selftest_checks_brentq_against_scipy(self, capsys, monkeypatch):
+        code, out, _ = run(["selftest"], capsys)
+        assert code == 0, out
+        assert "ok brentq-matches-scipy" in out
+        assert out.rstrip().endswith("all 10 checks passed")
+        # a root one tolerance off scipy's is caught
+        port = theory.brentq
+        monkeypatch.setattr(
+            theory, "brentq",
+            lambda f, a, b, **kw: port(f, a, b, **kw) + 2e-12)
+        code, out, _ = run(["selftest"], capsys)
+        assert code == 2
+        assert "FAIL brentq-matches-scipy" in out
 
     def test_selftest_checks_the_random_energy_law(self, capsys, monkeypatch):
         code, out, _ = run(["selftest"], capsys)

@@ -10,11 +10,10 @@ from scipy import stats
 from jamlink import baselines, harness, signals, theory
 from jamlink.channel import ChannelDraw
 from jamlink.errors import ConfigError, DegenerateChannelError
-from jamlink.harness import (Curve, ExperimentConfig, PRESET_NAMES,
-                             SweepResult, config_from_file,
+from jamlink.harness import (PRESET_NAMES, SweepResult, config_from_file,
                              config_from_mapping, emit_csv, preset_config,
                              read_csv, run_ber_sweep, run_capacity_sweep)
-from jamlink.signals import JammerKind, JammerSpec
+from jamlink.signals import JammerKind
 
 
 def _tiny_ber_cfg(**kw):

@@ -1,15 +1,19 @@
 """Closed-form error rates, optimal thresholds, and their numeric cross-checks."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy import optimize, stats
 
+from jamlink import theory
 from jamlink.channel import ChannelDraw
 from jamlink.errors import DegenerateChannelError, UnboundedLimitError
 from jamlink.signals import ToneSet
 from jamlink.theory import (ConditionalVariances, DeterministicEnergies,
                             ber_det, ber_det_noncentral, ber_gaussian_approx,
-                            ber_random, delta2, optimal_threshold_det,
+                            ber_random, brentq, delta2,
+                            optimal_threshold_det,
                             optimal_threshold_noncentral,
                             optimal_threshold_random, q_det, sinr_limit,
                             variances)
@@ -382,6 +386,93 @@ class TestOptimalThresholdNoncentral:
         assert t == (hi if end == "hi" else d.qd_1)
         ends = ber_det_noncentral(d, p1, 1 - p1, 4, np.array([d.qd_1, hi]))
         assert ber_det_noncentral(d, p1, 1 - p1, 4, t) == ends.min()
+
+
+def _random_root_problem(rng, i):
+    # a function with one root r, and a bracket around r in either order
+    r, k = rng.uniform(-3.0, 3.0), rng.uniform(0.5, 8.0)
+    families = (
+        lambda x: math.tanh(k * (x - r)) + 0.05 * (x - r),
+        lambda x: math.expm1(k * (x - r)),
+        lambda x: (x - r) ** 3 + 1e-3 * k * (x - r),
+        lambda x: np.float64(x - r) * np.exp(-k * x * x),
+        lambda x: math.copysign(abs(x - r) ** 0.2, x - r),
+        # values near 1e-250 underflow the extrapolation's denominator
+        lambda x: math.copysign(abs(x - r) ** (5 * k), x - r) * 1e-250,
+    )
+    a, b = r - rng.uniform(1e-3, 4.0), r + rng.uniform(1e-3, 4.0)
+    f = families[i % len(families)]
+    return (f, a, b) if rng.random() < 0.5 else (f, b, a)
+
+
+class TestBrentq:
+    @pytest.mark.parametrize("xtol", [2e-12, 1e-6])
+    def test_equals_scipy_bit_for_bit(self, xtol):
+        # the default tolerance (the threshold root) and capacity's
+        rng = np.random.default_rng(1973)
+        for i in range(600):
+            f, a, b = _random_root_problem(rng, i)
+            got = brentq(f, a, b, xtol=xtol)
+            assert got == optimize.brentq(f, a, b, xtol=xtol), (i, a, b)
+
+    def test_threshold_brackets_equal_scipy(self, monkeypatch):
+        # the log-likelihood-ratio brackets optimal_threshold_noncentral
+        # solves, fig3's 28-30 dB plateau among them
+        port, seen = theory.brentq, []
+
+        def recording(f, a, b):
+            seen.append((f, a, b))
+            return port(f, a, b)
+
+        monkeypatch.setattr(theory, "brentq", recording)
+        rng = np.random.default_rng(18)
+        for _ in range(200):
+            s2 = rng.uniform(0.2, 5.0)
+            qd1 = rng.uniform(0.0, 2.0) * s2
+            d = DeterministicEnergies(
+                qd_1=qd1, qd_2=qd1 + rng.uniform(0.5, 8.0) * s2, sigma2_R=s2)
+            p1 = rng.uniform(0.2, 0.8)
+            optimal_threshold_noncentral(d, p1, 1 - p1,
+                                         int(rng.integers(1, 60)))
+        a2 = math.sqrt(10.0 ** 0.5 / 0.5)
+        for jnr_db in (28.0, 30.0):
+            pj = 10.0 ** (jnr_db / 10.0)
+            d = DeterministicEnergies(qd_1=pj, qd_2=(a2 + 1.0) ** 2 * pj,
+                                      sigma2_R=1.0)
+            for n in (1, 10, 50):
+                optimal_threshold_noncentral(d, 0.5, 0.5, n)
+        assert len(seen) >= 150
+        for f, a, b in seen:
+            assert port(f, a, b) == optimize.brentq(f, a, b)
+
+    def test_endpoint_root_returned_as_given(self):
+        assert brentq(lambda x: x - 1.0, 1.0, 3.0) == 1.0
+        assert brentq(lambda x: x - 3.0, 1.0, 3.0) == 3.0
+        # a zero at an end needs no sign change
+        assert brentq(lambda x: x * x, 0.0, 2.0) == 0.0
+
+    def test_no_sign_change_raises(self):
+        with pytest.raises(ValueError, match="different signs"):
+            brentq(lambda x: x * x + 1.0, -1.0, 2.0)
+
+    @pytest.mark.parametrize("ends", [(0.0, 3.0), (1.0, 3.0)])
+    def test_nan_value_raises(self, ends):
+        # a NaN at the first step inside [0, 3], and at the end 1
+        def f(x):
+            return x - 0.5 if x == 0.0 or x == 3.0 else math.nan
+        with pytest.raises(ValueError, match="NaN"):
+            brentq(f, *ends)
+        with pytest.raises(ValueError):
+            optimize.brentq(f, *ends)
+
+    def test_maxiter_exhausted_raises(self):
+        def f(x):
+            return x ** 3 - 2.0
+        with pytest.raises(RuntimeError, match="2 iterations"):
+            brentq(f, 0.0, 5.0, maxiter=2)
+        with pytest.raises(RuntimeError):
+            optimize.brentq(f, 0.0, 5.0, maxiter=2)
+        assert brentq(f, 0.0, 5.0) == optimize.brentq(f, 0.0, 5.0)
 
 
 class TestGaussianApprox:
