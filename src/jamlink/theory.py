@@ -232,7 +232,12 @@ def _log_ncx2_over_chi2(x, N, lam):
             + math.log(bessel) + z)
 
 
-def brentq(f, a, b, xtol=2e-12, rtol=4 * np.finfo(float).eps, maxiter=100):
+# scipy brentq's relative tolerance and iteration limit
+_BRENT_RTOL = 4 * np.finfo(float).eps
+_BRENT_MAXITER = 100
+
+
+def brentq(f, a, b, xtol=2e-12):
     """Root of ``f`` on ``[a, b]`` by Brent's method (Brent 1973, ch. 4).
 
     A line-for-line port of scipy's ``brentq.c`` with the defaults of
@@ -240,10 +245,11 @@ def brentq(f, a, b, xtol=2e-12, rtol=4 * np.finfo(float).eps, maxiter=100):
     tries inverse quadratic extrapolation (secant interpolation while only
     two points are distinct), keeps it only when
     ``2|s| < min(|s_prev|, 3|s_bis| - delta)`` and bisects otherwise; no
-    step is shorter than ``delta = (xtol + rtol |x|) / 2``.
+    step is shorter than ``delta = (xtol + rtol |x|) / 2``, with scipy's
+    ``rtol = 4 eps``.
 
     Raises ``ValueError`` without a sign change or on a NaN value of ``f``,
-    and ``RuntimeError`` when ``maxiter`` steps do not converge.
+    and ``RuntimeError`` when scipy's 100 steps do not converge.
     """
     def call(x):
         fx = f(x)
@@ -260,7 +266,7 @@ def brentq(f, a, b, xtol=2e-12, rtol=4 * np.finfo(float).eps, maxiter=100):
     if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
         raise ValueError("f(a) and f(b) must have different signs")
     xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
+    for _ in range(_BRENT_MAXITER):
         if fpre != 0 and fcur != 0 and \
                 math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
             xblk, fblk = xpre, fpre
@@ -268,7 +274,7 @@ def brentq(f, a, b, xtol=2e-12, rtol=4 * np.finfo(float).eps, maxiter=100):
         if abs(fblk) < abs(fcur):
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0 or abs(sbis) < delta:
             return xcur
@@ -291,8 +297,8 @@ def brentq(f, a, b, xtol=2e-12, rtol=4 * np.finfo(float).eps, maxiter=100):
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
         fcur = call(xcur)
-    raise RuntimeError(
-        f"failed to converge after {maxiter} iterations, value is {xcur}")
+    raise RuntimeError(f"failed to converge after {_BRENT_MAXITER} "
+                       f"iterations, value is {xcur}")
 
 
 def optimal_threshold_noncentral(d, p1, p2, N):

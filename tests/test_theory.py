@@ -465,14 +465,17 @@ class TestBrentq:
         with pytest.raises(ValueError):
             optimize.brentq(f, *ends)
 
-    def test_maxiter_exhausted_raises(self):
+    def test_maxiter_exhausted_raises(self, monkeypatch):
         def f(x):
             return x ** 3 - 2.0
+        want = optimize.brentq(f, 0.0, 5.0)
+        monkeypatch.setattr(theory, "_BRENT_MAXITER", 2)
         with pytest.raises(RuntimeError, match="2 iterations"):
-            brentq(f, 0.0, 5.0, maxiter=2)
+            brentq(f, 0.0, 5.0)
         with pytest.raises(RuntimeError):
             optimize.brentq(f, 0.0, 5.0, maxiter=2)
-        assert brentq(f, 0.0, 5.0) == optimize.brentq(f, 0.0, 5.0)
+        monkeypatch.undo()
+        assert brentq(f, 0.0, 5.0) == want
 
 
 class TestGaussianApprox:
