@@ -47,7 +47,7 @@ from .signals import (JammerKind, JammerSpec, ToneSet, average_power,
                       gen_cscg, gen_modulated, make_toneset, prepare_jammer)
 from .theory import (ConditionalVariances, DeterministicEnergies,
                      ber_det, ber_det_noncentral, ber_gaussian_approx,
-                     ber_random, delta2, optimal_threshold_det,
+                     ber_random, delta2, jam_energy, optimal_threshold_det,
                      optimal_threshold_noncentral, optimal_threshold_random,
                      q_det, sinr_limit, variances)
 
@@ -70,7 +70,8 @@ __all__ = [
     "FrameConfig", "ThresholdEstimate", "build_preamble", "block_energies",
     "estimate_threshold", "decode", "run_link",
     # theory
-    "ConditionalVariances", "DeterministicEnergies", "delta2", "variances",
+    "ConditionalVariances", "DeterministicEnergies", "jam_energy", "delta2",
+    "variances",
     "optimal_threshold_random", "ber_random", "q_det", "ber_det",
     "ber_det_noncentral", "optimal_threshold_det",
     "optimal_threshold_noncentral", "ber_gaussian_approx", "sinr_limit",

@@ -14,7 +14,7 @@ from .capacity import mi_derivative, mutual_information
 from .channel import ChannelDraw
 from .errors import ConfigError, JamlinkError
 from .modem import FrameConfig, block_energies
-from .signals import JammerKind, JammerSpec, gen_cscg
+from .signals import JammerKind, JammerSpec, gen_cscg, gen_jammer_block
 
 __all__ = ["cli_main", "main"]
 
@@ -292,19 +292,17 @@ def _check_noncentral_law(rng):
         raise AssertionError(f"noncentral law {got} differs from stats {want}")
 
 
-def _check_random_energy_law(rng):
-    # block_energies draws CSCG-jammed energies from their gamma law; both
-    # levels must match energies composed from CSCG samples (KS, two-sample)
+def _law_matches_samples(spec, cfg, rng):
+    # block_energies draws this jammer's energies from their exact law; both
+    # levels must match energies composed from its samples (KS, two-sample)
     from scipy import stats
 
-    cfg = FrameConfig(N=8, M=2, a1=0.5, a2=2.0)
     ch = ChannelDraw(h1=0.8 - 0.6j, h2=0.3 + 1.1j, h3=-0.7 + 0.4j,
                      sigma2_R=1.0)
-    spec = JammerSpec(kind=JammerKind.RANDOM_BROADBAND, power=1.0)
     bits = np.repeat([0, 1], 2000)
     law = block_energies(spec, ch, cfg, bits, rng)
     n = bits.size * cfg.N
-    jam = gen_cscg(spec.power, n, rng)
+    jam = gen_jammer_block(spec, n, 0, rng)
     noise = gen_cscg(ch.sigma2_R, n, rng)
     samples = kernels.compose_energies(
         jam, jam, noise, np.where(bits == 0, cfg.a1, cfg.a2), ch.h1 * ch.h2,
@@ -312,7 +310,21 @@ def _check_random_energy_law(rng):
     for bit in (0, 1):
         p = stats.ks_2samp(law[bits == bit], samples[bits == bit]).pvalue
         if p < 1e-3:
-            raise AssertionError(f"bit {bit}: KS p={p:.2e} < 1e-3")
+            raise AssertionError(
+                f"{spec.kind.value} bit {bit}: KS p={p:.2e} < 1e-3")
+
+
+def _check_random_energy_law(rng):
+    _law_matches_samples(JammerSpec(kind=JammerKind.RANDOM_BROADBAND,
+                                    power=1.0),
+                         FrameConfig(N=8, M=2, a1=0.5, a2=2.0), rng)
+
+
+def _check_modulated_energy_law(rng):
+    cfg = FrameConfig(N=10, M=2, a1=0.0, a2=2.0)
+    for kind in (JammerKind.MOD_BPSK, JammerKind.MOD_QPSK,
+                 JammerKind.MOD_16QAM):
+        _law_matches_samples(JammerSpec(kind=kind, power=1.0), cfg, rng)
 
 
 def _check_brentq(rng):
@@ -348,6 +360,7 @@ def _cmd_selftest(args):
         ("noncentral-law-matches-stats", _check_noncentral_law),
         ("random-energy-law", _check_random_energy_law),
         ("brentq-matches-scipy", _check_brentq),
+        ("modulated-energy-law", _check_modulated_energy_law),
     ]
     rng = np.random.default_rng(20240817)
     failed = 0

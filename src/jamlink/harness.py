@@ -456,10 +456,8 @@ def _variance_levels(spec, ch, frame, jam):
 
 def _envelope_levels(spec, ch, frame, jam):
     """Exact per-symbol energy levels for constant-envelope modulated jamming."""
-    h12 = ch.h1 * ch.h2
-    e1 = abs(h12 * frame.a1 + ch.h3) ** 2 * spec.power
-    e2 = abs(h12 * frame.a2 + ch.h3) ** 2 * spec.power
-    lo, hi = sorted((float(e1), float(e2)))
+    lo, hi = sorted(float(theory.jam_energy(ch, a, spec.power))
+                    for a in (frame.a1, frame.a2))
     return theory.DeterministicEnergies(qd_1=lo, qd_2=hi, sigma2_R=ch.sigma2_R)
 
 
@@ -534,7 +532,8 @@ _TONES = _Model(_tone_levels, _noncentral_threshold, _shifted_gamma_theory)
 _MODELS = {
     JammerKind.RANDOM_BROADBAND: _Model(_variance_levels, _gamma_threshold,
                                         _gamma_theory),
-    # no closed form for the 16QAM envelope mixture; simulate only
+    # no closed form for the 16QAM BER, whose envelope varies; its energies
+    # come from the exact binomial mixture (modem.block_energies)
     JammerKind.MOD_16QAM: _Model(_variance_levels, _gamma_threshold, None),
     JammerKind.MOD_BPSK: _ENVELOPE,
     JammerKind.MOD_QPSK: _ENVELOPE,

@@ -83,30 +83,61 @@ def build_preamble(M):
     return bits
 
 
+def _window_power(kind, N, n, rng):
+    """``sum |x|^2 / P_J`` over each of ``n`` windows of N modulated symbols.
+
+    BPSK and QPSK have constant envelope, so every window holds N.  A 16QAM
+    point has ``10|x|^2 = 2 + 8(b1 + b2)`` with its two level bits fair and
+    independent, so a window holds ``(2N + 8m) / 10``, m ~ Binomial(2N, 1/2).
+    """
+    if kind is signals.JammerKind.MOD_16QAM:
+        return (2 * N + 8 * rng.binomial(2 * N, 0.5, size=n)) / 10
+    return N
+
+
 def block_energies(jam_spec, ch, cfg, bits, rng, sample_offset=0, jam=None):
     """Per-symbol received energies of one block carrying ``bits``.
 
     Each energy averages ``|h1 h2 a_k j[n] + h3 j[n - n_tau] + z[n]|^2``
     over the N samples of symbol k.
 
-    Random broadband jamming with ``n_tau == 0`` makes every sample of
-    symbol k CN(0, delta2_k), so its energy is drawn directly from its exact
-    law, Gamma(N, delta2_k / N), one ``rng`` draw per symbol.
+    With ``n_tau == 0`` a random or modulated jammer reaches the receiver
+    as ``(h1 h2 a_k + h3) j[n]``, with independent samples, so each energy
+    is drawn from its exact law after the channel and the payload bits:
 
-    Every other case draws samples.  The jamming block covers samples
-    ``[sample_offset - ch.n_tau, sample_offset + len(bits) * cfg.N)``: the
-    ``n_tau`` look-back feeds the delayed jammer-to-receiver path, so tonal
-    waveforms continue smoothly across consecutive blocks.  A caller that
-    already holds those samples passes them as ``jam``, real or complex;
-    otherwise they are generated here.  Receiver noise, CN(0, sigma2_R) per
-    sample, is drawn from ``rng`` after the jamming samples.
+    - random broadband: every sample is CN(0, delta2_k), so the energy is
+      Gamma(N, delta2_k / N), one ``rng`` draw per symbol;
+    - BPSK, QPSK and 16QAM: given the window's jamming power
+      ``S = sum |j|^2`` the energy is ``(sigma2_R / 2N)`` times a
+      noncentral chi-square with 2N degrees of freedom and noncentrality
+      ``2 qd_k S / (P_J sigma2_R)``, ``qd_k = jam_energy(ch, a_k, P_J)``
+      (Urkowitz 1967).  S is ``N P_J`` for BPSK and QPSK; 16QAM draws it
+      first from its binomial law.  One ``noncentral_chisquare`` call per
+      block.
+
+    Tonal jammers, and every kind at ``n_tau > 0``, draw samples.  The
+    jamming block covers samples ``[sample_offset - ch.n_tau, sample_offset
+    + len(bits) * cfg.N)``: the ``n_tau`` look-back feeds the delayed
+    jammer-to-receiver path, so tonal waveforms continue smoothly across
+    consecutive blocks.  A caller that already holds those samples passes
+    them as ``jam``, real or complex; otherwise they are generated here.
+    Receiver noise, CN(0, sigma2_R) per sample, is drawn from ``rng`` after
+    the jamming samples.
     """
     bits = np.asarray(bits, dtype=np.int64)
     rng = np.random.default_rng(rng)
-    if jam_spec.kind is signals.JammerKind.RANDOM_BROADBAND and ch.n_tau == 0:
-        d2 = np.where(bits == 0, theory.delta2(ch, cfg.a1, jam_spec.power),
-                      theory.delta2(ch, cfg.a2, jam_spec.power))
+    kind, P_J = jam_spec.kind, jam_spec.power
+    if ch.n_tau == 0 and kind is signals.JammerKind.RANDOM_BROADBAND:
+        d2 = np.where(bits == 0, theory.delta2(ch, cfg.a1, P_J),
+                      theory.delta2(ch, cfg.a2, P_J))
         return rng.standard_gamma(cfg.N, size=bits.shape[0]) * (d2 / cfg.N)
+    if ch.n_tau == 0 and kind.is_modulated:
+        qd = np.where(bits == 0, theory.jam_energy(ch, cfg.a1, P_J),
+                      theory.jam_energy(ch, cfg.a2, P_J))
+        s = _window_power(kind, cfg.N, bits.shape[0], rng)
+        df = 2 * cfg.N
+        return rng.noncentral_chisquare(df, 2.0 * qd * s / ch.sigma2_R) \
+            * (ch.sigma2_R / df)
     amps_sym = np.where(bits == 0, float(cfg.a1), float(cfg.a2))
     n_tot = bits.shape[0] * cfg.N
     if jam is None:

@@ -23,6 +23,7 @@ from .errors import DegenerateChannelError, UnboundedLimitError
 __all__ = [
     "ConditionalVariances",
     "DeterministicEnergies",
+    "jam_energy",
     "delta2",
     "variances",
     "optimal_threshold_random",
@@ -79,15 +80,20 @@ class DeterministicEnergies:
             raise ValueError("sigma2_R must be > 0")
 
 
-def delta2(ch, a_k, P_J):
-    """Conditional variance |h1 h2 a_k + h3|^2 P_J + sigma2_R.
+def jam_energy(ch, a_k, P_J):
+    """Received jamming power |h1 h2 a_k + h3|^2 P_J of symbol k.
 
     The two paths add coherently, so this holds when both carry the same
     jammer sample: ``ch.n_tau = 0``.
     """
     if not P_J > 0:
         raise ValueError("P_J must be > 0")
-    return float(abs(ch.h1 * ch.h2 * a_k + ch.h3) ** 2 * P_J + ch.sigma2_R)
+    return abs(ch.h1 * ch.h2 * a_k + ch.h3) ** 2 * P_J
+
+
+def delta2(ch, a_k, P_J):
+    """Conditional variance ``jam_energy(ch, a_k, P_J) + sigma2_R``."""
+    return float(jam_energy(ch, a_k, P_J) + ch.sigma2_R)
 
 
 def variances(ch, a1, a2, P_J):

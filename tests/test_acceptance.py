@@ -277,8 +277,8 @@ def test_criterion_10_baseline_degradation(fig4_point):
     assert fig4_point["aaj.ber_sim"] < 1e-3
 
 
-def test_criterion_11_thread_determinism(tmp_path):
-    cfg = preset_config("fig2", seed=321)
+def _csvs_at_1_and_4_threads(preset, tmp_path):
+    cfg = preset_config(preset, seed=321)
     cfg = replace(cfg, axis_values=(0.0, 10.0, 20.0), blocks=3,
                   payload_bits_per_block=300)
     paths = []
@@ -286,4 +286,16 @@ def test_criterion_11_thread_determinism(tmp_path):
         p = tmp_path / f"t{threads}.csv"
         emit_csv(run_ber_sweep(replace(cfg, threads=threads)), p)
         paths.append(p)
-    assert paths[0].read_bytes() == paths[1].read_bytes()
+    return paths[0].read_bytes(), paths[1].read_bytes()
+
+
+def test_criterion_11_thread_determinism(tmp_path):
+    one, four = _csvs_at_1_and_4_threads("fig2", tmp_path)
+    assert one == four
+
+
+def test_criterion_11_thread_determinism_of_law_drawn_modulated_energies(
+        tmp_path):
+    # fig3's modulated blocks draw their energies from the exact law
+    one, four = _csvs_at_1_and_4_threads("fig3", tmp_path)
+    assert one == four

@@ -7,9 +7,10 @@ import sys
 import numpy as np
 import pytest
 
-from jamlink import theory
+from jamlink import modem, theory
 from jamlink.cli import cli_main
 from jamlink.harness import read_csv
+from jamlink.signals import JammerKind
 
 
 def run(args, capsys):
@@ -293,7 +294,6 @@ class TestSelftest:
         code, out, _ = run(["selftest"], capsys)
         assert code == 0, out
         assert "ok brentq-matches-scipy" in out
-        assert out.rstrip().endswith("all 10 checks passed")
         # a root one tolerance off scipy's is caught
         port = theory.brentq
         monkeypatch.setattr(
@@ -314,3 +314,22 @@ class TestSelftest:
         code, out, _ = run(["selftest"], capsys)
         assert code == 2
         assert "FAIL random-energy-law" in out
+
+    def test_selftest_checks_the_modulated_energy_law(self, capsys,
+                                                      monkeypatch):
+        code, out, _ = run(["selftest"], capsys)
+        assert code == 0, out
+        assert "ok modulated-energy-law" in out
+        assert out.rstrip().endswith("all 11 checks passed")
+        # a 16QAM window power of (2N + 4m)/10 in place of (2N + 8m)/10
+        window_power = modem._window_power
+
+        def patched(kind, N, n, rng):
+            if kind is JammerKind.MOD_16QAM:
+                return (2 * N + 4 * rng.binomial(2 * N, 0.5, size=n)) / 10
+            return window_power(kind, N, n, rng)
+
+        monkeypatch.setattr(modem, "_window_power", patched)
+        code, out, _ = run(["selftest"], capsys)
+        assert code == 2
+        assert "FAIL modulated-energy-law" in out

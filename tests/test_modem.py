@@ -165,8 +165,9 @@ class TestRunLink:
 
 
 class TestBlockEnergies:
-    """Random broadband jamming with n_tau = 0 draws Gamma(N, delta2/N)
-    energies; every other case composes them from samples."""
+    """With n_tau = 0, random broadband jamming draws Gamma(N, delta2/N)
+    energies and modulated jamming draws scaled noncentral chi-square ones;
+    tonal jamming, and every kind with a delay, composes them from samples."""
 
     CH = ChannelDraw(h1=0.8 - 0.6j, h2=0.3 + 1.1j, h3=-0.7 + 0.4j,
                      sigma2_R=0.5, n_tau=0)
@@ -193,11 +194,28 @@ class TestBlockEnergies:
                                     np.random.default_rng(200 + N), 0)
         assert stats.ks_2samp(law, samples).pvalue > 1e-3
 
+    # a1 acts on bit 0 only; a1 = 0 is on-off keying
+    @pytest.mark.parametrize("bit,a1", [(0, 0.0), (0, 0.5), (1, 0.5)])
+    @pytest.mark.parametrize("N", [1, 10])
+    @pytest.mark.parametrize("kind", [JammerKind.MOD_BPSK, JammerKind.MOD_QPSK,
+                                      JammerKind.MOD_16QAM])
+    def test_modulated_law_matches_sample_path_law(self, kind, N, bit, a1):
+        # fixed seeds; a correct law fails the 1e-3 KS bound 0.1% of the time
+        spec = JammerSpec(kind=kind, power=3.0)
+        cfg = _cfg(N=N, M=2, a1=a1, a2=2.0)
+        bits = np.full(4000, bit)
+        law = block_energies(spec, self.CH, cfg, bits,
+                             np.random.default_rng(300 + N))
+        samples = self._sample_path(spec, self.CH, cfg, bits,
+                                    np.random.default_rng(400 + N), 0)
+        assert stats.ks_2samp(law, samples).pvalue > 1e-3
+
     @pytest.mark.parametrize("kind,n_tau", [
         (JammerKind.RANDOM_BROADBAND, 3),
         (JammerKind.SINGLE_TONE, 0),
         (JammerKind.MULTI_TONE, 2),
-        (JammerKind.MOD_QPSK, 0),
+        (JammerKind.MOD_QPSK, 2),
+        (JammerKind.MOD_BPSK, 1),
         (JammerKind.MOD_16QAM, 1),
     ])
     def test_other_cases_keep_the_sample_path(self, kind, n_tau):
@@ -254,3 +272,23 @@ class TestBlockEnergies:
                       theory.delta2(self.CH, cfg.a2, self.BBR.power))
         gamma = np.random.default_rng(8).standard_gamma(cfg.N, bits.size)
         np.testing.assert_array_equal(q, gamma * (d2 / cfg.N))
+
+    @pytest.mark.parametrize("kind", [JammerKind.MOD_BPSK, JammerKind.MOD_QPSK,
+                                      JammerKind.MOD_16QAM])
+    def test_run_link_draws_the_preamble_from_the_modulated_law(self, kind):
+        spec = JammerSpec(kind=kind, power=3.0)
+        cfg = _cfg(N=8, M=10, a1=0.5, a2=2.0)
+        payload = np.random.default_rng(7).integers(0, 2, 50)
+        _, _, q = run_link(spec, self.CH, cfg, payload,
+                           np.random.default_rng(8))
+        bits = np.concatenate([build_preamble(cfg.M), payload])
+        qd = np.where(bits == 0, theory.jam_energy(self.CH, cfg.a1, 3.0),
+                      theory.jam_energy(self.CH, cfg.a2, 3.0))
+        rng = np.random.default_rng(8)
+        # window jamming power over P_J: N, or (2N + 8m)/10 for 16QAM
+        s = cfg.N if kind is not JammerKind.MOD_16QAM else \
+            (2 * cfg.N + 8 * rng.binomial(2 * cfg.N, 0.5, bits.size)) / 10
+        df = 2 * cfg.N
+        want = rng.noncentral_chisquare(df, 2.0 * qd * s / self.CH.sigma2_R) \
+            * (self.CH.sigma2_R / df)
+        np.testing.assert_array_equal(q, want)
