@@ -36,20 +36,20 @@ from .capacity import mi_derivative
 from .channel import ChannelDraw, RicianParams, draw_channel, sinr
 from .errors import (ConfigError, DegenerateChannelError,
                      DegenerateThresholdError, JamlinkError,
-                     NumericalFailureError, UnboundedLimitError)
+                     NumericalFailureError)
 from .harness import (Curve, ExperimentConfig, SweepResult, config_from_file,
                       emit_csv, preset_config, run_ber_sweep,
                       run_capacity_sweep)
 from .mc import BerEstimate, wilson_interval
 from .modem import (FrameConfig, ThresholdEstimate, block_energies,
                     build_preamble, decode, estimate_threshold, run_link)
-from .signals import (JammerKind, JammerSpec, ToneSet, average_power,
-                      gen_cscg, gen_modulated, make_toneset, prepare_jammer)
+from .signals import (JammerKind, JammerSpec, ToneSet, gen_cscg,
+                      gen_modulated, make_toneset, prepare_jammer)
 from .theory import (ConditionalVariances, DeterministicEnergies,
                      ber_det, ber_det_noncentral, ber_gaussian_approx,
                      ber_random, delta2, jam_energy, optimal_threshold_det,
                      optimal_threshold_noncentral, optimal_threshold_random,
-                     q_det, sinr_limit, variances)
+                     variances)
 
 __version__ = "0.1.0"
 
@@ -60,10 +60,10 @@ __all__ = [
     "harness", "kernels", "config",
     # errors
     "JamlinkError", "DegenerateThresholdError", "DegenerateChannelError",
-    "UnboundedLimitError", "NumericalFailureError", "ConfigError",
+    "NumericalFailureError", "ConfigError",
     # signals
     "JammerKind", "JammerSpec", "ToneSet", "gen_cscg", "make_toneset",
-    "gen_modulated", "average_power", "prepare_jammer",
+    "gen_modulated", "prepare_jammer",
     # channel
     "RicianParams", "ChannelDraw", "draw_channel", "sinr",
     # modem
@@ -72,9 +72,9 @@ __all__ = [
     # theory
     "ConditionalVariances", "DeterministicEnergies", "jam_energy", "delta2",
     "variances",
-    "optimal_threshold_random", "ber_random", "q_det", "ber_det",
+    "optimal_threshold_random", "ber_random", "ber_det",
     "ber_det_noncentral", "optimal_threshold_det",
-    "optimal_threshold_noncentral", "ber_gaussian_approx", "sinr_limit",
+    "optimal_threshold_noncentral", "ber_gaussian_approx",
     # capacity
     "CapacityResult", "mutual_information",
     "mi_derivative", "channel_capacity", "dt_capacity",

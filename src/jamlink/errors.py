@@ -13,10 +13,6 @@ class DegenerateChannelError(JamlinkError, ValueError):
     """Conditional variances (or deterministic energies) coincide."""
 
 
-class UnboundedLimitError(JamlinkError, ValueError):
-    """A requested asymptotic limit diverges (e.g. SINR limit with h3 = 0)."""
-
-
 class NumericalFailureError(JamlinkError, RuntimeError):
     """A numerical routine could not bracket or converge."""
 

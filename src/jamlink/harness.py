@@ -739,7 +739,6 @@ def run_capacity_sweep(cfg, progress=None):
         pj = 10.0 ** (cfg.jnr_db_fixed / 10.0) * cfg.sigma2_R
         labels = [f"snr_{s:g}db" for s in cfg.snr_curves_db]
         columns = ["p"] + [f"mi.{lab}" for lab in labels]
-        # one curve at a time, so each curve's quadrature panels are built once
         mi_columns = []
         peaks = {}
         for lab, s in zip(labels, cfg.snr_curves_db):

@@ -52,7 +52,3 @@ class BerEstimate:
         lo, hi = wilson_interval(errors, bits)
         return cls(errors=errors, bits=bits, ber=errors / bits,
                    ci_low=lo, ci_high=hi)
-
-    @property
-    def half_width(self):
-        return (self.ci_high - self.ci_low) / 2.0

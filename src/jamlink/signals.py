@@ -26,7 +26,6 @@ __all__ = [
     "gen_cscg",
     "make_toneset",
     "gen_modulated",
-    "average_power",
     "prepare_jammer",
     "gen_jammer_block",
 ]
@@ -256,14 +255,6 @@ def gen_modulated(kind, P_J, n, rng):
     if kind is JammerKind.MOD_16QAM:
         return root * rng.choice(_16QAM, size=n)
     raise ValueError(f"{kind.value} is not a modulated jamming kind")
-
-
-def average_power(block):
-    """Mean of |samples|^2 over the block."""
-    block = np.asarray(block)
-    if block.size == 0:
-        raise ValueError("block must be non-empty")
-    return float(np.mean(np.abs(block) ** 2))
 
 
 def prepare_jammer(spec, rng):

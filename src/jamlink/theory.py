@@ -17,8 +17,7 @@ from scipy import special
 # check noncentral-law-matches-stats compares it against stats.ncx2.sf
 from scipy.special._ufuncs import _ncx2_sf
 
-from . import kernels
-from .errors import DegenerateChannelError, UnboundedLimitError
+from .errors import DegenerateChannelError
 
 __all__ = [
     "ConditionalVariances",
@@ -28,14 +27,12 @@ __all__ = [
     "variances",
     "optimal_threshold_random",
     "ber_random",
-    "q_det",
     "ber_det",
     "ber_det_noncentral",
     "optimal_threshold_det",
     "brentq",
     "optimal_threshold_noncentral",
     "ber_gaussian_approx",
-    "sinr_limit",
 ]
 
 
@@ -130,19 +127,6 @@ def ber_random(v, p1, p2, N, threshold):
     miss1 = special.gammainc(N, N * t / v.delta2_2)
     out = p1 * miss0 + p2 * miss1
     return float(out) if out.ndim == 0 else out
-
-
-def q_det(ts, ch, a_k, N, n_offset=0):
-    """Deterministic per-symbol energy of a tone sum through the channel.
-
-    Direct N-sample summation of |h1 h2 a_k s[n] + h3 s[n - n_tau]|^2 / N
-    starting at absolute sample ``n_offset``; no approximation involved.
-    """
-    s = kernels.tone_sum(ts.amps, ts.freqs, ts.phases, n_offset, N)
-    s_del = kernels.tone_sum(ts.amps, ts.freqs, ts.phases,
-                             n_offset - ch.n_tau, N)
-    comp = ch.h1 * ch.h2 * a_k * s + ch.h3 * s_del
-    return float(np.mean(np.abs(comp) ** 2))
 
 
 def ber_det(d, p1, p2, N, threshold):
@@ -349,9 +333,3 @@ def ber_gaussian_approx(v, p1, p2, N, threshold):
         + p2 * special.ndtr(-((v.delta2_2 - t) * rn / v.delta2_2))
     return float(out) if out.ndim == 0 else out
 
-
-def sinr_limit(ch, a_k):
-    """Large-P_J SINR ceiling |h1|^2 |h2|^2 a_k^2 / |h3|^2."""
-    if ch.h3 == 0:
-        raise UnboundedLimitError("SINR grows without bound when h3 = 0")
-    return float((abs(ch.h1) * abs(ch.h2) * a_k) ** 2 / abs(ch.h3) ** 2)

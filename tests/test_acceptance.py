@@ -31,7 +31,7 @@ from jamlink.theory import (ConditionalVariances, DeterministicEnergies,
                             ber_det_noncentral, ber_gaussian_approx,
                             ber_random, optimal_threshold_det,
                             optimal_threshold_noncentral,
-                            optimal_threshold_random, q_det, variances)
+                            optimal_threshold_random, variances)
 
 UNIT_CH = ChannelDraw(1.0, 1.0, 1.0, 1.0, 0)
 
@@ -85,7 +85,7 @@ def test_criterion_01_headline_ber_point(fig4_point):
 
 
 @pytest.mark.parametrize("case", ["random", "deterministic"])
-def test_criterion_02_theory_simulation_cross_validation(case):
+def test_criterion_02_theory_simulation_cross_validation(case, q_det):
     # ten fixed operating points per case, >= 1e6 bits each: simulation
     # within 3 Wilson half-widths of the exact closed form at its optimal
     # threshold
@@ -134,7 +134,7 @@ def test_criterion_02_theory_simulation_cross_validation(case):
                                            off, m),
                 n, [t for _, t, _ in checks], 10**6, seed=2000 + i)
         for (label, t, ber_th), est in zip(checks, ests):
-            slack = 3.0 * est.half_width
+            slack = 3.0 * (est.ci_high - est.ci_low) / 2.0
             if abs(est.ber - ber_th) > slack:
                 failures.append(
                     f"set {i}, {label} T={t:.4g}: sim {est.ber:.3e} vs "
@@ -215,7 +215,7 @@ def test_criterion_07_capacity_machinery():
               - mutual_information(p - h, v)) / (2 * h)
         assert abs(mi_derivative(p, v) - fd) < 1e-5
 
-    # bisection optimum vs dense grid argmax
+    # Brent's-method optimum vs dense grid argmax
     res = capacity(v)
     grid = np.linspace(1e-4, 1.0 - 1e-4, 10**4)
     mis = np.array([mutual_information(p, v) for p in grid])

@@ -4,44 +4,16 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, optimize
+from scipy import integrate, optimize, stats
 
 from jamlink import capacity as capacity_module
 from jamlink import harness
 from jamlink.capacity import (CapacityResult, capacity, dt_capacity,
-                              gaussian_mixture_components, mi_derivative,
-                              mutual_information)
+                              mi_derivative, mutual_information)
 from jamlink.errors import NumericalFailureError
 from jamlink.theory import ConditionalVariances
 
 V12 = ConditionalVariances(1.0, 2.0)
-
-
-class TestMixtureComponents:
-    def test_normal_densities(self):
-        from scipy import stats
-        y = np.linspace(-4, 4, 41)
-        f1, f2 = gaussian_mixture_components(y, V12)
-        np.testing.assert_allclose(f1, stats.norm.pdf(y, scale=1.0),
-                                   rtol=1e-12)
-        np.testing.assert_allclose(f2, stats.norm.pdf(y, scale=np.sqrt(2.0)),
-                                   rtol=1e-12)
-
-    def test_equal_to_stats_norm_bit_for_bit(self):
-        # the densities are stats.norm.pdf's own expression, so the Simpson
-        # panels and every capacity built on them keep their bits
-        from scipy import stats
-        rng = np.random.default_rng(15)
-        for _ in range(100):
-            v = ConditionalVariances(*10.0 ** rng.uniform(-3, 5, 2))
-            y = np.concatenate([np.linspace(0.0, 13.0 * np.sqrt(v.delta2_2),
-                                            4001),
-                                -rng.uniform(0, 40.0, 100), [-0.0]])
-            f1, f2 = gaussian_mixture_components(y, v)
-            assert np.array_equal(
-                f1, stats.norm.pdf(y, scale=math.sqrt(v.delta2_1)))
-            assert np.array_equal(
-                f2, stats.norm.pdf(y, scale=math.sqrt(v.delta2_2)))
 
 
 class TestMutualInformation:
@@ -112,13 +84,15 @@ class TestMiDerivative:
 
 def _fresh_quadrature(p, v, model, derivative, half_width_sigmas=12.0,
                       points=4001):
-    # fresh panels, densities and integrate.simpson on every call
+    # composite Simpson on two uniform panels, [0, 12 sigma_1] and
+    # [12 sigma_1, 12 sigma_2], with the densities written out
     w = half_width_sigmas * math.sqrt(v.delta2_1)
     W = half_width_sigmas * math.sqrt(v.delta2_2)
     total = 0.0
     for y in (np.linspace(0.0, w, points), np.linspace(w, W, points)):
         if model == "real":
-            a, b = gaussian_mixture_components(y, v)
+            a = stats.norm.pdf(y, scale=math.sqrt(v.delta2_1))
+            b = stats.norm.pdf(y, scale=math.sqrt(v.delta2_2))
         else:
             a = np.exp(-y * y / v.delta2_1) / (math.pi * v.delta2_1)
             b = np.exp(-y * y / v.delta2_2) / (math.pi * v.delta2_2)
@@ -141,25 +115,36 @@ def _fresh_quadrature(p, v, model, derivative, half_width_sigmas=12.0,
     return total - p * h1 - (1.0 - p) * h2
 
 
-class TestCachedPanels:
+class TestQuadrature:
+    # the split Gauss-Legendre rule against Simpson on 2 x 8001 nodes
     @pytest.mark.parametrize("model", ["real", "complex"])
-    def test_equal_to_fresh_simpson_bit_for_bit(self, model):
-        # more channels than the cache holds, visited in interleaved order,
-        # so a wrong key or a stale entry shows up as a different value
-        capacity_module._panels.cache_clear()
-        vs = (ConditionalVariances(1.0, 4.0), ConditionalVariances(0.3, 900.0),
-              ConditionalVariances(2.0, 2.5))
-        for p in (0.2, 0.55, 0.9):
-            for v in vs:
-                assert mutual_information(p, v, model) == \
-                    _fresh_quadrature(p, v, model, False)
-                assert mi_derivative(p, v, model) == \
-                    _fresh_quadrature(p, v, model, True)
+    @pytest.mark.parametrize("ratio", [1 + 1e-12, 1.25, 2.5, 900.0, 1e6, 1e12])
+    def test_agrees_with_fine_simpson(self, ratio, model):
+        for d1 in (0.3, 1.0, 200.0):
+            v = ConditionalVariances(d1, d1 * ratio)
+            for p in (0.0, 1e-9, 0.2, 0.5, 0.9, 1 - 1e-9, 1.0):
+                ref = _fresh_quadrature(p, v, model, False, points=8001)
+                assert abs(mutual_information(p, v, model) - ref) < 1e-9
+                if 0.0 < p < 1.0:
+                    ref = _fresh_quadrature(p, v, model, True, points=8001)
+                    assert abs(mi_derivative(p, v, model) - ref) < 1e-9
 
-    def test_cached_arrays_are_read_only(self):
-        for panel in capacity_module._panels(V12, "real"):
-            for a in panel:
-                assert not a.flags.writeable
+    @pytest.mark.parametrize("model", ["real", "complex"])
+    def test_crossover_near_origin(self, model):
+        # p phi1(0) = (1 - p) phi2(0) puts y* at 0, where the transition
+        # width is set by the curvature of the log-ratio, not its slope
+        c = 0.5 if model == "real" else 1.0
+        for ratio in (2.5, 30.0, 1e6):
+            v = ConditionalVariances(1.0, ratio)
+            odds = ratio ** -c
+            for scale in (0.99, 1.0 - 1e-6, 1.0 + 1e-6, 1.01):
+                p = scale * odds / (1.0 + odds)
+                ref = _fresh_quadrature(p, v, model, True, points=8001)
+                assert abs(mi_derivative(p, v, model) - ref) < 1e-9
+
+    def test_unknown_model_rejected(self):
+        with pytest.raises(ValueError, match="model"):
+            mutual_information(0.5, V12, model="quaternion")
 
 
 class TestCapacity:

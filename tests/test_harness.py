@@ -158,7 +158,7 @@ class TestConfigFromMapping:
             config_from_mapping({"axis.values": "0, 10"})
 
     def test_capacity_quadrature_keys(self):
-        # the Simpson grid is a constant of the capacity module
+        # the quadrature rule is a constant of the capacity module
         for key in ("capacity.points", "capacity.half_width_sigmas"):
             with pytest.raises(ConfigError,
                                match=f"unknown config keys.*{key}"):

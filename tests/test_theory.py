@@ -7,16 +7,14 @@ import pytest
 from scipy import optimize, stats
 
 from jamlink import theory
-from jamlink.channel import ChannelDraw
-from jamlink.errors import DegenerateChannelError, UnboundedLimitError
+from jamlink.errors import DegenerateChannelError
 from jamlink.signals import ToneSet
 from jamlink.theory import (ConditionalVariances, DeterministicEnergies,
                             ber_det, ber_det_noncentral, ber_gaussian_approx,
                             ber_random, brentq, delta2,
                             optimal_threshold_det,
                             optimal_threshold_noncentral,
-                            optimal_threshold_random, q_det, sinr_limit,
-                            variances)
+                            optimal_threshold_random, variances)
 
 V12 = ConditionalVariances(1.0, 2.0)
 
@@ -149,14 +147,14 @@ class TestDeterministicEnergies:
         with pytest.raises(ValueError):
             DeterministicEnergies(qd_1=5.0, qd_2=1.0, sigma2_R=1.0)
 
-    def test_qdet_full_period_tone(self, unit_channel):
+    def test_qdet_full_period_tone(self, unit_channel, q_det):
         # a full period of a unit-amp tone averages to amp^2/2 per sample,
         # and (h1 h2 a + h3) = 2 doubles the field: |2|^2 * 0.5 = 2.0
         ts = ToneSet(amps=np.array([1.0]), freqs=np.array([0.25]),
                      phases=np.array([0.0]))
         assert np.isclose(q_det(ts, unit_channel, 1.0, 4), 2.0, rtol=1e-12)
 
-    def test_qdet_offset_shift(self, unit_channel):
+    def test_qdet_offset_shift(self, unit_channel, q_det):
         ts = ToneSet(amps=np.array([1.0]), freqs=np.array([0.1]),
                      phases=np.array([0.3]))
         a = q_det(ts, unit_channel, 1.0, 16, n_offset=7)
@@ -520,14 +518,3 @@ class TestGaussianApprox:
         exact = ber_random(V12, 0.5, 0.5, n, t)
         approx = ber_gaussian_approx(V12, 0.5, 0.5, n, t)
         assert abs(approx - exact) / exact > 0.5
-
-
-class TestSinrLimit:
-    def test_hand_value(self, unit_channel):
-        # |h1 h2 a|^2 / |h3|^2 with a = 2: 4
-        assert np.isclose(sinr_limit(unit_channel, 2.0), 4.0)
-
-    def test_unbounded_without_direct_path(self):
-        ch = ChannelDraw(1.0, 1.0, 0.0, 1.0, 0)
-        with pytest.raises(UnboundedLimitError):
-            sinr_limit(ch, 2.0)
