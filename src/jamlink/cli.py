@@ -10,7 +10,7 @@ import numpy as np
 
 from . import harness, kernels, theory
 from .capacity import capacity as cap_capacity
-from .capacity import mi_derivative, mutual_information
+from .capacity import mutual_information
 from .channel import ChannelDraw
 from .errors import ConfigError, JamlinkError
 from .modem import FrameConfig, block_energies
@@ -89,30 +89,20 @@ def _resolve_config(args):
     return cfg
 
 
-def _cmd_sweep(args):
+def _cmd_run(args):
     cfg = _resolve_config(args)
-    if cfg.mode != "ber":
-        raise ConfigError(f"preset {cfg.preset!r} is a capacity experiment; "
-                          "use the 'capacity' subcommand")
-    progress = None if args.quiet else (lambda msg: print(msg))
-    result = harness.run_ber_sweep(cfg, progress=progress)
+    command = "sweep" if cfg.mode == "ber" else "capacity"
+    if args.command != command:
+        kind = "BER" if cfg.mode == "ber" else "capacity"
+        raise ConfigError(f"preset {cfg.preset!r} is a {kind} experiment; "
+                          f"use the {command!r} subcommand")
+    run = harness.run_ber_sweep if cfg.mode == "ber" \
+        else harness.run_capacity_sweep
+    result = run(cfg, progress=None if args.quiet else print)
     harness.emit_csv(result, args.out)
     if not args.quiet:
-        print(f"wrote {args.out} ({len(result.rows)} rows)")
-    return 0
-
-
-def _cmd_capacity(args):
-    cfg = _resolve_config(args)
-    if cfg.mode != "capacity":
-        raise ConfigError(f"preset {cfg.preset!r} is a BER experiment; "
-                          "use the 'sweep' subcommand")
-    progress = None if args.quiet else (lambda msg: print(msg))
-    result = harness.run_capacity_sweep(cfg, progress=progress)
-    harness.emit_csv(result, args.out)
-    if not args.quiet:
-        cross = result.meta.get("crossover_jnr_db")
-        if cross is not None and not math.isnan(cross):
+        cross = result.meta.get("crossover_jnr_db", math.nan)
+        if not math.isnan(cross):
             print(f"crossover at JNR = {cross:.2f} dB")
         print(f"wrote {args.out} ({len(result.rows)} rows)")
     return 0
@@ -327,27 +317,6 @@ def _check_modulated_energy_law(rng):
         _law_matches_samples(JammerSpec(kind=kind, power=1.0), cfg, rng)
 
 
-def _check_brentq(rng):
-    # theory.brentq ports scipy's brentq.c, so every threshold root and p*
-    # must be scipy's bit for bit, at the default xtol and at capacity's
-    from scipy import optimize
-
-    v = theory.ConditionalVariances(1.0, 4.0)
-    cases = [(lambda p: mi_derivative(p, v), 1e-9, 1.0 - 1e-9, 1e-6)]
-    for xtol in (2e-12, 1e-6):
-        for _ in range(4):
-            r, k = rng.uniform(-2.0, 2.0), rng.uniform(0.5, 8.0)
-            cases.append((lambda x, r=r, k=k: math.tanh(k * (x - r))
-                          + 0.05 * (x - r), r - rng.uniform(0.1, 3.0),
-                          r + rng.uniform(0.1, 3.0), xtol))
-    for f, a, b, xtol in cases:
-        got = theory.brentq(f, a, b, xtol=xtol)
-        want = optimize.brentq(f, a, b, xtol=xtol)
-        if got != want:
-            raise AssertionError(
-                f"root {got!r} on [{a}, {b}] differs from scipy's {want!r}")
-
-
 def _cmd_selftest(args):
     checks = [
         ("threshold-optimality", _check_threshold_optimality),
@@ -359,7 +328,6 @@ def _cmd_selftest(args):
         ("tone-sum-large-offset", _check_tone_sum),
         ("noncentral-law-matches-stats", _check_noncentral_law),
         ("random-energy-law", _check_random_energy_law),
-        ("brentq-matches-scipy", _check_brentq),
         ("modulated-energy-law", _check_modulated_energy_law),
     ]
     rng = np.random.default_rng(20240817)
@@ -388,7 +356,7 @@ def cli_main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    handlers = {"sweep": _cmd_sweep, "capacity": _cmd_capacity,
+    handlers = {"sweep": _cmd_run, "capacity": _cmd_run,
                 "theory": _cmd_theory, "selftest": _cmd_selftest}
     try:
         return handlers[args.command](args)

@@ -288,19 +288,20 @@ def preset_config(name, seed=None):
 # config files
 
 
-_KNOWN_KEYS = {
-    "experiment.preset", "experiment.mode",
-    "axis.name", "axis.values",
-    "jammer.kind", "jammer.jnr_db",
-    "frame.n", "frame.m", "frame.a1", "frame.a2", "frame.p1",
-    "snr.db", "snr.map",
-    "channel.fading", "channel.k_factor", "channel.n_tau",
-    "noise.sigma2",
-    "run.blocks", "run.payload_bits_per_block", "run.master_seed",
-    "run.threads",
-    "threshold.mode",
-    "capacity.model", "capacity.snr_db",
-    "baselines.enabled", "baselines.eb_n0_db",
+# keys both modes read, then the keys that only one mode reads
+_SHARED_KEYS = {
+    "experiment.preset", "experiment.mode", "axis.name", "axis.values",
+    "jammer.jnr_db", "noise.sigma2", "run.master_seed", "run.threads",
+}
+_MODE_KEYS = {
+    "ber": {
+        "jammer.kind", "frame.n", "frame.m", "frame.a1", "frame.a2",
+        "frame.p1", "snr.db", "snr.map",
+        "channel.fading", "channel.k_factor", "channel.n_tau",
+        "run.blocks", "run.payload_bits_per_block", "threshold.mode",
+        "baselines.enabled", "baselines.eb_n0_db",
+    },
+    "capacity": {"capacity.model", "capacity.snr_db"},
 }
 
 
@@ -319,7 +320,7 @@ def config_from_mapping(raw):
 
 
 def _config_from_mapping(raw):
-    unknown = set(raw) - _KNOWN_KEYS
+    unknown = set(raw) - _SHARED_KEYS.union(*_MODE_KEYS.values())
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 
@@ -329,11 +330,17 @@ def _config_from_mapping(raw):
         return coerce(raw[key], kind, key)
 
     seed = get("run.master_seed", "int")
-    if "experiment.preset" in raw:
-        cfg = preset_config(raw["experiment.preset"], seed=seed)
+    cfg = preset_config(raw["experiment.preset"], seed=seed) \
+        if "experiment.preset" in raw else None
+    mode = cfg.mode if cfg else get("experiment.mode", "str", "ber")
+    if mode not in _MODE_KEYS:
+        raise ConfigError(f"unknown experiment mode {mode!r}")
+    other = set(raw) - _SHARED_KEYS - _MODE_KEYS[mode]
+    if other:
+        raise ConfigError(f"keys not read in {mode} mode: {sorted(other)}")
+    if cfg is not None:
         return _apply_overrides(cfg, raw, get)
 
-    mode = get("experiment.mode", "str", "ber")
     axis_name = get("axis.name", "str", "jnr_db")
     axis_raw = get("axis.values", "list")
     if not axis_raw:
@@ -397,12 +404,12 @@ def _apply_overrides(cfg, raw, get):
         updates["axis_values"] = tuple(float(v)
                                        for v in get("axis.values", "list"))
         consumed.add("axis.values")
-    if "threshold.mode" in raw and cfg.mode == "ber":
+    if "threshold.mode" in raw:
         tmode = get("threshold.mode", "str")
         updates["curves"] = tuple(replace(c, threshold_mode=tmode)
                                   for c in cfg.curves)
         consumed.add("threshold.mode")
-    if "frame.n" in raw and cfg.frame is not None:
+    if "frame.n" in raw:
         updates["frame"] = replace(cfg.frame, N=get("frame.n", "int"))
         consumed.add("frame.n")
     leftover = set(raw) - consumed

@@ -56,10 +56,6 @@ class ConditionalVariances:
         object.__setattr__(self, "delta2_1", lo)
         object.__setattr__(self, "delta2_2", hi)
 
-    @property
-    def ratio(self):
-        return self.delta2_2 / self.delta2_1
-
 
 @dataclass(frozen=True)
 class DeterministicEnergies:

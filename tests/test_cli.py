@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -43,10 +44,21 @@ class TestExitCodes:
                           "--out", str(tmp_path / "o.csv")], capsys)
         assert code == 1
 
-    def test_capacity_preset_under_sweep_rejected(self, capsys, tmp_path):
-        code, _, _ = run(["sweep", "--preset", "fig7",
-                          "--out", str(tmp_path / "o.csv")], capsys)
+    @pytest.mark.parametrize("command, preset, message", [
+        ("sweep", "fig7", "preset 'fig7' is a capacity experiment; "
+                          "use the 'capacity' subcommand"),
+        ("capacity", "fig2", "preset 'fig2' is a BER experiment; "
+                             "use the 'sweep' subcommand"),
+    ], ids=["sweep-fig7", "capacity-fig2"])
+    def test_preset_under_the_other_subcommand_rejected(self, capsys,
+                                                        tmp_path, command,
+                                                        preset, message):
+        out = tmp_path / "o.csv"
+        code, _, err = run([command, "--preset", preset, "--out", str(out)],
+                           capsys)
         assert code == 1
+        assert err == f"config error: {message}\n"
+        assert not out.exists()
 
     def test_unwritable_out_is_runtime_error(self, capsys, tmp_path):
         code, _, _ = run(["capacity", "--preset", "fig8",
@@ -58,7 +70,7 @@ class TestExitCodes:
         ("frame.p1 = 1.5", []),
         ("jammer.kind = bogus", []),
         ("frame.m = 3", []),
-        # an unknown key: the Simpson grid is a constant
+        # an unknown key: the quadrature rule is a constant
         ("capacity.points = 4", []),
         ("channel.n_tau = -1", []),
         ("run.threads = -2", []),
@@ -71,6 +83,9 @@ class TestExitCodes:
         ("baselines.spread_factor = 8", []),
         # no closed-form threshold for a delayed random jammer
         ("channel.n_tau = 3\nthreshold.mode = exact", []),
+        # capacity keys, which a BER sweep would ignore
+        ("capacity.model = complex", []),
+        ("capacity.snr_db = 3", []),
     ])
     def test_bad_config_value_is_config_error(self, capsys, tmp_path,
                                               bad_line, flags):
@@ -101,12 +116,38 @@ class TestExitCodes:
                                              text):
         # values that would fail only once the sweep reached them
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text(f"run.blocks = 2\n{text}\n")
+        blocks = "run.blocks = 2\n" if command == "sweep" else ""
+        cfg.write_text(f"{blocks}{text}\n")
         out = tmp_path / "o.csv"
         code, _, err = run([command, "--config", str(cfg), "--out", str(out),
                             "--quiet"], capsys)
         assert code == 1
         assert err.startswith("config error:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, keys", [
+        ("experiment.mode = capacity\naxis.values = 0, 10\n"
+         "jammer.kind = single_tone", ["jammer.kind"]),
+        ("experiment.mode = capacity\naxis.values = 0, 10\n"
+         "threshold.mode = exact\nchannel.fading = false\nframe.n = 4\n"
+         "run.blocks = 2\nbaselines.enabled = true",
+         ["baselines.enabled", "channel.fading", "frame.n", "run.blocks",
+          "threshold.mode"]),
+        ("experiment.preset = fig7\nrun.blocks = 2\n"
+         "run.payload_bits_per_block = 100",
+         ["run.blocks", "run.payload_bits_per_block"]),
+        ("experiment.preset = fig8\nrun.blocks = 2", ["run.blocks"]),
+    ], ids=["custom-jammer", "custom-ber-run", "fig7", "fig8"])
+    def test_ber_keys_in_a_capacity_config_are_config_errors(
+            self, capsys, tmp_path, text, keys):
+        # a capacity sweep reads no BER key; each one is named, not ignored
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text + "\n")
+        out = tmp_path / "o.csv"
+        code, _, err = run(["capacity", "--config", str(cfg), "--out",
+                            str(out), "--quiet"], capsys)
+        assert code == 1
+        assert err == f"config error: keys not read in capacity mode: {keys}\n"
         assert not out.exists()
 
     def test_capacity_over_jnr_with_two_snrs_is_config_error(self, capsys,
@@ -262,8 +303,24 @@ def test_import_leaves_scipy_stats_unloaded():
 
 def test_import_leaves_scipy_optimize_unloaded():
     # the root finds run on theory.brentq; scipy.optimize (which loads
-    # linalg, sparse, spatial and fft) is imported only inside a selftest
+    # linalg, sparse, spatial and fft) comes in only with the scipy.stats
+    # that the selftest checks import, and in the tests
     assert _loaded_by_a_fresh_import("scipy.optimize") == "False"
+
+
+def test_package_binds_only_its_modules():
+    # every function, class and error is reached through its module
+    import jamlink
+
+    modules = ["signals", "channel", "modem", "theory", "capacity",
+               "baselines", "harness", "kernels", "config"]
+    assert sorted(jamlink.__all__) == sorted(modules + ["__version__"])
+    for name in modules:
+        assert isinstance(getattr(jamlink, name), types.ModuleType)
+    public = {k: v for k, v in vars(jamlink).items() if not k.startswith("_")}
+    assert all(isinstance(v, types.ModuleType) for v in public.values()), \
+        sorted(k for k, v in public.items()
+               if not isinstance(v, types.ModuleType))
 
 
 class TestSelftest:
@@ -290,19 +347,6 @@ class TestSelftest:
         assert code == 2
         assert "FAIL noncentral-threshold-root" in out
 
-    def test_selftest_checks_brentq_against_scipy(self, capsys, monkeypatch):
-        code, out, _ = run(["selftest"], capsys)
-        assert code == 0, out
-        assert "ok brentq-matches-scipy" in out
-        # a root one tolerance off scipy's is caught
-        port = theory.brentq
-        monkeypatch.setattr(
-            theory, "brentq",
-            lambda f, a, b, **kw: port(f, a, b, **kw) + 2e-12)
-        code, out, _ = run(["selftest"], capsys)
-        assert code == 2
-        assert "FAIL brentq-matches-scipy" in out
-
     def test_selftest_checks_the_random_energy_law(self, capsys, monkeypatch):
         code, out, _ = run(["selftest"], capsys)
         assert code == 0, out
@@ -320,7 +364,7 @@ class TestSelftest:
         code, out, _ = run(["selftest"], capsys)
         assert code == 0, out
         assert "ok modulated-energy-law" in out
-        assert out.rstrip().endswith("all 11 checks passed")
+        assert out.rstrip().endswith("all 10 checks passed")
         # a 16QAM window power of (2N + 4m)/10 in place of (2N + 8m)/10
         window_power = modem._window_power
 

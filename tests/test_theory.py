@@ -40,9 +40,6 @@ class TestVariances:
         with pytest.raises(DegenerateChannelError):
             ConditionalVariances(3.0, 3.0)
 
-    def test_ratio(self):
-        assert ConditionalVariances(2.0, 8.0).ratio == 4.0
-
 
 class TestOptimalThresholdRandom:
     def test_hand_value_n1(self):
