@@ -41,8 +41,8 @@ microseconds of ``jamlink``, ``numpy`` and each ``scipy.<name>`` subpackage
 it loads is kept, with the samples (see ``import_times`` for how a scipy
 subpackage is timed).
 
-Last, each checkout runs each of the six slowest Tier-1 tests
-(``SLOW_TESTS``) alone, ``python -m pytest -q <node id>`` with
+Last, each checkout runs each of the slow Tier-1 tests in ``SLOW_TESTS``
+alone, ``python -m pytest -q <node id>`` with
 ``PYTHONPATH=<checkout>/src``, the two sides alternating which goes first.
 Under ``slow_tests`` the output holds, per node id, each side's wall time
 (pytest start-up included), the test's own time (the setup, call and
@@ -71,7 +71,8 @@ PRESETS = (("fig2", "sweep"), ("fig3", "sweep"), ("fig4", "sweep"),
            ("fig8", "capacity"))
 
 # the six slowest Tier-1 tests by ``pytest --durations`` at commit ad4a98a
-# on a 2-CPU host; the criterion 9 node's time is mostly its fig2 fixture
+# on a 2-CPU host (the criterion 9 node's time is mostly its fig2 fixture),
+# then the two tests that take the MI of a 10 000-point p grid
 SLOW_TESTS = (
     "tests/test_acceptance.py::"
     "test_criterion_02_theory_simulation_cross_validation[random]",
@@ -82,6 +83,8 @@ SLOW_TESTS = (
     "tests/test_channel.py::TestDrawChannel::test_rayleigh_unit_second_moment",
     "tests/test_channel.py::TestDrawChannel::test_rician_moment_identity",
     "tests/test_channel.py::TestDrawChannel::test_empirical_k_ratio",
+    "tests/test_capacity.py::TestCapacity::test_matches_grid_argmax",
+    "tests/test_acceptance.py::test_criterion_07_capacity_machinery",
 )
 
 

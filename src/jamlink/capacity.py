@@ -16,6 +16,15 @@ panels split at 0, 12 sigma_1 and 12 sigma_2, at the crossover y* where
 of the transition of ``log f`` there.  The narrow component, the wide tail
 and the kink of ``log f`` each get their own panels, so the rule agrees
 with an 8001-node Simpson grid to 1e-9 for variance ratios up to 1e12.
+
+The rule works on rows ``(p, delta2_1, delta2_2)``, many at once.  Every
+row has the same 12 cuts (coinciding cuts make zero-width panels that add
+an exact 0), so a batch is one set of 2-D arrays, reduced row by row, and a
+row of a batch equals the one-row call bit for bit.  Batches are taken in
+passes of at most 32 rows, which keeps a pass's arrays near 1 MB.  An array
+``p`` in :func:`mutual_information` or :func:`mi_derivative` is one batch;
+:func:`capacity` of a sequence of channels runs one Brent step generator per
+channel in lockstep, each round one batch over the channels still unsolved.
 """
 
 import functools
@@ -25,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalFailureError
-from .theory import brentq
+from .theory import ConditionalVariances, _brent_steps
 
 __all__ = [
     "CapacityResult",
@@ -54,6 +63,13 @@ class CapacityResult:
             raise ValueError("capacity_bits must lie in [0, 1]")
 
 
+# rows per quadrature pass: 32 rows of 352 nodes keep a pass's arrays near
+# 1 MB, however many channels a solve or an MI column holds
+_PASS_ROWS = 32
+# the cuts around the crossover y*, in units of the transition width w
+_OFFSETS = np.array([-8.0, -4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0, 8.0])
+
+
 @functools.cache
 def _legendre_rule():
     from numpy.polynomial.legendre import leggauss
@@ -67,93 +83,154 @@ def _half_dimension(model):
         raise ValueError("model must be 'real' or 'complex'") from None
 
 
-def _expectations(p, v, model):
+def _expectations(p, d1, d2, model):
     """``(A1, A2)`` with ``A_k = E_{Y~phi_k}[log2 f(Y)]``, f the mixture.
 
-    The real model doubles the half-line integral; the complex model
-    integrates the radial form with Jacobian ``2 pi y``.
+    One entry per row of the equal-length arrays ``p``, ``d1``, ``d2``,
+    taken in passes of at most ``_PASS_ROWS`` rows.
+    """
+    out = np.empty((2, p.size))
+    for lo in range(0, p.size, _PASS_ROWS):
+        rows = slice(lo, lo + _PASS_ROWS)
+        out[:, rows] = _expectations_pass(p[rows], d1[rows], d2[rows], model)
+    return out
+
+
+def _expectations_pass(p, d1, d2, model):
+    """:func:`_expectations` on one pass of rows, each reduced on its own.
+
+    Every row has the same 12 cuts, so the same 11 panels; where cuts
+    coincide a panel has zero width and adds an exact 0.  The real model
+    doubles the half-line integral; the complex model integrates the radial
+    form with Jacobian ``2 pi y``.
     """
     c = _half_dimension(model)
-    d1, d2 = v.delta2_1, v.delta2_2
-    top = 12.0 * math.sqrt(d2)
-    cuts = [0.0, 12.0 * math.sqrt(d1), top]
-    if 0.0 < p < 1.0:
-        # log(p phi1 / ((1 - p) phi2)) = c (rhs - gap y^2) crosses 0 at y*
-        # and moves by 1 over w there; where y* nears 0 (or the log-ratio
-        # peaks below 0 at y = 0) the bend of the parabola sets w instead
-        gap = 1.0 / d1 - 1.0 / d2
-        rhs = math.log(p / (1.0 - p)) / c + math.log(d2 / d1)
-        y_star = math.sqrt(max(rhs, 0.0) / gap)
-        w = 1.0 / max(2.0 * c * y_star * gap, math.sqrt(c * gap))
-        cuts += [y_star + k * w for k in (-8, -4, -2, -1, 0, 1, 2, 4, 8)]
-    edges = np.unique(np.clip(cuts, 0.0, top))
+    top = 12.0 * np.sqrt(d2)
+    # log(p phi1 / ((1 - p) phi2)) = c (rhs - gap y^2) crosses 0 at y* and
+    # moves by 1 over w there; where y* nears 0 (or the log-ratio peaks
+    # below 0 at y = 0) the bend of the parabola sets w instead.  At p = 0
+    # or 1 there is no crossover and the nine cuts collapse onto 0.
+    inner = (p > 0.0) & (p < 1.0)
+    q = np.where(inner, p, 0.5)
+    gap = 1.0 / d1 - 1.0 / d2
+    rhs = np.log(q / (1.0 - q)) / c + np.log(d2 / d1)
+    y_star = np.where(inner, np.sqrt(np.maximum(rhs, 0.0) / gap), 0.0)
+    w = np.where(inner, 1.0 / np.maximum(2.0 * c * y_star * gap,
+                                         np.sqrt(c * gap)), 0.0)
+    cuts = np.column_stack([np.zeros_like(p), 12.0 * np.sqrt(d1), top,
+                            y_star[:, None] + _OFFSETS * w[:, None]])
+    edges = np.sort(np.clip(cuts, 0.0, top[:, None]), axis=1)
     nodes, weights = _legendre_rule()
-    mid = (edges[1:, None] + edges[:-1, None]) / 2.0
-    half = (edges[1:, None] - edges[:-1, None]) / 2.0
-    y = (mid + half * nodes).ravel()
-    log_phi1 = -c * (y * y / d1 + math.log(math.pi * d1 / c))
-    log_phi2 = -c * (y * y / d2 + math.log(math.pi * d2 / c))
-    log_f = np.logaddexp(math.log(p) + log_phi1 if p > 0.0 else -np.inf,
-                         math.log1p(-p) + log_phi2 if p < 1.0 else -np.inf)
-    jacobian = 2.0 if model == "real" else 2.0 * math.pi * y
-    g = (half * weights).ravel() * jacobian * log_f * math.log2(math.e)
-    return float(g @ np.exp(log_phi1)), float(g @ np.exp(log_phi2))
+    mid = (edges[:, 1:, None] + edges[:, :-1, None]) / 2.0
+    half = (edges[:, 1:, None] - edges[:, :-1, None]) / 2.0
+    y = (mid + half * nodes).reshape(len(p), -1)
+    log_phi1 = -c * (y * y / d1[:, None] + np.log(np.pi * d1 / c)[:, None])
+    log_phi2 = -c * (y * y / d2[:, None] + np.log(np.pi * d2 / c)[:, None])
+    with np.errstate(divide="ignore"):
+        log_p, log_q = np.log(p), np.log1p(-p)
+    log_f = np.logaddexp(log_p[:, None] + log_phi1, log_q[:, None] + log_phi2)
+    jacobian = 2.0 if model == "real" else 2.0 * np.pi * y
+    g = (half * weights).reshape(len(p), -1) * jacobian * log_f \
+        * math.log2(math.e)
+    return (np.einsum("ij,ij->i", g, np.exp(log_phi1)),
+            np.einsum("ij,ij->i", g, np.exp(log_phi2)))
 
 
 def _entropy(delta2_k, c):
-    return c * math.log2(math.pi * math.e * delta2_k / c)
+    return c * np.log2(np.pi * np.e * delta2_k / c)
+
+
+def _information(p, d1, d2, model):
+    c = _half_dimension(model)
+    a1, a2 = _expectations(p, d1, d2, model)
+    return -(p * a1 + (1.0 - p) * a2) - p * _entropy(d1, c) \
+        - (1.0 - p) * _entropy(d2, c)
+
+
+def _derivative(p, d1, d2, model):
+    c = _half_dimension(model)
+    a1, a2 = _expectations(p, d1, d2, model)
+    return -(a1 - a2) - c * np.log2(d1 / d2)
+
+
+def _on_channel(rows, p, v, model):
+    # a scalar p is a batch of one row and comes back as a float
+    p = np.asarray(p, dtype=np.float64)
+    flat = p.ravel()
+    out = rows(flat, np.full(flat.size, v.delta2_1),
+               np.full(flat.size, v.delta2_2), model)
+    return float(out[0]) if p.ndim == 0 else out.reshape(p.shape)
 
 
 def mutual_information(p, v, model="real"):
     """Mutual information in bits of the binary-input mixture channel.
 
     ``h(Y) - p h(Y|1) - (1-p) h(Y|2)`` with the output entropy
-    ``h(Y) = -(p A1 + (1-p) A2)``.
+    ``h(Y) = -(p A1 + (1-p) A2)``.  ``p`` is a scalar (float result) or an
+    array (array result of its shape).
     """
-    if not 0.0 <= p <= 1.0:
+    p = np.asarray(p, dtype=np.float64)
+    if not np.all((p >= 0.0) & (p <= 1.0)):
         raise ValueError("p must lie in [0, 1]")
-    c = _half_dimension(model)
-    a1, a2 = _expectations(p, v, model)
-    return -(p * a1 + (1.0 - p) * a2) - p * _entropy(v.delta2_1, c) \
-        - (1.0 - p) * _entropy(v.delta2_2, c)
+    return _on_channel(_information, p, v, model)
 
 
 def mi_derivative(p, v, model="real"):
-    """d/dp of :func:`mutual_information`.
+    """d/dp of :func:`mutual_information`, for a scalar or an array ``p``.
 
     The ``integral(phi1 - phi2)`` times ``log2 e`` term drops because both
     densities normalize, leaving ``-(A1 - A2) - c log2(delta2_1/delta2_2)``
     with c = 1/2 (real) or 1 (complex).
     """
-    a1, a2 = _expectations(p, v, model)
-    return -(a1 - a2) - _half_dimension(model) * math.log2(
-        v.delta2_1 / v.delta2_2)
+    return _on_channel(_derivative, p, v, model)
 
 
 def capacity(v, model="real"):
     """Maximize mutual information over the input distribution.
 
-    The derivative decreases monotonically in p, so its unique root is
-    found by Brent's method (:func:`theory.brentq`, scipy's ``brentq`` bit
-    for bit) on [1e-9, 1 - 1e-9] with ``xtol = 1e-6``.
+    ``v`` is one :class:`~theory.ConditionalVariances` (one
+    :class:`CapacityResult` back) or a sequence of them (a list back).  The
+    derivative decreases monotonically in p, so its unique root is found by
+    Brent's method on [1e-9, 1 - 1e-9] with ``xtol = 1e-6``: one
+    :func:`theory._brent_steps` generator per channel, scipy's ``brentq``
+    bit for bit.  They step in lockstep: each round evaluates the
+    derivative at the points of every channel still unsolved in one batched
+    quadrature, and a row of a batch equals the one-row call bit for bit.
 
     Raises
     ------
     NumericalFailureError
-        If the derivative has the same sign at both bracket ends.
+        If the derivative of any channel has the same sign at both bracket
+        ends.
     """
+    one = isinstance(v, ConditionalVariances)
+    vs = [v] if one else list(v)
+    d1 = np.array([u.delta2_1 for u in vs], dtype=np.float64)
+    d2 = np.array([u.delta2_2 for u in vs], dtype=np.float64)
     lo, hi = 1e-9, 1.0 - 1e-9
-    try:
-        p_star = brentq(lambda p: mi_derivative(p, v, model), lo, hi,
-                        xtol=1e-6)
-    except ValueError as exc:
-        raise NumericalFailureError(
-            f"mutual-information derivative does not change sign on "
-            f"[{lo}, {hi}]: {exc}") from exc
-    value = mutual_information(p_star, v, model)
+    solvers = [_brent_steps(lo, hi, xtol=1e-6) for _ in vs]
+    # the next point of each unsolved channel, by channel index
+    x = {i: next(s) for i, s in enumerate(solvers)}
+    p_star = np.empty(len(vs))
+    while x:
+        live = list(x)
+        slopes = _derivative(np.array(list(x.values())), d1[live], d2[live],
+                             model)
+        for i, slope in zip(live, slopes.tolist()):
+            try:
+                x[i] = solvers[i].send(slope)
+            except StopIteration as done:
+                p_star[i] = done.value
+                del x[i]
+            except ValueError as exc:
+                raise NumericalFailureError(
+                    f"mutual-information derivative does not change sign "
+                    f"on [{lo}, {hi}]: {exc}") from exc
+    values = _information(p_star, d1, d2, model)
     # quadrature noise can leave a tiny negative residue near degeneracy
-    return CapacityResult(p_star=float(p_star),
-                          capacity_bits=max(0.0, float(value)))
+    results = [CapacityResult(p_star=p, capacity_bits=max(0.0, value))
+               for p, value in zip(p_star.tolist(), values.tolist())]
+    return results[0] if one else results
 
 
 def dt_capacity(P_A, P_J, sigma2_R):

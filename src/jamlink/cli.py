@@ -79,6 +79,9 @@ def _resolve_config(args):
     else:
         raise ConfigError("one of --preset or --config is required")
     if args.trials is not None:
+        # it sets the block count, which only BER sweeps read
+        if cfg.mode != "ber":
+            raise ConfigError("--trials is not read in capacity mode")
         if not (math.isfinite(args.trials) and args.trials > 0):
             raise ConfigError(
                 f"--trials must be finite and > 0, got {args.trials!r}")

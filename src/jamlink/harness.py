@@ -735,7 +735,9 @@ def run_capacity_sweep(cfg, progress=None):
     """Capacity vs JNR (with the DT baseline) or mutual information vs p.
 
     Unit channel gains and the average-power alphabet mapping throughout;
-    ``capacity_model`` picks the real or complex output model.
+    ``capacity_model`` picks the real or complex output model.  All the
+    channels of a sweep are solved in one batched :func:`capacity.capacity`
+    call, and each MI column is one array call.
     """
     if cfg.mode != "capacity":
         raise ConfigError("run_capacity_sweep needs a capacity-mode config")
@@ -746,14 +748,12 @@ def run_capacity_sweep(cfg, progress=None):
         pj = 10.0 ** (cfg.jnr_db_fixed / 10.0) * cfg.sigma2_R
         labels = [f"snr_{s:g}db" for s in cfg.snr_curves_db]
         columns = ["p"] + [f"mi.{lab}" for lab in labels]
-        mi_columns = []
+        vs = [_capacity_variances(cfg, s, pj)[0] for s in cfg.snr_curves_db]
+        ps = np.asarray(cfg.axis_values, dtype=np.float64)
+        mi_columns = [cap.mutual_information(ps, v, cfg.capacity_model)
+                      .tolist() for v in vs]
         peaks = {}
-        for lab, s in zip(labels, cfg.snr_curves_db):
-            v = _capacity_variances(cfg, s, pj)[0]
-            mi_columns.append([cap.mutual_information(value, v,
-                                                      cfg.capacity_model)
-                               for value in cfg.axis_values])
-            res = cap.capacity(v, cfg.capacity_model)
+        for lab, res in zip(labels, cap.capacity(vs, cfg.capacity_model)):
             peaks[lab] = {"p_star": res.p_star,
                           "capacity_bits": res.capacity_bits}
             if progress:
@@ -765,11 +765,11 @@ def run_capacity_sweep(cfg, progress=None):
 
     snr_db = cfg.snr_curves_db[0]
     columns = ("jnr_db", "aaj_capacity_bits", "aaj_p_star", "dt_capacity_bits")
+    pjs = [10.0 ** (value / 10.0) * cfg.sigma2_R for value in cfg.axis_values]
+    vs, p_as = zip(*[_capacity_variances(cfg, snr_db, pj) for pj in pjs])
+    solved = cap.capacity(vs, cfg.capacity_model)
     rows = []
-    for value in cfg.axis_values:
-        pj = 10.0 ** (value / 10.0) * cfg.sigma2_R
-        v, p_a = _capacity_variances(cfg, snr_db, pj)
-        res = cap.capacity(v, cfg.capacity_model)
+    for value, pj, p_a, res in zip(cfg.axis_values, pjs, p_as, solved):
         dt = cap.dt_capacity(p_a, pj, cfg.sigma2_R)
         rows.append((value, res.capacity_bits, res.p_star, dt))
         if progress:

@@ -226,25 +226,42 @@ _BRENT_MAXITER = 100
 def brentq(f, a, b, xtol=2e-12):
     """Root of ``f`` on ``[a, b]`` by Brent's method (Brent 1973, ch. 4).
 
-    A line-for-line port of scipy's ``brentq.c`` with the defaults of
-    scipy's ``brentq``, so every root is scipy's bit for bit.  Each step
-    tries inverse quadratic extrapolation (secant interpolation while only
-    two points are distinct), keeps it only when
-    ``2|s| < min(|s_prev|, 3|s_bis| - delta)`` and bisects otherwise; no
-    step is shorter than ``delta = (xtol + rtol |x|) / 2``, with scipy's
-    ``rtol = 4 eps``.
-
+    Drives one :func:`_brent_steps` generator, sending it ``f`` at each
+    point it yields, so every root is scipy's ``brentq`` root bit for bit.
     Raises ``ValueError`` without a sign change or on a NaN value of ``f``,
     and ``RuntimeError`` when scipy's 100 steps do not converge.
     """
-    def call(x):
-        fx = f(x)
+    steps = _brent_steps(a, b, xtol)
+    x = next(steps)
+    while True:
+        try:
+            x = steps.send(f(x))
+        except StopIteration as done:
+            return done.value
+
+
+def _brent_steps(a, b, xtol):
+    """Brent's method as a generator: yields each x, is sent ``f(x)``.
+
+    A line-for-line port of scipy's ``brentq.c`` with the defaults of
+    scipy's ``brentq``.  The first two points are ``a`` and ``b``; the root
+    is the generator's return value.  Each step tries inverse quadratic
+    extrapolation (secant interpolation while only two points are
+    distinct), keeps it only when ``2|s| < min(|s_prev|, 3|s_bis| - delta)``
+    and bisects otherwise; no step is shorter than
+    ``delta = (xtol + rtol |x|) / 2``, with scipy's ``rtol = 4 eps``.  One
+    generator serves :func:`brentq`, which drives it with a scalar ``f``,
+    and :func:`capacity.capacity`, which drives one per channel in
+    lockstep and evaluates all their points in one batch per step.
+    """
+    def checked(x, fx):
         if math.isnan(fx):
             raise ValueError(f"the function value at x={x} is NaN")
         return fx
 
     xpre, xcur = a, b
-    fpre, fcur = call(xpre), call(xcur)
+    fpre = checked(xpre, (yield xpre))
+    fcur = checked(xcur, (yield xcur))
     if fpre == 0:
         return xpre
     if fcur == 0:
@@ -282,7 +299,7 @@ def brentq(f, a, b, xtol=2e-12):
             spre = scur = sbis
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = call(xcur)
+        fcur = checked(xcur, (yield xcur))
     raise RuntimeError(f"failed to converge after {_BRENT_MAXITER} "
                        f"iterations, value is {xcur}")
 

@@ -147,12 +147,56 @@ class TestQuadrature:
             mutual_information(0.5, V12, model="quaternion")
 
 
+class TestBatch:
+    # a row of a batch is computed as the one-row call, bit for bit
+    PS = (0.0, 1e-9, 0.5, 1 - 1e-9, 1.0)
+    RATIOS = (1 + 1e-12, 1.25, 2.5, 900.0, 1e6, 1e12)
+
+    @pytest.mark.parametrize("model", ["real", "complex"])
+    def test_array_p_equals_scalar_calls(self, model):
+        for ratio in self.RATIOS:
+            v = ConditionalVariances(0.3, 0.3 * ratio)
+            ps = np.array(self.PS)
+            mi = mutual_information(ps, v, model)
+            slope = mi_derivative(ps, v, model)
+            for i, p in enumerate(self.PS):
+                assert mi[i] == mutual_information(p, v, model)
+                assert slope[i] == mi_derivative(p, v, model)
+
+    @pytest.mark.parametrize("model", ["real", "complex"])
+    def test_mixed_channel_rows_equal_one_row_calls(self, model):
+        # 90 rows of different channels: three passes of at most 32 rows
+        rows = [(p, d1, d1 * ratio) for p in self.PS for ratio in self.RATIOS
+                for d1 in (0.3, 1.0, 200.0)]
+        p, d1, d2 = (np.array(col) for col in zip(*rows))
+        assert p.size > 2 * capacity_module._PASS_ROWS
+        mi = capacity_module._information(p, d1, d2, model)
+        slope = capacity_module._derivative(p, d1, d2, model)
+        for i, (pi, lo, hi) in enumerate(rows):
+            v = ConditionalVariances(lo, hi)
+            assert mi[i] == mutual_information(pi, v, model)
+            assert slope[i] == mi_derivative(pi, v, model)
+
+    def test_array_shape_and_scalar_type(self):
+        ps = np.linspace(0.0, 1.0, 12).reshape(3, 4)
+        assert mutual_information(ps, V12).shape == (3, 4)
+        assert mi_derivative(ps, V12).shape == (3, 4)
+        assert type(mutual_information(0.5, V12)) is float
+        assert type(mi_derivative(0.5, V12)) is float
+
+    def test_out_of_range_entry_rejected(self):
+        with pytest.raises(ValueError, match="p must lie"):
+            mutual_information(np.array([0.5, 1.5]), V12)
+        with pytest.raises(ValueError, match="p must lie"):
+            mutual_information(math.nan, V12)
+
+
 class TestCapacity:
     def test_matches_grid_argmax(self):
         v = ConditionalVariances(1.0, 4.0)
         res = capacity(v)
         grid = np.linspace(1e-4, 1 - 1e-4, 10_001)
-        mis = np.array([mutual_information(p, v) for p in grid])
+        mis = mutual_information(grid, v)
         i = mis.argmax()
         assert abs(res.p_star - grid[i]) < 2e-4
         assert res.capacity_bits >= mis[i] - 1e-9
@@ -167,43 +211,63 @@ class TestCapacity:
         assert capacity(ConditionalVariances(1.0, 10.0)).p_star > 0.5
 
     def test_matches_tight_root_on_preset_channels(self, monkeypatch):
-        # every channel fig7 and fig8 solve, against a root to 1e-12
-        cases = []
-        for name in ("fig7", "fig8"):
+        # every channel fig7 and fig8 solve, each preset in one batched
+        # solve, against a root to 1e-12
+        derivative = capacity_module._derivative
+        for name, count in (("fig7", 4), ("fig8", 121)):
             cfg = harness.preset_config(name)
             pjs = [10.0 ** (cfg.jnr_db_fixed / 10.0)] if name == "fig7" \
                 else [10.0 ** (j / 10.0) for j in cfg.axis_values]
-            cases += [(harness._capacity_variances(cfg, s, pj)[0], cfg)
-                      for s in cfg.snr_curves_db for pj in pjs]
-        assert len(cases) == 4 + 121
-        derivative = capacity_module.mi_derivative
-        calls = []
+            vs = [harness._capacity_variances(cfg, s, pj)[0]
+                  for s in cfg.snr_curves_db for pj in pjs]
+            assert len(vs) == count
+            rounds = []
 
-        def counted(*args):
-            calls.append(args[0])
-            return derivative(*args)
+            def counted(p, d1, d2, model):
+                rounds.append(p.size)
+                return derivative(p, d1, d2, model)
 
-        for v, cfg in cases:
-            def slope(p):
-                return derivative(p, v, cfg.capacity_model)
-            p_tight = optimize.brentq(slope, 1e-9, 1 - 1e-9, xtol=1e-12)
-            calls.clear()
             with monkeypatch.context() as m:
-                m.setattr(capacity_module, "mi_derivative", counted)
-                res = capacity(v, cfg.capacity_model)
-            assert len(calls) <= 12
-            # the in-package root finder is scipy's, bit for bit
-            assert res.p_star == optimize.brentq(slope, 1e-9, 1 - 1e-9,
-                                                 xtol=1e-6)
-            assert abs(res.p_star - p_tight) < 2e-6
-            assert abs(res.capacity_bits - mutual_information(
-                p_tight, v, cfg.capacity_model)) < 1e-9
+                m.setattr(capacity_module, "_derivative", counted)
+                results = capacity(vs, cfg.capacity_model)
+            # one batched evaluation per lockstep round, over the channels
+            # still unsolved
+            assert len(rounds) <= 12
+            assert rounds[0] == count
+            assert all(a >= b for a, b in zip(rounds, rounds[1:]))
+            for v, res in zip(vs, results):
+                def slope(p):
+                    return mi_derivative(p, v, cfg.capacity_model)
+                p_tight = optimize.brentq(slope, 1e-9, 1 - 1e-9, xtol=1e-12)
+                # the lockstep solve is scipy's brentq, bit for bit
+                assert res.p_star == optimize.brentq(slope, 1e-9, 1 - 1e-9,
+                                                     xtol=1e-6)
+                assert abs(res.p_star - p_tight) < 2e-6
+                assert abs(res.capacity_bits - mutual_information(
+                    p_tight, v, cfg.capacity_model)) < 1e-9
+
+    def test_sequence_equals_single_channel_solves(self):
+        vs = [ConditionalVariances(1.0, r) for r in (1.5, 4.0, 30.0, 1e6)]
+        for model in ("real", "complex"):
+            assert capacity(vs, model) == [capacity(v, model) for v in vs]
+        assert capacity([]) == []
 
     def test_no_sign_change_is_numerical_failure(self, monkeypatch):
-        monkeypatch.setattr(capacity_module, "mi_derivative",
-                            lambda p, v, model: 1.0)
+        monkeypatch.setattr(capacity_module, "_derivative",
+                            lambda p, d1, d2, model: np.ones_like(p))
         with pytest.raises(NumericalFailureError, match="change sign"):
             capacity(V12)
+
+    def test_one_failing_channel_fails_the_batch(self, monkeypatch):
+        derivative = capacity_module._derivative
+
+        def flat_on_v12(p, d1, d2, model):
+            return np.where(d2 == 2.0, 1.0, derivative(p, d1, d2, model))
+
+        monkeypatch.setattr(capacity_module, "_derivative", flat_on_v12)
+        batch = [ConditionalVariances(1.0, 4.0), V12]
+        with pytest.raises(NumericalFailureError, match="change sign"):
+            capacity(batch)
 
     def test_result_validation(self):
         with pytest.raises(ValueError):

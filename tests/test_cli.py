@@ -150,6 +150,23 @@ class TestExitCodes:
         assert err == f"config error: keys not read in capacity mode: {keys}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("source", [["--preset", "fig8"],
+                                        ["--preset", "fig7"], "custom"])
+    def test_trials_on_a_capacity_experiment_is_config_error(
+            self, capsys, tmp_path, source):
+        # --trials sets the BER block count, which a capacity sweep never
+        # reads
+        if source == "custom":
+            cfg = tmp_path / "cap.cfg"
+            cfg.write_text("experiment.mode = capacity\naxis.values = 0, 10\n")
+            source = ["--config", str(cfg)]
+        out = tmp_path / "o.csv"
+        code, _, err = run(["capacity", *source, "--trials", "7", "--out",
+                            str(out), "--quiet"], capsys)
+        assert code == 1
+        assert err == "config error: --trials is not read in capacity mode\n"
+        assert not out.exists()
+
     def test_capacity_over_jnr_with_two_snrs_is_config_error(self, capsys,
                                                              tmp_path):
         cfg = tmp_path / "bad.cfg"
