@@ -27,11 +27,12 @@ with its ``attempted`` and ``failed`` counts.
 After the workloads, each checkout runs every preset in full through its own
 CLI (``python -m jamlink.cli sweep|capacity --preset <p> --seed <s>`` with
 ``PYTHONPATH=<checkout>/src``), once at ``--threads 1`` and once at
-``--threads 2``.  Under ``presets`` the output holds, per preset, each
-side's 2-thread wall time and whether its 1- and 2-thread CSVs are
-identical, and per CSV column the number of cells of the change's 2-thread
-CSV that differ from the parent's, with the worst relative change (inf
-where one side is 0) and the worst absolute change over the finite cells.
+``--threads 2``, the two sides alternating which goes first from preset to
+preset.  Under ``presets`` the output holds, per preset, each side's
+2-thread wall time and whether its 1- and 2-thread CSVs are identical, and
+per CSV column the number of cells of the change's 2-thread CSV that differ
+from the parent's, with the worst relative change (inf where one side is 0)
+and the worst absolute change over the finite cells.
 
 Under ``setup`` the output holds the per-layer view of ``setup_s``: each
 checkout runs ``python -X importtime -c "import jamlink, jamlink.harness"``
@@ -285,9 +286,10 @@ def bench_presets(sides, seed):
     """Every preset at 1 and 2 threads on each side, compared cell by cell."""
     report = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for preset, command in PRESETS:
+        for i, (preset, command) in enumerate(PRESETS):
             entry = {}
-            for side, checkout in sides.items():
+            for side in (list(sides) if i % 2 == 0 else list(sides)[::-1]):
+                checkout = sides[side]
                 csvs = {t: Path(tmp) / f"{side}_{preset}_{t}.csv"
                         for t in (1, 2)}
                 run_preset(checkout, preset, command, seed, 1, csvs[1])

@@ -16,13 +16,13 @@ __all__ = ["RicianParams", "ChannelDraw", "draw_channel", "sinr"]
 
 @dataclass(frozen=True)
 class RicianParams:
-    """Rician fading description: the K factor; every line-of-sight mean is 1."""
+    """Rician fading: a finite K factor; every line-of-sight mean is 1."""
 
     k_factor: float
 
     def __post_init__(self):
-        if not self.k_factor >= 0:
-            raise ValueError("k_factor must be >= 0")
+        if not 0 <= self.k_factor < np.inf:
+            raise ValueError("k_factor must be finite and >= 0")
 
 
 @dataclass(frozen=True)

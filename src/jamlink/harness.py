@@ -200,6 +200,11 @@ def _a2_from_snr(snr_db, sigma2_R, mapping, p2=0.5):
 # presets
 
 
+# fig2, fig3, fig5 and fig6: OOK at 5 dB average SNR, N = M = 10
+_FRAME_5DB = FrameConfig(N=10, M=10, a1=0.0,
+                         a2=_a2_from_snr(5.0, 1.0, "average"))
+
+
 def _ber_preset(preset, axis_name, axis_values, curves, frame, fading=True,
                 **kw):
     rician = RicianParams(k_factor=10.0) if fading else None
@@ -209,23 +214,19 @@ def _ber_preset(preset, axis_name, axis_values, curves, frame, fading=True,
 
 
 def _preset_fig2(seed):
-    a2 = _a2_from_snr(5.0, 1.0, "average")
-    frame = FrameConfig(N=10, M=10, a1=0.0, a2=a2)
     kinds = (JammerKind.SINGLE_TONE, JammerKind.MULTI_TONE,
              JammerKind.NARROWBAND, JammerKind.DET_BROADBAND,
              JammerKind.RANDOM_BROADBAND)
     curves = tuple(Curve(k.value, JammerSpec(kind=k, power=1.0)) for k in kinds)
-    return _ber_preset("fig2", "jnr_db", tuple(range(0, 31, 2)), curves, frame,
-                       master_seed=seed)
+    return _ber_preset("fig2", "jnr_db", tuple(range(0, 31, 2)), curves,
+                       _FRAME_5DB, master_seed=seed)
 
 
 def _preset_fig3(seed):
-    a2 = _a2_from_snr(5.0, 1.0, "average")
-    frame = FrameConfig(N=10, M=10, a1=0.0, a2=a2)
     kinds = (JammerKind.MOD_BPSK, JammerKind.MOD_QPSK, JammerKind.MOD_16QAM)
     curves = tuple(Curve(k.value, JammerSpec(kind=k, power=1.0)) for k in kinds)
-    return _ber_preset("fig3", "jnr_db", tuple(range(0, 31, 2)), curves, frame,
-                       master_seed=seed)
+    return _ber_preset("fig3", "jnr_db", tuple(range(0, 31, 2)), curves,
+                       _FRAME_5DB, master_seed=seed)
 
 
 def _preset_fig4(seed):
@@ -240,21 +241,17 @@ def _preset_fig4(seed):
 
 
 def _preset_fig5(seed):
-    a2 = _a2_from_snr(5.0, 1.0, "average")
-    frame = FrameConfig(N=10, M=10, a1=0.0, a2=a2)
     curve = Curve("random_broadband",
                   JammerSpec(kind=JammerKind.RANDOM_BROADBAND, power=1.0))
     return _ber_preset("fig5", "n", (2, 4, 6, 8, 10, 14, 20, 30, 40, 50),
-                       (curve,), frame, jnr_db_fixed=10.0, master_seed=seed)
+                       (curve,), _FRAME_5DB, jnr_db_fixed=10.0, master_seed=seed)
 
 
 def _preset_fig6(seed):
-    a2 = _a2_from_snr(5.0, 1.0, "average")
-    frame = FrameConfig(N=10, M=10, a1=0.0, a2=a2)
     jam = JammerSpec(kind=JammerKind.RANDOM_BROADBAND, power=1.0)
     curves = (Curve("estimated", jam, "estimated"), Curve("exact", jam, "exact"))
-    return _ber_preset("fig6", "jnr_db", tuple(range(0, 31, 2)), curves, frame,
-                       master_seed=seed)
+    return _ber_preset("fig6", "jnr_db", tuple(range(0, 31, 2)), curves,
+                       _FRAME_5DB, master_seed=seed)
 
 
 def _preset_fig7(seed):
@@ -570,7 +567,14 @@ def _theory_columns(spec, levels, ch, frame):
 
 
 def _run_ber_block(cfg, spec, curve, frame, axis_i, curve_i, block_i):
-    """Simulate one block; returns (errors, ber_theory, ber_gauss, sinr)."""
+    """Simulate one block; returns (errors, ber_theory, ber_gauss, sinr).
+
+    The block's bits are the payload, after an M-symbol preamble in
+    estimated mode; they start at sample ``block_i * len(bits) * N``.  Tonal
+    samples are synthesized once, for the energies and the payload's theory
+    levels.  The payload is sliced at the exact threshold or at the
+    preamble's estimate.  Draws: channel, payload, then the energies.
+    """
     ss = np.random.SeedSequence(cfg.master_seed,
                                 spawn_key=(_STREAM_BLOCKS, axis_i, curve_i,
                                            block_i))
@@ -581,32 +585,25 @@ def _run_ber_block(cfg, spec, curve, frame, axis_i, curve_i, block_i):
 
     model = _MODELS[spec.kind]
     exact = curve.threshold_mode == "exact"
-    n_tot = nbits * frame.N
-    # estimated mode sends an M-symbol preamble before each payload; the
-    # levels always cover the payload samples
-    n_pre = 0 if exact else frame.M * frame.N
-    link_offset = block_i * (n_pre + n_tot)
-    offset = link_offset + n_pre
-    # a tonal block's real samples [link_offset - n_tau, offset + n_tot),
-    # synthesized once for both the link and the theory levels
-    jam = signals.gen_jammer_block(
-        spec, n_pre + n_tot + ch.n_tau, link_offset - ch.n_tau, rng) \
-        if spec.kind.is_tonal else None
+    bits = payload if exact else np.concatenate(
+        [modem.build_preamble(frame.M), payload])
+    pre = bits.shape[0] - nbits  # preamble symbols: 0 or M
+    n_tot = bits.shape[0] * frame.N
+    offset = block_i * n_tot
+    jam = signals.gen_jammer_block(spec, n_tot + ch.n_tau, offset - ch.n_tau,
+                                   rng) if spec.kind.is_tonal else None
     try:
         levels = model.levels(spec, ch, frame,
-                              None if jam is None else jam[n_pre:])
+                              None if jam is None else jam[pre * frame.N:])
     except DegenerateChannelError:
         if exact:
             raise
         levels = None
 
-    if exact:
-        q = modem.block_energies(spec, ch, frame, payload, rng, offset, jam)
-        decoded = modem.decode(q, model.threshold(levels, frame))
-    else:
-        decoded, _, _ = modem.run_link(spec, ch, frame, payload, rng,
-                                       sample_offset=link_offset, jam=jam)
-
+    q = modem.block_energies(spec, ch, frame, bits, rng, offset, jam)
+    t = model.threshold(levels, frame) if exact \
+        else modem.estimate_threshold(q[:pre], frame).t_hat
+    decoded = modem.decode(q[pre:], t)
     errors = int(np.count_nonzero(decoded != payload))
     return (errors,) + _theory_columns(spec, levels, ch, frame)
 

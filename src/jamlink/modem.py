@@ -21,7 +21,6 @@ __all__ = [
     "block_energies",
     "estimate_threshold",
     "decode",
-    "run_link",
 ]
 
 
@@ -36,7 +35,7 @@ class FrameConfig:
     M : int
         Preamble length in symbols; even, >= 2.
     a1, a2 : float
-        Amplification factors for bits '0' and '1'; 0 <= a1 < a2.
+        Amplification factors for bits '0' and '1'; 0 <= a1 < a2 < inf.
     p1 : float
         Prior probability of '0', in (0, 1); '1' has prior ``p2 = 1 - p1``.
     """
@@ -52,8 +51,8 @@ class FrameConfig:
             raise ValueError("N must be >= 1")
         if int(self.M) < 2 or int(self.M) % 2:
             raise ValueError("M must be even and >= 2")
-        if not 0 <= self.a1 < self.a2:
-            raise ValueError("alphabet requires 0 <= a1 < a2")
+        if not 0 <= self.a1 < self.a2 < np.inf:
+            raise ValueError("alphabet requires 0 <= a1 < a2 < inf")
         if not 0 < self.p1 < 1:
             raise ValueError("prior p1 must lie in (0, 1)")
         object.__setattr__(self, "N", int(self.N))
@@ -98,8 +97,11 @@ def _window_power(kind, N, n, rng):
 def block_energies(jam_spec, ch, cfg, bits, rng, sample_offset=0, jam=None):
     """Per-symbol received energies of one block carrying ``bits``.
 
-    Each energy averages ``|h1 h2 a_k j[n] + h3 j[n - n_tau] + z[n]|^2``
-    over the N samples of symbol k.
+    ``bits`` is every symbol the block sends, starting at absolute sample
+    ``sample_offset``: a preamble and then the payload, or the payload
+    alone when the threshold is not estimated.  Each energy averages
+    ``|h1 h2 a_k j[n] + h3 j[n - n_tau] + z[n]|^2`` over the N samples of
+    symbol k.
 
     With ``n_tau == 0`` a random or modulated jammer reaches the receiver
     as ``(h1 h2 a_k + h3) j[n]``, with independent samples, so each energy
@@ -182,30 +184,3 @@ def decode(energies, t_hat):
     """Slice energies against the threshold; ties decode to '0'."""
     q = np.asarray(energies, dtype=np.float64)
     return (q > t_hat).astype(np.int64)
-
-
-def run_link(jam_spec, ch, cfg, payload_bits, rng, sample_offset=0, jam=None):
-    """Run one block: preamble plus payload through one channel draw.
-
-    The preamble starts at absolute sample ``sample_offset``; see
-    :func:`block_energies` for how the block is drawn and for ``jam``.
-
-    Returns
-    -------
-    (decoded, est, energies)
-        Decoded payload bits, the threshold estimate, and the per-symbol
-        energies of the whole block (preamble first).
-
-    Raises
-    ------
-    DegenerateThresholdError
-        Propagated from threshold estimation.
-    """
-    payload_bits = np.asarray(payload_bits, dtype=np.int64)
-    if payload_bits.size == 0:
-        raise ValueError("payload must be non-empty")
-    bits = np.concatenate([build_preamble(cfg.M), payload_bits])
-    q = block_energies(jam_spec, ch, cfg, bits, rng, sample_offset, jam)
-    est = estimate_threshold(q[:cfg.M], cfg)
-    decoded = decode(q[cfg.M:], est.t_hat)
-    return decoded, est, q

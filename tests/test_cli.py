@@ -86,11 +86,16 @@ class TestExitCodes:
         # capacity keys, which a BER sweep would ignore
         ("capacity.model = complex", []),
         ("capacity.snr_db = 3", []),
+        # an infinite amplitude or K factor, rejected before the sweep
+        ("frame.a2 = inf", []),
+        ("snr.db = inf", []),
+        ("channel.k_factor = inf", []),
     ])
     def test_bad_config_value_is_config_error(self, capsys, tmp_path,
                                               bad_line, flags):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text(f"axis.values = 0, 10\nsnr.db = 5\n{bad_line}\n")
+        snr = "" if bad_line.startswith("snr.db") else "snr.db = 5\n"
+        cfg.write_text(f"axis.values = 0, 10\n{snr}{bad_line}\n")
         out = tmp_path / "o.csv"
         code, _, err = run(["sweep", "--config", str(cfg), "--out", str(out),
                             "--quiet", *flags], capsys)

@@ -389,11 +389,13 @@ class TestBerSweep:
                   for r in res.rows]
         assert errors[1] <= errors[0] and errors[2] <= errors[0], errors
 
-    def test_estimated_tonal_levels_cover_the_payload(self, monkeypatch):
-        # in estimated mode a block's payload follows its own M-symbol
-        # preamble and every earlier block; the theory levels must be the
+    @pytest.mark.parametrize("mode", ["estimated", "exact"])
+    def test_tonal_levels_cover_the_payload(self, monkeypatch, mode):
+        # a block's payload follows every earlier block and, in estimated
+        # mode, its own M-symbol preamble; the theory levels must be the
         # tone energies of exactly that window
         cfg = config_from_mapping({
+            "threshold.mode": mode,
             "axis.values": "10",
             "jammer.kind": "multi_tone",
             "channel.n_tau": "2",
@@ -418,7 +420,8 @@ class TestBerSweep:
         assert len(seen) == cfg.blocks
         nbits = cfg.payload_bits_per_block
         for block_i, (spec, ch, frame, levels) in enumerate(seen):
-            start = block_i * (frame.M + nbits) * frame.N + frame.M * frame.N
+            pre = frame.M if mode == "estimated" else 0
+            start = (block_i * (pre + nbits) + pre) * frame.N
             s = signals.gen_jammer_block(spec, nbits * frame.N, start, None)
             s_del = signals.gen_jammer_block(spec, nbits * frame.N,
                                              start - ch.n_tau, None)

@@ -10,7 +10,7 @@ from jamlink import kernels, theory
 from jamlink.channel import ChannelDraw
 from jamlink.errors import DegenerateThresholdError
 from jamlink.modem import (FrameConfig, block_energies, build_preamble,
-                           decode, estimate_threshold, run_link)
+                           decode, estimate_threshold)
 from jamlink.signals import (JammerKind, JammerSpec, gen_cscg,
                              gen_jammer_block, prepare_jammer)
 
@@ -111,7 +111,14 @@ class TestDecode:
         assert decode(np.array([0.5]), 1.0).dtype.kind == "i"
 
 
-class TestRunLink:
+def _with_preamble(cfg, payload):
+    return np.concatenate([build_preamble(cfg.M), payload])
+
+
+class TestPreambleLink:
+    """A block of preamble then payload: one energies call, the preamble's
+    threshold estimate, and one decode of the payload energies."""
+
     def _spec(self, power=1.0):
         return JammerSpec(kind=JammerKind.RANDOM_BROADBAND, power=power)
 
@@ -119,44 +126,50 @@ class TestRunLink:
         ch = ChannelDraw(1.0, 1.0, 1.0, 1e-12, 0)
         cfg = _cfg(N=10, M=10)
         payload = rng.integers(0, 2, 200)
-        decoded, est, q = run_link(self._spec(), ch, cfg, payload, rng)
-        np.testing.assert_array_equal(decoded, payload)
+        q = block_energies(self._spec(), ch, cfg, _with_preamble(cfg, payload),
+                           rng)
+        est = estimate_threshold(q[:cfg.M], cfg)
+        np.testing.assert_array_equal(decode(q[cfg.M:], est.t_hat), payload)
         assert est.q0_hat < est.t_hat < est.q1_hat
         assert q.shape == (10 + 200,)
 
     def test_seeded_determinism(self, unit_channel):
         cfg = _cfg()
-        payload = np.array([0, 1, 1, 0, 1])
-        d1, e1, q1 = run_link(self._spec(), unit_channel, cfg, payload,
-                              np.random.default_rng(9))
-        d2, e2, q2 = run_link(self._spec(), unit_channel, cfg, payload,
-                              np.random.default_rng(9))
-        np.testing.assert_array_equal(d1, d2)
-        assert e1.t_hat == e2.t_hat
+        bits = _with_preamble(cfg, np.array([0, 1, 1, 0, 1]))
+        q1, q2 = (block_energies(self._spec(), unit_channel, cfg, bits,
+                                 np.random.default_rng(9)) for _ in range(2))
         np.testing.assert_array_equal(q1, q2)
+        t1 = estimate_threshold(q1[:cfg.M], cfg).t_hat
+        assert t1 == estimate_threshold(q2[:cfg.M], cfg).t_hat
+        np.testing.assert_array_equal(decode(q1[cfg.M:], t1),
+                                      decode(q2[cfg.M:], t1))
 
-    def test_tonal_offset_continuity(self, unit_channel, rng):
-        # same spec, consecutive offsets: deterministic jam tail must match
+    @pytest.mark.parametrize("n_tau", [0, 3])
+    def test_tonal_offset_continuity(self, n_tau):
+        # two consecutive blocks see the same continuous tones as one block
+        # spanning both; the noise is too weak to tell them apart.  Blocks of
+        # 15 samples are no multiple of the tones' 10-sample period.
         spec = prepare_jammer(
-            JammerSpec(kind=JammerKind.SINGLE_TONE, power=1.0),
+            JammerSpec(kind=JammerKind.MULTI_TONE, power=1.0),
             np.random.default_rng(3))
-        cfg = _cfg(N=4, M=2)
-        payload = np.zeros(3, dtype=np.int64)
-        n_tot = (2 + 3) * 4
-        _, _, qa = run_link(spec, unit_channel, cfg, payload,
-                            np.random.default_rng(1), sample_offset=0)
-        _, _, qb = run_link(spec, unit_channel, cfg, payload,
-                            np.random.default_rng(2), sample_offset=n_tot)
-        # both runs see the same continuous tone; energies differ only by noise
-        assert qa.shape == qb.shape
+        ch = ChannelDraw(0.8 - 0.6j, 0.3 + 1.1j, -0.7 + 0.4j, 1e-24, n_tau)
+        cfg = _cfg(N=3, M=2)
+        bits = _with_preamble(cfg, np.array([0, 1, 1]))
+        n_block = bits.size * cfg.N
+        qa = block_energies(spec, ch, cfg, bits, np.random.default_rng(1), 0)
+        qb = block_energies(spec, ch, cfg, bits, np.random.default_rng(2),
+                            n_block)
+        q = block_energies(spec, ch, cfg, np.concatenate([bits, bits]),
+                           np.random.default_rng(3), 0)
+        np.testing.assert_allclose(np.concatenate([qa, qb]), q, rtol=1e-9)
 
     def test_energy_law_matches_chi_square(self, unit_channel):
         # 2NQ/delta^2 ~ chi2(2N) under CSCG jamming
-        from scipy import stats
         cfg = _cfg(N=10, M=10, a2=2.0)
         rng = np.random.default_rng(77)
         payload = np.zeros(4000, dtype=np.int64)
-        _, _, q = run_link(self._spec(), unit_channel, cfg, payload, rng)
+        q = block_energies(self._spec(), unit_channel, cfg,
+                           _with_preamble(cfg, payload), rng)
         q0 = q[cfg.M:]  # all-zero payload: delta2 = |h3|^2 + sigma2
         delta2 = 2.0
         stat = 2 * cfg.N * q0 / delta2
@@ -261,12 +274,12 @@ class TestBlockEnergies:
             block_energies(spec, self.CH, cfg, np.zeros(10), 1, 0,
                            np.zeros(39))
 
-    def test_run_link_draws_the_preamble_from_the_gamma_law(self):
+    def test_preamble_is_drawn_from_the_gamma_law(self):
         cfg = _cfg(N=8, M=10, a1=0.5, a2=2.0)
         payload = np.random.default_rng(7).integers(0, 2, 50)
-        _, _, q = run_link(self.BBR, self.CH, cfg, payload,
+        bits = _with_preamble(cfg, payload)
+        q = block_energies(self.BBR, self.CH, cfg, bits,
                            np.random.default_rng(8))
-        bits = np.concatenate([build_preamble(cfg.M), payload])
         d2 = np.where(bits == 0,
                       theory.delta2(self.CH, cfg.a1, self.BBR.power),
                       theory.delta2(self.CH, cfg.a2, self.BBR.power))
@@ -275,13 +288,12 @@ class TestBlockEnergies:
 
     @pytest.mark.parametrize("kind", [JammerKind.MOD_BPSK, JammerKind.MOD_QPSK,
                                       JammerKind.MOD_16QAM])
-    def test_run_link_draws_the_preamble_from_the_modulated_law(self, kind):
+    def test_preamble_is_drawn_from_the_modulated_law(self, kind):
         spec = JammerSpec(kind=kind, power=3.0)
         cfg = _cfg(N=8, M=10, a1=0.5, a2=2.0)
         payload = np.random.default_rng(7).integers(0, 2, 50)
-        _, _, q = run_link(spec, self.CH, cfg, payload,
-                           np.random.default_rng(8))
-        bits = np.concatenate([build_preamble(cfg.M), payload])
+        bits = _with_preamble(cfg, payload)
+        q = block_energies(spec, self.CH, cfg, bits, np.random.default_rng(8))
         qd = np.where(bits == 0, theory.jam_energy(self.CH, cfg.a1, 3.0),
                       theory.jam_energy(self.CH, cfg.a2, 3.0))
         rng = np.random.default_rng(8)
