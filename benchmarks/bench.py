@@ -29,7 +29,8 @@ CLI (``python -m jamlink.cli sweep|capacity --preset <p> --seed <s>`` with
 ``PYTHONPATH=<checkout>/src``), once at ``--threads 1`` and once at
 ``--threads 2``, the two sides alternating which goes first from preset to
 preset.  Under ``presets`` the output holds, per preset, each side's
-2-thread wall time and whether its 1- and 2-thread CSVs are identical, and
+2-thread wall time and peak resident set (Linux ``ru_maxrss`` of that run)
+and whether its 1- and 2-thread CSVs are identical, and
 per CSV column the number of cells of the change's 2-thread CSV that differ
 from the parent's, with the worst relative change (inf where one side is 0)
 and the worst absolute change over the finite cells.
@@ -217,20 +218,30 @@ def compare(parent, change, better, bound):
 
 
 def run_preset(checkout, preset, command, seed, threads, out):
-    """One full preset run through the checkout's CLI; returns wall seconds."""
+    """One full preset run through the checkout's CLI.
+
+    Returns the wall seconds and the run's peak resident set in MB, read
+    from that one child's resource usage.
+    """
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     start = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-m", "jamlink.cli", command, "--preset", preset,
-         "--seed", str(seed), "--threads", str(threads), "--out", str(out),
-         "--quiet"],
-        capture_output=True, text=True, cwd=checkout, env=env, timeout=1800,
-        check=False)
-    wall = time.perf_counter() - start
-    if proc.returncode != 0:
-        raise RuntimeError(f"{checkout} {preset} --threads {threads}: exit "
-                           f"{proc.returncode}\n{proc.stderr.strip()}")
-    return wall
+    with tempfile.TemporaryFile(mode="w+") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "jamlink.cli", command, "--preset", preset,
+             "--seed", str(seed), "--threads", str(threads), "--out",
+             str(out), "--quiet"],
+            stdout=subprocess.DEVNULL, stderr=err, text=True, cwd=checkout,
+            env=env)
+        # reaped here for its own resource usage; Popen must not wait again
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        wall = time.perf_counter() - start
+        if proc.returncode != 0:
+            err.seek(0)
+            raise RuntimeError(f"{checkout} {preset} --threads {threads}: "
+                               f"exit {proc.returncode}\n{err.read().strip()}")
+    # ru_maxrss is in KiB on Linux
+    return wall, usage.ru_maxrss / 1024
 
 
 def read_columns(path):
@@ -293,9 +304,11 @@ def bench_presets(sides, seed):
                 csvs = {t: Path(tmp) / f"{side}_{preset}_{t}.csv"
                         for t in (1, 2)}
                 run_preset(checkout, preset, command, seed, 1, csvs[1])
-                wall = run_preset(checkout, preset, command, seed, 2, csvs[2])
+                wall, rss = run_preset(checkout, preset, command, seed, 2,
+                                       csvs[2])
                 entry[side] = {
                     "wall_s_threads_2": wall,
+                    "peak_rss_mb_threads_2": rss,
                     "threads_1_2_identical":
                         csvs[1].read_bytes() == csvs[2].read_bytes()}
             entry["columns"] = compare_csvs(Path(tmp) / f"parent_{preset}_2.csv",
@@ -304,7 +317,9 @@ def bench_presets(sides, seed):
             changed = {k: v for k, v in entry["columns"].items()
                        if v["cells_changed"]}
             print(f"{preset}: wall {entry['parent']['wall_s_threads_2']:.2f} -> "
-                  f"{entry['change']['wall_s_threads_2']:.2f} s, 1/2 threads "
+                  f"{entry['change']['wall_s_threads_2']:.2f} s, peak RSS "
+                  f"{entry['parent']['peak_rss_mb_threads_2']:.1f} -> "
+                  f"{entry['change']['peak_rss_mb_threads_2']:.1f} MB, 1/2 threads "
                   f"identical {entry['parent']['threads_1_2_identical']}/"
                   f"{entry['change']['threads_1_2_identical']}, "
                   f"{len(changed)} columns changed", flush=True)

@@ -20,7 +20,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import baselines, capacity as cap, channel, modem, signals, theory
+from . import (baselines, capacity as cap, channel, kernels, modem, signals,
+               theory)
 from .channel import ChannelDraw, RicianParams
 from .config import coerce, load_config
 from .errors import ConfigError, DegenerateChannelError
@@ -138,6 +139,14 @@ class ExperimentConfig:
         if int(self.blocks) < 1 or int(self.payload_bits_per_block) < 1:
             raise ConfigError("blocks and payload_bits_per_block must be >= 1")
         _check_sigma2(self.sigma2_R)
+        if self.axis_name == "jnr_db":
+            for v in vals:
+                _db_power("axis value", v, self.sigma2_R)
+        if self.jnr_db_fixed is not None:
+            _db_power("fixed jammer JNR", self.jnr_db_fixed, self.sigma2_R)
+        for snr_db in self.snr_curves_db:
+            _db_power("capacity SNR", snr_db, self.sigma2_R)
+        _db_power("baseline Eb/N0", self.baseline_eb_n0_db)
         if self.n_tau < 0:
             raise ConfigError("n_tau must be >= 0")
         delayed = [c.label for c in self.curves if self.n_tau > 0
@@ -167,6 +176,18 @@ def _check_sigma2(sigma2_R):
             f"noise variance must be finite and > 0, got {sigma2_R!r}")
 
 
+def _db_power(what, db, scale=1.0):
+    """``10^(db/10) * scale``; a ConfigError where it is 0 or overflows."""
+    try:
+        power = 10.0 ** (db / 10.0) * scale
+    except OverflowError:
+        power = math.inf
+    if not 0 < power < math.inf:
+        raise ConfigError(f"{what} {db!r} dB is out of range "
+                          f"(power {power!r})")
+    return power
+
+
 @dataclass(frozen=True)
 class SweepResult:
     """Column-named rows ready for CSV emission plus run metadata."""
@@ -188,7 +209,7 @@ def _a2_from_snr(snr_db, sigma2_R, mapping, p2=0.5):
     'average': a2 carries the whole average power budget, p2 a2^2 = P_A.
     'on': the ON state itself carries it, a2^2 = P_A.
     """
-    p_a = 10.0 ** (snr_db / 10.0) * sigma2_R
+    p_a = _db_power("SNR", snr_db, sigma2_R)
     if mapping == "average":
         return math.sqrt(p_a / p2)
     if mapping == "on":
@@ -427,8 +448,8 @@ def config_from_file(path):
 def _axis_point(cfg, value):
     """Resolve (P_J, frame) for one axis value."""
     if cfg.axis_name == "jnr_db":
-        return 10.0 ** (value / 10.0) * cfg.sigma2_R, cfg.frame
-    pj = 10.0 ** (cfg.jnr_db_fixed / 10.0) * cfg.sigma2_R
+        return _db_power("JNR", value, cfg.sigma2_R), cfg.frame
+    pj = _db_power("JNR", cfg.jnr_db_fixed, cfg.sigma2_R)
     return pj, replace(cfg.frame, N=int(round(value)))
 
 
@@ -566,14 +587,17 @@ def _theory_columns(spec, levels, ch, frame):
     return ber, gauss, channel.sinr(ch, frame.a2, spec.power, random)
 
 
-def _run_ber_block(cfg, spec, curve, frame, axis_i, curve_i, block_i):
+def _run_ber_block(cfg, spec, curve, frame, axis_i, curve_i, block_i,
+                   bases):
     """Simulate one block; returns (errors, ber_theory, ber_gauss, sinr).
 
     The block's bits are the payload, after an M-symbol preamble in
     estimated mode; they start at sample ``block_i * len(bits) * N``.  Tonal
     samples are synthesized once, for the energies and the payload's theory
-    levels.  The payload is sliced at the exact threshold or at the
-    preamble's estimate.  Draws: channel, payload, then the energies.
+    levels, from the phasors in the sweep's ``bases`` store (None: built
+    for this block alone).  The payload is
+    sliced at the exact threshold or at the preamble's estimate.  Draws:
+    channel, payload, then the energies.
     """
     ss = np.random.SeedSequence(cfg.master_seed,
                                 spawn_key=(_STREAM_BLOCKS, axis_i, curve_i,
@@ -591,7 +615,7 @@ def _run_ber_block(cfg, spec, curve, frame, axis_i, curve_i, block_i):
     n_tot = bits.shape[0] * frame.N
     offset = block_i * n_tot
     jam = signals.gen_jammer_block(spec, n_tot + ch.n_tau, offset - ch.n_tau,
-                                   rng) if spec.kind.is_tonal else None
+                                   rng, bases) if spec.kind.is_tonal else None
     try:
         levels = model.levels(spec, ch, frame,
                               None if jam is None else jam[pre * frame.N:])
@@ -627,7 +651,7 @@ _CURVE_FIELDS = ("errors", "bits", "ber_sim", "ci_low", "ci_high",
 _BASELINE_FIELDS = ("ber_sim", "ci_low", "ci_high")
 
 
-def _submit_point(pool, cfg, prepared, axis_i):
+def _submit_point(pool, cfg, prepared, bases, axis_i):
     """Submit one axis point: its blocks curve by curve, then its baselines."""
     value = cfg.axis_values[axis_i]
     pj, frame = _axis_point(cfg, value)
@@ -635,7 +659,7 @@ def _submit_point(pool, cfg, prepared, axis_i):
     for curve_i, curve in enumerate(cfg.curves):
         spec = _spec_at_power(prepared[curve_i], pj)
         futures += [pool.submit(_run_ber_block, cfg, spec, curve, frame,
-                                axis_i, curve_i, block_i)
+                                axis_i, curve_i, block_i, bases)
                     for block_i in range(cfg.blocks)]
     if cfg.include_baselines:
         trials = max(cfg.blocks * cfg.payload_bits_per_block, 1000)
@@ -695,6 +719,13 @@ def run_ber_sweep(cfg, progress=None):
         for name, _ in _BASELINES:
             columns += [f"{name}.{f}" for f in _BASELINE_FIELDS]
 
+    # a tonal block's phasors do not depend on the jamming power: each is
+    # built at the first point that needs it and reused at every later
+    # one.  The store goes with the sweep, so the next sweep starts cold.
+    # On an N axis every point has other block lengths and starts, so a
+    # store would only fill its budget with phasors no point reuses.
+    bases = kernels.ToneBases() if cfg.axis_name == "jnr_db" else None
+
     # blocks are queued one point ahead: point i + 1 is submitted before
     # point i is reduced, so the pool does not drain between points and at
     # most two points' futures are held.  On an error the queued ones are
@@ -703,10 +734,10 @@ def run_ber_sweep(cfg, progress=None):
     queue = []
     with ThreadPoolExecutor(max_workers=threads) as pool:
         try:
-            queue.append(_submit_point(pool, cfg, prepared, 0))
+            queue.append(_submit_point(pool, cfg, prepared, bases, 0))
             for axis_i, value in enumerate(cfg.axis_values):
                 if axis_i + 1 < len(cfg.axis_values):
-                    queue.append(_submit_point(pool, cfg, prepared,
+                    queue.append(_submit_point(pool, cfg, prepared, bases,
                                                axis_i + 1))
                 rows.append(_reduce_point(cfg, value, queue[0], progress))
                 queue.pop(0)
@@ -722,7 +753,7 @@ def run_ber_sweep(cfg, progress=None):
 
 
 def _capacity_variances(cfg, snr_db, pj):
-    p_a = 10.0 ** (snr_db / 10.0) * cfg.sigma2_R
+    p_a = _db_power("SNR", snr_db, cfg.sigma2_R)
     a2 = _a2_from_snr(snr_db, cfg.sigma2_R, "average")
     ch = ChannelDraw(h1=1.0, h2=1.0, h3=1.0, sigma2_R=cfg.sigma2_R)
     return theory.variances(ch, 0.0, a2, pj), p_a
@@ -742,7 +773,7 @@ def run_capacity_sweep(cfg, progress=None):
             "model": cfg.capacity_model}
 
     if cfg.axis_name == "p":
-        pj = 10.0 ** (cfg.jnr_db_fixed / 10.0) * cfg.sigma2_R
+        pj = _db_power("JNR", cfg.jnr_db_fixed, cfg.sigma2_R)
         labels = [f"snr_{s:g}db" for s in cfg.snr_curves_db]
         columns = ["p"] + [f"mi.{lab}" for lab in labels]
         vs = [_capacity_variances(cfg, s, pj)[0] for s in cfg.snr_curves_db]
@@ -762,7 +793,7 @@ def run_capacity_sweep(cfg, progress=None):
 
     snr_db = cfg.snr_curves_db[0]
     columns = ("jnr_db", "aaj_capacity_bits", "aaj_p_star", "dt_capacity_bits")
-    pjs = [10.0 ** (value / 10.0) * cfg.sigma2_R for value in cfg.axis_values]
+    pjs = [_db_power("JNR", value, cfg.sigma2_R) for value in cfg.axis_values]
     vs, p_as = zip(*[_capacity_variances(cfg, snr_db, pj) for pj in pjs])
     solved = cap.capacity(vs, cfg.capacity_model)
     rows = []

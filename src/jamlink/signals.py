@@ -271,14 +271,15 @@ def prepare_jammer(spec, rng):
     return replace(spec, toneset=ts)
 
 
-def gen_jammer_block(spec, n, sample_offset, rng):
+def gen_jammer_block(spec, n, sample_offset, rng, bases=None):
     """Generate samples ``[sample_offset, sample_offset + n)`` of a jammer.
 
     Tonal kinds are the real float64 tone sum
     ``sum_j a_j cos(2 pi f_j m + phi_j)`` at the absolute sample indexes
     ``m``, so consecutive blocks continue the same waveform instead of
-    restarting it.  Random and modulated kinds draw fresh complex samples
-    from ``rng`` (their offset is immaterial by i.i.d.-ness).
+    restarting it; ``bases``, a ``kernels.ToneBases`` store, reuses their
+    phasors across calls.  Random and modulated kinds draw fresh complex
+    samples from ``rng`` (their offset is immaterial by i.i.d.-ness).
     """
     if spec.kind is JammerKind.RANDOM_BROADBAND:
         return gen_cscg(spec.power, n, rng)
@@ -287,4 +288,5 @@ def gen_jammer_block(spec, n, sample_offset, rng):
     if spec.toneset is None:
         raise ValueError("tonal spec is not prepared; call prepare_jammer first")
     ts = spec.toneset
-    return kernels.tone_sum(ts.amps, ts.freqs, ts.phases, sample_offset, n)
+    return kernels.tone_sum(ts.amps, ts.freqs, ts.phases, sample_offset, n,
+                            bases)

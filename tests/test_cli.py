@@ -90,15 +90,30 @@ class TestExitCodes:
         ("frame.a2 = inf", []),
         ("snr.db = inf", []),
         ("channel.k_factor = inf", []),
+        # a dB value whose power overflows a float, or underflows to 0
+        ("snr.db = 4000", []),
+        ("axis.values = 0, 4000", []),
+        ("axis.values = -4000, 0", []),
+        ("baselines.enabled = true\nbaselines.eb_n0_db = 4000", []),
+        ("experiment.mode = capacity\naxis.name = p\naxis.values = 0, 1\n"
+         "jammer.jnr_db = 4000", []),
+        ("experiment.mode = capacity\ncapacity.snr_db = 4000", []),
     ])
     def test_bad_config_value_is_config_error(self, capsys, tmp_path,
                                               bad_line, flags):
+        # the default lines a case does not set itself; a repeated key, or
+        # a BER key in a capacity config, is a config error of its own
+        capacity = "experiment.mode = capacity" in bad_line
+        defaults = ["axis.values = 0, 10"] + ([] if capacity
+                                              else ["snr.db = 5"])
+        lines = [d for d in defaults if d.split(" = ")[0] + " = "
+                 not in bad_line]
         cfg = tmp_path / "bad.cfg"
-        snr = "" if bad_line.startswith("snr.db") else "snr.db = 5\n"
-        cfg.write_text(f"axis.values = 0, 10\n{snr}{bad_line}\n")
+        cfg.write_text("\n".join(lines + [bad_line]) + "\n")
         out = tmp_path / "o.csv"
-        code, _, err = run(["sweep", "--config", str(cfg), "--out", str(out),
-                            "--quiet", *flags], capsys)
+        code, _, err = run(["capacity" if capacity else "sweep", "--config",
+                            str(cfg), "--out", str(out), "--quiet", *flags],
+                           capsys)
         assert code == 1
         assert err.startswith("config error:")
         assert not out.exists()

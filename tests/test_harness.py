@@ -7,7 +7,7 @@ import pytest
 from dataclasses import replace
 from scipy import stats
 
-from jamlink import baselines, harness, signals, theory
+from jamlink import baselines, harness, kernels, signals, theory
 from jamlink.channel import ChannelDraw
 from jamlink.errors import ConfigError, DegenerateChannelError
 from jamlink.harness import (PRESET_NAMES, SweepResult, config_from_file,
@@ -345,12 +345,13 @@ class TestBerSweep:
         run = harness._run_ber_block
         calls = []
 
-        def failing(cfg, spec, curve, frame, axis_i, curve_i, block_i):
+        def failing(cfg, spec, curve, frame, axis_i, curve_i, block_i, bases):
             calls.append((axis_i, block_i))
             if (axis_i, block_i) == (0, 0):
                 raise RuntimeError("block failed")
             time.sleep(0.2)
-            return run(cfg, spec, curve, frame, axis_i, curve_i, block_i)
+            return run(cfg, spec, curve, frame, axis_i, curve_i, block_i,
+                       bases)
 
         monkeypatch.setattr(harness, "_run_ber_block", failing)
         cfg = _tiny_ber_cfg(axis_values=(0.0, 10.0, 20.0, 30.0), blocks=4,
@@ -521,6 +522,59 @@ class TestBerSweep:
             assert np.isfinite(row[f"{kind}.ber_theory"]) == tonal
             assert np.isnan(row[f"{kind}.ber_gauss"])
             assert np.isfinite(row[f"{kind}.sinr"])
+
+    def test_tone_phasors_are_built_once_per_sweep(self, monkeypatch):
+        # fig2's four tonal curves build each block's row phasors at the
+        # first point only; the store goes with the sweep, so a second
+        # sweep builds them again
+        built = []
+        build = kernels._row_phasors
+
+        def counting(*args):
+            built.append(args[2])
+            return build(*args)
+
+        monkeypatch.setattr(kernels, "_row_phasors", counting)
+        points, blocks = 3, 2
+        cfg = replace(preset_config("fig2", seed=5),
+                      axis_values=(0.0, 10.0, 20.0)[:points], blocks=blocks,
+                      payload_bits_per_block=60, threads=1)
+        for sweep in (1, 2):
+            run_ber_sweep(cfg)
+            assert len(built) == sweep * 4 * blocks
+        assert len(set(built)) == blocks  # one start per block
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_tone_phasor_budget_does_not_change_bytes(self, monkeypatch,
+                                                      tmp_path, threads):
+        cfg = replace(preset_config("fig2", seed=5), axis_values=(0.0, 20.0),
+                      blocks=3, payload_bits_per_block=60, threads=threads,
+                      n_tau=2)
+        emit_csv(run_ber_sweep(cfg), tmp_path / "stored.csv")
+        monkeypatch.setattr(kernels, "_BASIS_BUDGET", 0)
+        emit_csv(run_ber_sweep(cfg), tmp_path / "unstored.csv")
+        assert (tmp_path / "stored.csv").read_bytes() \
+            == (tmp_path / "unstored.csv").read_bytes()
+
+    def test_window_axis_sweep_keeps_no_tone_phasors(self, monkeypatch):
+        # every point of an N axis has other blocks, so no store outlives
+        # one synthesis: each holds one column and one row entry
+        stores = []
+
+        class Recording(kernels.ToneBases):
+            def __init__(self):
+                super().__init__()
+                stores.append(self)
+
+        monkeypatch.setattr(kernels, "ToneBases", Recording)
+        jam = signals.JammerSpec(kind=JammerKind.NARROWBAND, power=1.0)
+        cfg = replace(preset_config("fig5", seed=11),
+                      curves=(harness.Curve("narrowband", jam),),
+                      axis_values=(4.0, 6.0), blocks=2,
+                      payload_bits_per_block=40, threads=1)
+        run_ber_sweep(cfg)
+        assert len(stores) == 2 * 2
+        assert all(len(store._store) == 2 for store in stores)
 
     def test_window_axis_sweep(self):
         cfg = preset_config("fig5", seed=11)
