@@ -14,7 +14,6 @@ import csv
 import math
 import os
 import secrets
-from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -133,6 +132,12 @@ class ExperimentConfig:
                     f"{len(self.snr_curves_db)}")
             if self.capacity_model not in ("real", "complex"):
                 raise ConfigError("capacity model must be 'real' or 'complex'")
+        if self.axis_name == "jnr_db" and self.jnr_db_fixed is not None:
+            raise ConfigError("a fixed jammer JNR is not read on a jnr_db "
+                              "axis, whose values set the JNR")
+        if int(self.master_seed) < 0:
+            raise ConfigError(
+                f"master seed must be >= 0, got {self.master_seed}")
         _check_finite("fixed jammer JNR", (self.jnr_db_fixed,))
         _check_finite("capacity SNR values", self.snr_curves_db)
         _check_finite("baseline Eb/N0", (self.baseline_eb_n0_db,))
@@ -356,10 +361,13 @@ def _config_from_mapping(raw):
     other = set(raw) - _SHARED_KEYS - _MODE_KEYS[mode]
     if other:
         raise ConfigError(f"keys not read in {mode} mode: {sorted(other)}")
+    axis_name = cfg.axis_name if cfg else get("axis.name", "str", "jnr_db")
+    if axis_name == "n" and "frame.n" in raw:
+        raise ConfigError("frame.n is not read on an n axis, whose values "
+                          "set N")
     if cfg is not None:
         return _apply_overrides(cfg, raw, get)
 
-    axis_name = get("axis.name", "str", "jnr_db")
     axis_raw = get("axis.values", "list")
     if not axis_raw:
         raise ConfigError("axis.values is required for custom experiments")
@@ -423,6 +431,10 @@ def _apply_overrides(cfg, raw, get):
                                        for v in get("axis.values", "list"))
         consumed.add("axis.values")
     if "threshold.mode" in raw:
+        if len({c.threshold_mode for c in cfg.curves}) > 1:
+            raise ConfigError(
+                f"threshold.mode is not overridable on {cfg.preset}, whose "
+                f"curves compare the threshold modes")
         tmode = get("threshold.mode", "str")
         updates["curves"] = tuple(replace(c, threshold_mode=tmode)
                                   for c in cfg.curves)
@@ -471,7 +483,7 @@ def _draw_block_channel(cfg, rng):
 
 
 # ---------------------------------------------------------------------------
-# detection models: one table entry per jammer kind
+# level builders: one table entry per jammer kind
 
 
 def _variance_levels(spec, ch, frame, jam):
@@ -509,82 +521,60 @@ def _tone_levels(spec, ch, frame, jam):
     return theory.DeterministicEnergies(qd_1=lo, qd_2=hi, sigma2_R=ch.sigma2_R)
 
 
-def _gamma_threshold(v, frame):
-    return theory.optimal_threshold_random(v, frame.p1, frame.p2, frame.N)
-
-
-def _noncentral_threshold(d, frame):
-    return theory.optimal_threshold_noncentral(d, frame.p1, frame.p2, frame.N)
-
-
-def _gamma_theory(v, frame):
-    t = _gamma_threshold(v, frame)
-    return (theory.ber_random(v, frame.p1, frame.p2, frame.N, t),
-            theory.ber_gaussian_approx(v, frame.p1, frame.p2, frame.N, t))
-
-
-def _noncentral_theory(d, frame):
-    t = _noncentral_threshold(d, frame)
-    return theory.ber_det_noncentral(d, frame.p1, frame.p2, frame.N, t), math.nan
-
-
-def _shifted_gamma_theory(d, frame):
-    # the shifted-gamma approximation at its own optimum, a labelled
-    # comparison rather than the exact law
-    t = theory.optimal_threshold_det(d, frame.p1, frame.p2, frame.N)
-    return theory.ber_det(d, frame.p1, frame.p2, frame.N, t), math.nan
-
-
-@dataclass(frozen=True)
-class _Model:
-    """How the detector and the theory columns treat one jammer kind.
-
-    ``levels(spec, ch, frame, jam)`` gives a block's two levels; tonal
-    models read them off ``jam``, the payload's real tone samples after
-    their ``n_tau`` look-back, and the others ignore it; ``threshold(levels,
-    frame)`` is the exact-mode detection threshold; ``theory(levels,
-    frame)`` gives ``(ber_theory, ber_gauss)``, or is None where no closed
-    form applies.
-    """
-
-    levels: Callable
-    threshold: Callable
-    theory: Callable | None
-
-
-_ENVELOPE = _Model(_envelope_levels, _noncentral_threshold, _noncentral_theory)
-_TONES = _Model(_tone_levels, _noncentral_threshold, _shifted_gamma_theory)
+# the levels' type names their energy law: conditional variances the
+# gamma law of random jamming, deterministic energies the noncentral law
 _MODELS = {
-    JammerKind.RANDOM_BROADBAND: _Model(_variance_levels, _gamma_threshold,
-                                        _gamma_theory),
+    JammerKind.RANDOM_BROADBAND: _variance_levels,
     # no closed form for the 16QAM BER, whose envelope varies; its energies
     # come from the exact binomial mixture (modem.block_energies)
-    JammerKind.MOD_16QAM: _Model(_variance_levels, _gamma_threshold, None),
-    JammerKind.MOD_BPSK: _ENVELOPE,
-    JammerKind.MOD_QPSK: _ENVELOPE,
-    JammerKind.SINGLE_TONE: _TONES,
-    JammerKind.MULTI_TONE: _TONES,
-    JammerKind.NARROWBAND: _TONES,
-    JammerKind.DET_BROADBAND: _TONES,
+    JammerKind.MOD_16QAM: _variance_levels,
+    JammerKind.MOD_BPSK: _envelope_levels,
+    JammerKind.MOD_QPSK: _envelope_levels,
+    JammerKind.SINGLE_TONE: _tone_levels,
+    JammerKind.MULTI_TONE: _tone_levels,
+    JammerKind.NARROWBAND: _tone_levels,
+    JammerKind.DET_BROADBAND: _tone_levels,
 }
 
 
-def _theory_columns(spec, levels, ch, frame):
+def _exact_threshold(levels, frame):
+    """The likelihood-ratio root of the levels' energy law."""
+    if isinstance(levels, theory.ConditionalVariances):
+        return theory.optimal_threshold_random(levels, frame.p1, frame.p2,
+                                               frame.N)
+    return theory.optimal_threshold_noncentral(levels, frame.p1, frame.p2,
+                                               frame.N)
+
+
+def _theory_columns(spec, levels, ch, frame, t):
     """(ber_theory, ber_gauss, sinr) predictions for one block.
 
-    ``levels`` is None when the block's levels coincide, which makes all
-    three columns NaN.  A non-tonal jammer sends random samples: its direct
-    path counts as interference in the SINR, and its levels add the relayed
-    and direct paths coherently, which holds only at ``n_tau = 0``, so only
-    the SINR is given beyond.
+    ``t`` is the exact threshold the block decoded at, or None in estimated
+    mode, where the law's own optimum is taken.  ``levels`` is None when
+    the block's levels coincide, which makes all three columns NaN.  A
+    non-tonal jammer sends random samples: its direct path counts as
+    interference in the SINR, and its levels add the relayed and direct
+    paths coherently, which holds only at ``n_tau = 0``, so only the SINR
+    is given beyond.  Two kinds are labelled exceptions: 16QAM has no
+    closed form, and tonal kinds give the shifted-gamma ``ber_det`` at its
+    own optimum, a comparison rather than the exact law.
     """
     random = not spec.kind.is_tonal
-    closed_form = None if random and ch.n_tau else _MODELS[spec.kind].theory
-    if levels is None and closed_form is not None:
+    sinr = channel.sinr(ch, frame.a2, spec.power, random)
+    if spec.kind is JammerKind.MOD_16QAM or random and ch.n_tau:
+        return math.nan, math.nan, sinr
+    if levels is None:
         return math.nan, math.nan, math.nan
-    ber, gauss = closed_form(levels, frame) if closed_form \
-        else (math.nan, math.nan)
-    return ber, gauss, channel.sinr(ch, frame.a2, spec.power, random)
+    p1, p2, n = frame.p1, frame.p2, frame.N
+    if spec.kind.is_tonal:
+        t = theory.optimal_threshold_det(levels, p1, p2, n)
+        return theory.ber_det(levels, p1, p2, n, t), math.nan, sinr
+    if t is None:
+        t = _exact_threshold(levels, frame)
+    if isinstance(levels, theory.ConditionalVariances):
+        return (theory.ber_random(levels, p1, p2, n, t),
+                theory.ber_gaussian_approx(levels, p1, p2, n, t), sinr)
+    return theory.ber_det_noncentral(levels, p1, p2, n, t), math.nan, sinr
 
 
 def _run_ber_block(cfg, spec, curve, frame, axis_i, curve_i, block_i,
@@ -607,7 +597,6 @@ def _run_ber_block(cfg, spec, curve, frame, axis_i, curve_i, block_i,
     nbits = cfg.payload_bits_per_block
     payload = (rng.random(nbits) < frame.p2).astype(np.int64)
 
-    model = _MODELS[spec.kind]
     exact = curve.threshold_mode == "exact"
     bits = payload if exact else np.concatenate(
         [modem.build_preamble(frame.M), payload])
@@ -617,19 +606,19 @@ def _run_ber_block(cfg, spec, curve, frame, axis_i, curve_i, block_i,
     jam = signals.gen_jammer_block(spec, n_tot + ch.n_tau, offset - ch.n_tau,
                                    rng, bases) if spec.kind.is_tonal else None
     try:
-        levels = model.levels(spec, ch, frame,
-                              None if jam is None else jam[pre * frame.N:])
+        levels = _MODELS[spec.kind](
+            spec, ch, frame, None if jam is None else jam[pre * frame.N:])
     except DegenerateChannelError:
         if exact:
             raise
         levels = None
 
     q = modem.block_energies(spec, ch, frame, bits, rng, offset, jam)
-    t = model.threshold(levels, frame) if exact \
-        else modem.estimate_threshold(q[:pre], frame).t_hat
+    t_exact = _exact_threshold(levels, frame) if exact else None
+    t = t_exact if exact else modem.estimate_threshold(q[:pre], frame).t_hat
     decoded = modem.decode(q[pre:], t)
     errors = int(np.count_nonzero(decoded != payload))
-    return (errors,) + _theory_columns(spec, levels, ch, frame)
+    return (errors,) + _theory_columns(spec, levels, ch, frame, t_exact)
 
 
 # (column prefix, simulator in `baselines`); the index is the scheme's

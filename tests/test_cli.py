@@ -98,14 +98,28 @@ class TestExitCodes:
         ("experiment.mode = capacity\naxis.name = p\naxis.values = 0, 1\n"
          "jammer.jnr_db = 4000", []),
         ("experiment.mode = capacity\ncapacity.snr_db = 4000", []),
+        # a negative seed, which the random streams would reject mid-sweep
+        ("", ["--seed", "-1"]),
+        ("run.master_seed = -1", []),
+        # keys that the sweep axis replaces, which the sweep would ignore
+        ("jammer.jnr_db = 10", []),
+        ("experiment.mode = capacity\njammer.jnr_db = 10", []),
+        ("axis.name = n\naxis.values = 2, 4\njammer.jnr_db = 10\n"
+         "frame.n = 3", []),
+        ("experiment.preset = fig5\nrun.blocks = 2\nframe.n = 3", []),
+        # fig6 compares the two threshold modes; one mode for both curves
+        # would mislabel one of them
+        ("experiment.preset = fig6\nrun.blocks = 2\nthreshold.mode = exact",
+         []),
     ])
     def test_bad_config_value_is_config_error(self, capsys, tmp_path,
                                               bad_line, flags):
-        # the default lines a case does not set itself; a repeated key, or
-        # a BER key in a capacity config, is a config error of its own
+        # the default lines a case does not set itself; a repeated key, a
+        # BER key in a capacity config, or a key a preset does not
+        # override, is a config error of its own
         capacity = "experiment.mode = capacity" in bad_line
-        defaults = ["axis.values = 0, 10"] + ([] if capacity
-                                              else ["snr.db = 5"])
+        defaults = [] if "experiment.preset" in bad_line else \
+            ["axis.values = 0, 10"] + ([] if capacity else ["snr.db = 5"])
         lines = [d for d in defaults if d.split(" = ")[0] + " = "
                  not in bad_line]
         cfg = tmp_path / "bad.cfg"

@@ -407,16 +407,15 @@ class TestBerSweep:
             "run.payload_bits_per_block": "5",
             "run.threads": "1",
         })
-        model = harness._MODELS[JammerKind.MULTI_TONE]
+        tone_levels = harness._MODELS[JammerKind.MULTI_TONE]
         seen = []
 
         def spy(spec, ch, frame, jam):
-            levels = model.levels(spec, ch, frame, jam)
+            levels = tone_levels(spec, ch, frame, jam)
             seen.append((spec, ch, frame, levels))
             return levels
 
-        monkeypatch.setitem(harness._MODELS, JammerKind.MULTI_TONE,
-                            replace(model, levels=spy))
+        monkeypatch.setitem(harness._MODELS, JammerKind.MULTI_TONE, spy)
         run_ber_sweep(cfg)
         assert len(seen) == cfg.blocks
         nbits = cfg.payload_bits_per_block
@@ -502,6 +501,23 @@ class TestBerSweep:
             assert np.isfinite(row[f"{kind}.ber_gauss"]) == \
                 (kind == "random_broadband")
             assert np.isfinite(row[f"{kind}.sinr"])
+
+    @pytest.mark.parametrize("kind", ["mod_bpsk", "mod_qpsk"])
+    def test_exact_envelope_threshold_is_solved_once_per_block(
+            self, monkeypatch, kind):
+        # an exact-mode block decodes at the noncentral law's root, and its
+        # theory columns are evaluated at that same threshold
+        root = theory.optimal_threshold_noncentral
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return root(*args)
+
+        monkeypatch.setattr(theory, "optimal_threshold_noncentral", counted)
+        cfg = self._kind_cfg(kind, "exact", 0)
+        run_ber_sweep(cfg)
+        assert len(calls) == cfg.blocks * len(cfg.axis_values)
 
     @pytest.mark.parametrize("mode", ["estimated", "exact"])
     @pytest.mark.parametrize("kind", [k.value for k in JammerKind])
