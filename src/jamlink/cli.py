@@ -12,6 +12,7 @@ from . import harness, kernels, theory
 from .capacity import capacity as cap_capacity
 from .capacity import mutual_information
 from .channel import ChannelDraw
+from .config import load_config
 from .errors import ConfigError, JamlinkError
 from .modem import FrameConfig, block_energies
 from .signals import JammerKind, JammerSpec, gen_cscg, gen_jammer_block
@@ -71,13 +72,17 @@ def _resolve_config(args):
     if args.preset and args.config:
         raise ConfigError("--preset and --config are mutually exclusive")
     if args.config:
-        cfg = harness.config_from_file(args.config)
-        if args.seed is not None:
-            cfg = replace(cfg, master_seed=int(args.seed))
+        raw = load_config(args.config)
     elif args.preset:
-        cfg = harness.preset_config(args.preset, seed=args.seed)
+        raw = {"experiment.preset": args.preset}
     else:
         raise ConfigError("one of --preset or --config is required")
+    # a flag wins over the file's key
+    for key, flag in (("run.master_seed", args.seed),
+                      ("run.threads", args.threads)):
+        if flag is not None:
+            raw[key] = str(flag)
+    cfg = harness.config_from_mapping(raw)
     if args.trials is not None:
         # it sets the block count, which only BER sweeps read
         if cfg.mode != "ber":
@@ -87,8 +92,6 @@ def _resolve_config(args):
                 f"--trials must be finite and > 0, got {args.trials!r}")
         blocks = max(1, round(args.trials / cfg.payload_bits_per_block))
         cfg = replace(cfg, blocks=blocks)
-    if args.threads is not None:
-        cfg = replace(cfg, threads=args.threads)
     return cfg
 
 

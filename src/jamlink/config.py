@@ -58,8 +58,11 @@ def coerce(raw, kind, key):
     """
     try:
         if kind == "int":
-            # accept scientific notation ("1e6") but refuse to truncate
-            val = float(raw)
+            # integer literals exactly; "1e6" through float, not truncated
+            try:
+                return int(raw)
+            except ValueError:
+                val = float(raw)
             if not val.is_integer():
                 raise ValueError(raw)
             return int(val)

@@ -113,6 +113,7 @@ class ExperimentConfig:
                 raise ConfigError("BER sweep needs at least one curve")
             if self.frame is None:
                 raise ConfigError("BER sweep needs a frame config")
+            _check_unique("curve labels", [c.label for c in self.curves])
             if self.axis_name == "n":
                 if self.jnr_db_fixed is None:
                     raise ConfigError("sweeping N requires a fixed jammer JNR")
@@ -132,6 +133,8 @@ class ExperimentConfig:
                     f"{len(self.snr_curves_db)}")
             if self.capacity_model not in ("real", "complex"):
                 raise ConfigError("capacity model must be 'real' or 'complex'")
+            _check_unique("capacity column labels",
+                          [_snr_label(s) for s in self.snr_curves_db])
         if self.axis_name == "jnr_db" and self.jnr_db_fixed is not None:
             raise ConfigError("a fixed jammer JNR is not read on a jnr_db "
                               "axis, whose values set the JNR")
@@ -168,6 +171,16 @@ class ExperimentConfig:
         object.__setattr__(self, "payload_bits_per_block",
                            int(self.payload_bits_per_block))
         object.__setattr__(self, "master_seed", int(self.master_seed))
+
+
+def _check_unique(what, labels, error=ConfigError):
+    repeated = sorted({x for x in labels if labels.count(x) > 1})
+    if repeated:
+        raise error(f"repeated {what}: {repeated}")
+
+
+def _snr_label(snr_db):
+    return f"snr_{snr_db:g}db"  # %g keeps 6 digits: 5.000001 reads 5
 
 
 def _check_finite(what, values):
@@ -311,142 +324,121 @@ def preset_config(name, seed=None):
 # config files
 
 
-# keys both modes read, then the keys that only one mode reads
-_SHARED_KEYS = {
-    "experiment.preset", "experiment.mode", "axis.name", "axis.values",
-    "jammer.jnr_db", "noise.sigma2", "run.master_seed", "run.threads",
-}
-_MODE_KEYS = {
-    "ber": {
-        "jammer.kind", "frame.n", "frame.m", "frame.a1", "frame.a2",
-        "frame.p1", "snr.db", "snr.map",
-        "channel.fading", "channel.k_factor", "channel.n_tau",
-        "run.blocks", "run.payload_bits_per_block", "threshold.mode",
-        "baselines.enabled", "baselines.eb_n0_db",
-    },
-    "capacity": {"capacity.model", "capacity.snr_db"},
+# every config key and the type its value is read as
+_KEYS = {
+    "experiment.preset": "str", "experiment.mode": "str", "axis.name": "str",
+    "axis.values": "list", "jammer.kind": "list", "jammer.jnr_db": "float",
+    "frame.n": "int", "frame.m": "int", "frame.a1": "float",
+    "frame.a2": "float", "frame.p1": "float", "snr.db": "float",
+    "snr.map": "str", "channel.fading": "bool", "channel.k_factor": "float",
+    "channel.n_tau": "int", "noise.sigma2": "float", "threshold.mode": "str",
+    "run.blocks": "int", "run.payload_bits_per_block": "int",
+    "run.threads": "int", "run.master_seed": "int", "capacity.model": "str",
+    "capacity.snr_db": "list", "baselines.enabled": "bool",
+    "baselines.eb_n0_db": "float",
 }
 
 
 def config_from_mapping(raw):
     """Build an ExperimentConfig from parsed config-file keys.
 
-    A value that a config object rejects raises ``ConfigError``, like every
-    other bad input from the file.
+    The build reads a key only where its value reaches the run; a key it
+    leaves unread raises ``ConfigError``, like a key not in ``_KEYS`` and
+    a value that a config object rejects.
     """
+    unknown = set(raw) - set(_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    read = set()
+
+    def get(key, default=None):
+        read.add(key)
+        return coerce(raw[key], _KEYS[key], key) if key in raw else default
+
     try:
-        return _config_from_mapping(raw)
+        cfg = (_preset_from if "experiment.preset" in raw else _custom_from)(get)
     except ConfigError:
         raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    unread = set(raw) - read
+    if unread:
+        raise ConfigError(f"keys not read in {cfg.mode} mode: {sorted(unread)}")
+    return cfg
 
 
-def _config_from_mapping(raw):
-    unknown = set(raw) - _SHARED_KEYS.union(*_MODE_KEYS.values())
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+def _preset_from(get):
+    """A preset with the keys that override its own values."""
+    cfg = preset_config(get("experiment.preset"), seed=get("run.master_seed"))
+    updates = dict(axis_values=get("axis.values", cfg.axis_values),
+                   threads=get("run.threads"),
+                   sigma2_R=get("noise.sigma2", cfg.sigma2_R))
+    if cfg.mode == "ber":
+        updates.update(blocks=get("run.blocks", cfg.blocks),
+                       payload_bits_per_block=get("run.payload_bits_per_block",
+                                                  cfg.payload_bits_per_block))
+        # fig6's curves compare the two threshold modes
+        if len({c.threshold_mode for c in cfg.curves}) == 1:
+            tmode = get("threshold.mode", cfg.curves[0].threshold_mode)
+            updates["curves"] = tuple(replace(c, threshold_mode=tmode)
+                                      for c in cfg.curves)
+        if cfg.axis_name != "n":  # an n axis sets N
+            updates["frame"] = replace(cfg.frame, N=get("frame.n", cfg.frame.N))
+    return replace(cfg, **updates)
 
-    def get(key, kind, default=None):
-        if key not in raw:
-            return default
-        return coerce(raw[key], kind, key)
 
-    seed = get("run.master_seed", "int")
-    cfg = preset_config(raw["experiment.preset"], seed=seed) \
-        if "experiment.preset" in raw else None
-    mode = cfg.mode if cfg else get("experiment.mode", "str", "ber")
-    if mode not in _MODE_KEYS:
+def _custom_from(get):
+    mode = get("experiment.mode", "ber")
+    if mode not in ("ber", "capacity"):
         raise ConfigError(f"unknown experiment mode {mode!r}")
-    other = set(raw) - _SHARED_KEYS - _MODE_KEYS[mode]
-    if other:
-        raise ConfigError(f"keys not read in {mode} mode: {sorted(other)}")
-    axis_name = cfg.axis_name if cfg else get("axis.name", "str", "jnr_db")
-    if axis_name == "n" and "frame.n" in raw:
-        raise ConfigError("frame.n is not read on an n axis, whose values "
-                          "set N")
-    if cfg is not None:
-        return _apply_overrides(cfg, raw, get)
-
-    axis_raw = get("axis.values", "list")
+    axis_raw = get("axis.values")
     if not axis_raw:
         raise ConfigError("axis.values is required for custom experiments")
-    axis_values = tuple(float(v) for v in axis_raw)
-    sigma2 = get("noise.sigma2", "float", 1.0)
+    sigma2 = get("noise.sigma2", 1.0)
     _check_sigma2(sigma2)  # before _a2_from_snr scales by it
-    n_tau = get("channel.n_tau", "int", 0)
-    fading = get("channel.fading", "bool", True)
-    rician = RicianParams(k_factor=get("channel.k_factor", "float", 10.0)) \
-        if fading else None
+    axis_name = get("axis.name", "jnr_db")
     common = dict(
         preset="custom", mode=mode, axis_name=axis_name,
-        axis_values=axis_values, rician=rician, sigma2_R=sigma2, n_tau=n_tau,
-        jnr_db_fixed=get("jammer.jnr_db", "float"),
-        blocks=get("run.blocks", "int", 100),
-        payload_bits_per_block=get("run.payload_bits_per_block", "int", 1000),
-        master_seed=12345 if seed is None else seed,
-        threads=get("run.threads", "int"),
-        capacity_model=get("capacity.model", "str", "real"),
-        include_baselines=get("baselines.enabled", "bool", False),
-        baseline_eb_n0_db=get("baselines.eb_n0_db", "float", 10.0))
+        axis_values=axis_raw, sigma2_R=sigma2,
+        jnr_db_fixed=get("jammer.jnr_db"),
+        master_seed=get("run.master_seed", 12345),
+        threads=get("run.threads"))
 
     if mode == "capacity":
-        snrs = get("capacity.snr_db", "list") or ["10"]
+        snrs = get("capacity.snr_db") or ["10"]
         return ExperimentConfig(snr_curves_db=tuple(float(s) for s in snrs),
+                                capacity_model=get("capacity.model", "real"),
                                 **common)
 
-    p1 = get("frame.p1", "float", 0.5)
+    p1 = get("frame.p1", 0.5)
     if not 0 < p1 < 1:
         raise ConfigError(f"frame.p1 must lie in (0, 1), got {p1!r}")
-    a2 = get("frame.a2", "float")
+    a2 = get("frame.a2")
     if a2 is None:
-        snr_db = get("snr.db", "float")
+        snr_db = get("snr.db")
         if snr_db is None:
             raise ConfigError("either frame.a2 or snr.db must be set")
-        a2 = _a2_from_snr(snr_db, sigma2, get("snr.map", "str", "average"),
+        a2 = _a2_from_snr(snr_db, sigma2, get("snr.map", "average"),
                           p2=1.0 - p1)
-    frame = FrameConfig(N=get("frame.n", "int", 10), M=get("frame.m", "int", 10),
-                        a1=get("frame.a1", "float", 0.0), a2=a2, p1=p1)
-    kinds = get("jammer.kind", "list") or ["random_broadband"]
-    tmode = get("threshold.mode", "str", "estimated")
+    kinds = get("jammer.kind") or ["random_broadband"]
+    tmode = get("threshold.mode", "estimated")
     curves = tuple(Curve(k, JammerSpec(kind=JammerKind.parse(k), power=1.0),
                          threshold_mode=tmode) for k in kinds)
-    return ExperimentConfig(curves=curves, frame=frame, **common)
-
-
-def _apply_overrides(cfg, raw, get):
-    """Limited overrides on top of a preset: run sizes, axis, threshold."""
-    consumed = {"experiment.preset", "run.master_seed"}
-    updates = {}
-    for key, attr, kind in (("run.blocks", "blocks", "int"),
-                            ("run.payload_bits_per_block",
-                             "payload_bits_per_block", "int"),
-                            ("run.threads", "threads", "int"),
-                            ("noise.sigma2", "sigma2_R", "float")):
-        if key in raw:
-            updates[attr] = get(key, kind)
-            consumed.add(key)
-    if "axis.values" in raw:
-        updates["axis_values"] = tuple(float(v)
-                                       for v in get("axis.values", "list"))
-        consumed.add("axis.values")
-    if "threshold.mode" in raw:
-        if len({c.threshold_mode for c in cfg.curves}) > 1:
-            raise ConfigError(
-                f"threshold.mode is not overridable on {cfg.preset}, whose "
-                f"curves compare the threshold modes")
-        tmode = get("threshold.mode", "str")
-        updates["curves"] = tuple(replace(c, threshold_mode=tmode)
-                                  for c in cfg.curves)
-        consumed.add("threshold.mode")
-    if "frame.n" in raw:
-        updates["frame"] = replace(cfg.frame, N=get("frame.n", "int"))
-        consumed.add("frame.n")
-    leftover = set(raw) - consumed
-    if leftover:
-        raise ConfigError(
-            f"keys not overridable on a preset: {sorted(leftover)}")
-    return replace(cfg, **updates) if updates else cfg
+    # an n axis sets N, and only estimated mode sends the M-symbol preamble
+    frame = FrameConfig(N=10 if axis_name == "n" else get("frame.n", 10),
+                        M=get("frame.m", 10) if tmode == "estimated" else 10,
+                        a1=get("frame.a1", 0.0), a2=a2, p1=p1)
+    baselines_on = get("baselines.enabled", False)
+    return ExperimentConfig(
+        curves=curves, frame=frame,
+        rician=RicianParams(k_factor=get("channel.k_factor", 10.0))
+        if get("channel.fading", True) else None,
+        n_tau=get("channel.n_tau", 0), blocks=get("run.blocks", 100),
+        payload_bits_per_block=get("run.payload_bits_per_block", 1000),
+        include_baselines=baselines_on,
+        baseline_eb_n0_db=get("baselines.eb_n0_db", 10.0)
+        if baselines_on else 10.0,
+        **common)
 
 
 def config_from_file(path):
@@ -763,7 +755,7 @@ def run_capacity_sweep(cfg, progress=None):
 
     if cfg.axis_name == "p":
         pj = _db_power("JNR", cfg.jnr_db_fixed, cfg.sigma2_R)
-        labels = [f"snr_{s:g}db" for s in cfg.snr_curves_db]
+        labels = [_snr_label(s) for s in cfg.snr_curves_db]
         columns = ["p"] + [f"mi.{lab}" for lab in labels]
         vs = [_capacity_variances(cfg, s, pj)[0] for s in cfg.snr_curves_db]
         ps = np.asarray(cfg.axis_values, dtype=np.float64)
@@ -853,6 +845,7 @@ def read_csv(path):
             raise ValueError(f"{path}: missing schema line")
         reader = csv.reader(fh)
         columns = next(reader)
+        _check_unique(f"columns in {path}", columns, ValueError)
         data = {c: [] for c in columns}
         for row in reader:
             for c, v in zip(columns, row):

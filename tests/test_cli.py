@@ -8,7 +8,7 @@ import types
 import numpy as np
 import pytest
 
-from jamlink import modem, theory
+from jamlink import harness, modem, theory
 from jamlink.cli import cli_main
 from jamlink.harness import read_csv
 from jamlink.signals import JammerKind
@@ -111,12 +111,26 @@ class TestExitCodes:
         # would mislabel one of them
         ("experiment.preset = fig6\nrun.blocks = 2\nthreshold.mode = exact",
          []),
+        # keys whose value would not reach the run: frame.a2 replaces the
+        # default snr.db = 5 and snr.map, no fading has no K factor, exact
+        # mode sends no preamble, and disabled baselines have no Eb/N0
+        ("frame.a2 = 2", []),
+        ("frame.a2 = 2\nsnr.map = on", []),
+        ("channel.fading = false\nchannel.k_factor = 3", []),
+        ("threshold.mode = exact\nframe.m = 4", []),
+        ("baselines.eb_n0_db = 3", []),
+        # two curves, or two capacity columns, with one label
+        ("jammer.kind = single_tone, single_tone", []),
+        ("experiment.mode = capacity\naxis.name = p\naxis.values = 0, 1\n"
+         "jammer.jnr_db = 10\ncapacity.snr_db = 5, 5.0", []),
+        ("experiment.mode = capacity\naxis.name = p\naxis.values = 0, 1\n"
+         "jammer.jnr_db = 10\ncapacity.snr_db = 5, 5.000001", []),
     ])
     def test_bad_config_value_is_config_error(self, capsys, tmp_path,
                                               bad_line, flags):
         # the default lines a case does not set itself; a repeated key, a
-        # BER key in a capacity config, or a key a preset does not
-        # override, is a config error of its own
+        # BER key in a capacity config, or a key the build leaves unread,
+        # is a config error of its own
         capacity = "experiment.mode = capacity" in bad_line
         defaults = [] if "experiment.preset" in bad_line else \
             ["axis.values = 0, 10"] + ([] if capacity else ["snr.db = 5"])
@@ -309,6 +323,32 @@ class TestSweepCommand:
         cols = read_csv(out_path)
         assert cols["jnr_db"][0] == 0.0
         assert len(cols["jnr_db"]) == 9
+
+    def test_flags_win_over_the_config_file(self, capsys, tmp_path,
+                                            monkeypatch):
+        # --seed and --threads replace the file's run.master_seed and
+        # run.threads
+        seen = []
+        sweep = harness.run_ber_sweep
+
+        def spy(cfg, progress=None):
+            seen.append(cfg)
+            return sweep(cfg, progress)
+
+        monkeypatch.setattr(harness, "run_ber_sweep", spy)
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            "experiment.preset = fig4\n"
+            "axis.values = 10\n"
+            "run.blocks = 1\n"
+            "run.payload_bits_per_block = 100\n"
+            "run.master_seed = 3\n"
+            "run.threads = 1\n")
+        code, _, _ = run(["sweep", "--config", str(cfg), "--seed", "9",
+                          "--threads", "2", "--out",
+                          str(tmp_path / "s.csv"), "--quiet"], capsys)
+        assert code == 0
+        assert [(c.master_seed, c.threads) for c in seen] == [(9, 2)]
 
     def test_trials_overrides_blocks(self, capsys, tmp_path):
         out_path = tmp_path / "s.csv"

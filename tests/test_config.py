@@ -59,6 +59,8 @@ class TestLoadConfig:
 class TestCoerce:
     def test_int(self):
         assert coerce("42", "int", "k") == 42
+        # exactly, past float's 53 bits: a seed given to --seed goes here
+        assert coerce(str(2**53 + 1), "int", "k") == 2**53 + 1
 
     def test_int_rejects_float_text(self):
         with pytest.raises(ConfigError, match="k"):

@@ -205,6 +205,14 @@ class TestCsv:
         emit_csv(SweepResult(columns=("x",), rows=((val,),)), p)
         assert read_csv(p)["x"][0] == val
 
+    def test_repeated_column_is_an_error(self, tmp_path):
+        # one dict key per column would merge the two columns' cells
+        p = tmp_path / "out.csv"
+        emit_csv(SweepResult(columns=("p", "mi.snr_5db", "mi.snr_5db"),
+                             rows=((0.0, 0.1, 0.2), (1.0, 0.3, 0.4))), p)
+        with pytest.raises(ValueError, match=r"repeated .*\['mi.snr_5db'\]"):
+            read_csv(p)
+
     def test_unwritable_path_reports_target(self, tmp_path):
         with pytest.raises(OSError, match="no/such"):
             emit_csv(self._result(), tmp_path / "no" / "such" / "f.csv")
@@ -395,6 +403,8 @@ class TestBerSweep:
         # a block's payload follows every earlier block and, in estimated
         # mode, its own M-symbol preamble; the theory levels must be the
         # tone energies of exactly that window
+        # only estimated mode sends the preamble, so only it reads frame.m
+        preamble = {"frame.m": "4"} if mode == "estimated" else {}
         cfg = config_from_mapping({
             "threshold.mode": mode,
             "axis.values": "10",
@@ -402,7 +412,7 @@ class TestBerSweep:
             "channel.n_tau": "2",
             "snr.db": "5",
             "frame.n": "3",
-            "frame.m": "4",
+            **preamble,
             "run.blocks": "3",
             "run.payload_bits_per_block": "5",
             "run.threads": "1",
