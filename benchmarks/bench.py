@@ -29,11 +29,20 @@ CLI (``python -m jamlink.cli sweep|capacity --preset <p> --seed <s>`` with
 ``PYTHONPATH=<checkout>/src``), once at ``--threads 1`` and once at
 ``--threads 2``, the two sides alternating which goes first from preset to
 preset.  Under ``presets`` the output holds, per preset, each side's
-2-thread wall time and peak resident set (Linux ``ru_maxrss`` of that run)
-and whether its 1- and 2-thread CSVs are identical, and
+1- and 2-thread wall times, its 2-thread peak resident set (Linux
+``ru_maxrss`` of that run), whether its 1- and 2-thread CSVs are identical,
+its thread control (below), and
 per CSV column the number of cells of the change's 2-thread CSV that differ
 from the parent's, with the worst relative change (inf where one side is 0)
 and the worst absolute change over the finite cells.
+
+The thread control tells how much parallelism the host gave while a side
+ran a preset, since a shared host's spare CPU varies over time: just before
+the side's two runs, ``thread_control`` hashes two buffers with
+``hashlib.sha256``, which releases the GIL, one after the other on one
+thread and at once on two.  Its ``speedup`` is the serial over the
+two-thread time: near 2 on two free CPUs, near 1 on one.  A preset's
+1-thread over 2-thread wall time reads against it.
 
 Under ``setup`` the output holds the per-layer view of ``setup_s``: each
 checkout runs ``python -X importtime -c "import jamlink, jamlink.harness"``
@@ -53,6 +62,7 @@ teardown durations pytest reports) and the exit code.  Standard library only.
 
 import argparse
 import csv
+import hashlib
 import json
 import math
 import os
@@ -62,6 +72,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 from pathlib import Path
 
@@ -217,6 +228,37 @@ def compare(parent, change, better, bound):
             "resolved": spread <= bound or beats_all}
 
 
+# the thread control's two buffers and its repeats, of which the median
+# time is kept
+CONTROL_BYTES = 32 * 2**20
+CONTROL_REPEATS = 5
+
+
+def thread_control():
+    """Serial and two-thread time of hashing two buffers, and their ratio.
+
+    ``hashlib`` releases the GIL while it hashes more than 2047 bytes, so
+    the ratio is the parallelism the host gives two threads right now.
+    """
+    buffers = [bytes(CONTROL_BYTES), b"\x01" * CONTROL_BYTES]
+    serial, parallel = [], []
+    for _ in range(CONTROL_REPEATS):
+        start = time.perf_counter()
+        for buf in buffers:
+            hashlib.sha256(buf).digest()
+        serial.append(time.perf_counter() - start)
+        workers = [threading.Thread(target=hashlib.sha256, args=(buf,))
+                   for buf in buffers]
+        start = time.perf_counter()
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join()
+        parallel.append(time.perf_counter() - start)
+    one, two = statistics.median(serial), statistics.median(parallel)
+    return {"serial_s": one, "two_threads_s": two, "speedup": one / two}
+
+
 def run_preset(checkout, preset, command, seed, threads, out):
     """One full preset run through the checkout's CLI.
 
@@ -303,11 +345,15 @@ def bench_presets(sides, seed):
                 checkout = sides[side]
                 csvs = {t: Path(tmp) / f"{side}_{preset}_{t}.csv"
                         for t in (1, 2)}
-                run_preset(checkout, preset, command, seed, 1, csvs[1])
+                control = thread_control()
+                wall_1, _ = run_preset(checkout, preset, command, seed, 1,
+                                       csvs[1])
                 wall, rss = run_preset(checkout, preset, command, seed, 2,
                                        csvs[2])
                 entry[side] = {
+                    "wall_s_threads_1": wall_1,
                     "wall_s_threads_2": wall,
+                    "thread_control": control,
                     "peak_rss_mb_threads_2": rss,
                     "threads_1_2_identical":
                         csvs[1].read_bytes() == csvs[2].read_bytes()}
@@ -323,6 +369,13 @@ def bench_presets(sides, seed):
                   f"identical {entry['parent']['threads_1_2_identical']}/"
                   f"{entry['change']['threads_1_2_identical']}, "
                   f"{len(changed)} columns changed", flush=True)
+            for side in sides:
+                e = entry[side]
+                print(f"  {side}: 1 -> 2 threads {e['wall_s_threads_1']:.2f} "
+                      f"-> {e['wall_s_threads_2']:.2f} s (x"
+                      f"{e['wall_s_threads_1'] / e['wall_s_threads_2']:.2f}), "
+                      f"sha256 control x{e['thread_control']['speedup']:.2f}",
+                      flush=True)
             for name, v in changed.items():
                 print(f"  {name:32s} {v['cells_changed']:5d} cells, "
                       f"max rel {v['max_rel_change']:.3g}, "

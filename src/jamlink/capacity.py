@@ -24,7 +24,8 @@ row of a batch equals the one-row call bit for bit.  Batches are taken in
 passes of at most 32 rows, which keeps a pass's arrays near 1 MB.  An array
 ``p`` in :func:`mutual_information` or :func:`mi_derivative` is one batch;
 :func:`capacity` of a sequence of channels runs one Brent step generator per
-channel in lockstep, each round one batch over the channels still unsolved.
+channel in lockstep (:func:`theory._lockstep`), each round one batch over the
+channels still unsolved.
 """
 
 import functools
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalFailureError
-from .theory import ConditionalVariances, _brent_steps
+from .theory import ConditionalVariances, _brent_steps, _lockstep
 
 __all__ = [
     "CapacityResult",
@@ -193,9 +194,10 @@ def capacity(v, model="real"):
     derivative decreases monotonically in p, so its unique root is found by
     Brent's method on [1e-9, 1 - 1e-9] with ``xtol = 1e-6``: one
     :func:`theory._brent_steps` generator per channel, scipy's ``brentq``
-    bit for bit.  They step in lockstep: each round evaluates the
-    derivative at the points of every channel still unsolved in one batched
-    quadrature, and a row of a batch equals the one-row call bit for bit.
+    bit for bit.  They step in lockstep (:func:`theory._lockstep`): each
+    round evaluates the derivative at the points of every channel still
+    unsolved in one batched quadrature, and a row of a batch equals the
+    one-row call bit for bit.
 
     Raises
     ------
@@ -208,24 +210,16 @@ def capacity(v, model="real"):
     d1 = np.array([u.delta2_1 for u in vs], dtype=np.float64)
     d2 = np.array([u.delta2_2 for u in vs], dtype=np.float64)
     lo, hi = 1e-9, 1.0 - 1e-9
-    solvers = [_brent_steps(lo, hi, xtol=1e-6) for _ in vs]
-    # the next point of each unsolved channel, by channel index
-    x = {i: next(s) for i, s in enumerate(solvers)}
-    p_star = np.empty(len(vs))
-    while x:
-        live = list(x)
-        slopes = _derivative(np.array(list(x.values())), d1[live], d2[live],
-                             model)
-        for i, slope in zip(live, slopes.tolist()):
-            try:
-                x[i] = solvers[i].send(slope)
-            except StopIteration as done:
-                p_star[i] = done.value
-                del x[i]
-            except ValueError as exc:
-                raise NumericalFailureError(
-                    f"mutual-information derivative does not change sign "
-                    f"on [{lo}, {hi}]: {exc}") from exc
+    solvers = enumerate(_brent_steps(lo, hi, xtol=1e-6) for _ in vs)
+    steps = {i: (gen, next(gen)) for i, gen in solvers}
+    try:
+        roots = _lockstep(steps, lambda live, x: _derivative(x, d1[live],
+                                                             d2[live], model))
+    except ValueError as exc:
+        raise NumericalFailureError(
+            f"mutual-information derivative does not change sign "
+            f"on [{lo}, {hi}]: {exc}") from exc
+    p_star = np.array([roots[i] for i in range(len(vs))])
     values = _information(p_star, d1, d2, model)
     # quadrature noise can leave a tiny negative residue near degeneracy
     results = [CapacityResult(p_star=p, capacity_bits=max(0.0, value))

@@ -7,7 +7,10 @@ experiment), stream 1 feeds per-block simulation keyed by (axis index,
 curve index, block index) and stream 2 feeds baseline trials.  Blocks run
 on a thread pool, queued one axis point ahead: point i + 1's blocks and
 baselines are submitted before point i is reduced.  Each point is reduced
-in block order, so results do not depend on the thread count.
+in block order, so results do not depend on the thread count.  A block
+returns its errors, levels, exact threshold and SINR; the theory columns
+are evaluated after the sweep's blocks, in one pass that solves every
+estimated-mode noncentral threshold of the sweep in one lockstep batch.
 """
 
 import csv
@@ -22,7 +25,7 @@ import numpy as np
 from . import (baselines, capacity as cap, channel, kernels, modem, signals,
                theory)
 from .channel import ChannelDraw, RicianParams
-from .config import coerce, load_config
+from .config import coerce
 from .errors import ConfigError, DegenerateChannelError
 from .mc import BerEstimate
 from .modem import FrameConfig
@@ -34,7 +37,6 @@ __all__ = [
     "SweepResult",
     "preset_config",
     "config_from_mapping",
-    "config_from_file",
     "run_ber_sweep",
     "run_capacity_sweep",
     "emit_csv",
@@ -441,10 +443,6 @@ def _custom_from(get):
         **common)
 
 
-def config_from_file(path):
-    return config_from_mapping(load_config(path))
-
-
 # ---------------------------------------------------------------------------
 # BER sweep
 
@@ -538,48 +536,18 @@ def _exact_threshold(levels, frame):
                                                frame.N)
 
 
-def _theory_columns(spec, levels, ch, frame, t):
-    """(ber_theory, ber_gauss, sinr) predictions for one block.
-
-    ``t`` is the exact threshold the block decoded at, or None in estimated
-    mode, where the law's own optimum is taken.  ``levels`` is None when
-    the block's levels coincide, which makes all three columns NaN.  A
-    non-tonal jammer sends random samples: its direct path counts as
-    interference in the SINR, and its levels add the relayed and direct
-    paths coherently, which holds only at ``n_tau = 0``, so only the SINR
-    is given beyond.  Two kinds are labelled exceptions: 16QAM has no
-    closed form, and tonal kinds give the shifted-gamma ``ber_det`` at its
-    own optimum, a comparison rather than the exact law.
-    """
-    random = not spec.kind.is_tonal
-    sinr = channel.sinr(ch, frame.a2, spec.power, random)
-    if spec.kind is JammerKind.MOD_16QAM or random and ch.n_tau:
-        return math.nan, math.nan, sinr
-    if levels is None:
-        return math.nan, math.nan, math.nan
-    p1, p2, n = frame.p1, frame.p2, frame.N
-    if spec.kind.is_tonal:
-        t = theory.optimal_threshold_det(levels, p1, p2, n)
-        return theory.ber_det(levels, p1, p2, n, t), math.nan, sinr
-    if t is None:
-        t = _exact_threshold(levels, frame)
-    if isinstance(levels, theory.ConditionalVariances):
-        return (theory.ber_random(levels, p1, p2, n, t),
-                theory.ber_gaussian_approx(levels, p1, p2, n, t), sinr)
-    return theory.ber_det_noncentral(levels, p1, p2, n, t), math.nan, sinr
-
-
 def _run_ber_block(cfg, spec, curve, frame, axis_i, curve_i, block_i,
                    bases):
-    """Simulate one block; returns (errors, ber_theory, ber_gauss, sinr).
+    """Simulate one block; returns (errors, levels, exact threshold, sinr).
 
     The block's bits are the payload, after an M-symbol preamble in
     estimated mode; they start at sample ``block_i * len(bits) * N``.  Tonal
     samples are synthesized once, for the energies and the payload's theory
     levels, from the phasors in the sweep's ``bases`` store (None: built
-    for this block alone).  The payload is
-    sliced at the exact threshold or at the preamble's estimate.  Draws:
-    channel, payload, then the energies.
+    for this block alone).  The payload is sliced at the exact threshold
+    (None in estimated mode) or at the preamble's estimate.  ``levels`` is
+    None when the block's levels coincide.  Draws: channel, payload, then
+    the energies.
     """
     ss = np.random.SeedSequence(cfg.master_seed,
                                 spawn_key=(_STREAM_BLOCKS, axis_i, curve_i,
@@ -610,7 +578,75 @@ def _run_ber_block(cfg, spec, curve, frame, axis_i, curve_i, block_i,
     t = t_exact if exact else modem.estimate_threshold(q[:pre], frame).t_hat
     decoded = modem.decode(q[pre:], t)
     errors = int(np.count_nonzero(decoded != payload))
-    return (errors,) + _theory_columns(spec, levels, ch, frame, t_exact)
+    # a non-tonal jammer sends random samples: its direct path counts as
+    # interference in the SINR
+    sinr = channel.sinr(ch, frame.a2, spec.power, not spec.kind.is_tonal)
+    return errors, levels, t_exact, sinr
+
+
+def _block_theory(cfg, kind, frame, levels, t, sinr):
+    """(ber_theory, ber_gauss, sinr) predictions for one block.
+
+    ``t`` is the threshold the theory is evaluated at: the exact one the
+    block decoded at, the sweep's noncentral root, or None, where the
+    law's own closed-form optimum is taken.  ``levels`` is None when the
+    block's levels coincide, which makes all three columns NaN.  A
+    non-tonal jammer sends random samples: its levels add the relayed and
+    direct paths coherently, which holds only at ``n_tau = 0``, so only the
+    SINR is given beyond.  Two kinds are labelled exceptions: 16QAM has no
+    closed form, and tonal kinds give the shifted-gamma ``ber_det`` at its
+    own optimum, a comparison rather than the exact law.
+    """
+    if kind is JammerKind.MOD_16QAM or not kind.is_tonal and cfg.n_tau:
+        return math.nan, math.nan, sinr
+    if levels is None:
+        return math.nan, math.nan, math.nan
+    p1, p2, n = frame.p1, frame.p2, frame.N
+    if kind.is_tonal:
+        t = theory.optimal_threshold_det(levels, p1, p2, n)
+        return theory.ber_det(levels, p1, p2, n, t), math.nan, sinr
+    if isinstance(levels, theory.ConditionalVariances):
+        if t is None:
+            t = theory.optimal_threshold_random(levels, p1, p2, n)
+        return (theory.ber_random(levels, p1, p2, n, t),
+                theory.ber_gaussian_approx(levels, p1, p2, n, t), sinr)
+    return theory.ber_det_noncentral(levels, p1, p2, n, t), math.nan, sinr
+
+
+def _theory_columns(cfg, outcomes):
+    """Each point's block means of (ber_theory, ber_gauss, sinr), by curve.
+
+    Runs once, after the sweep's blocks.  ``outcomes[axis_i][curve_i]``
+    lists a point's blocks as (levels, exact threshold, sinr).  Every
+    estimated-mode noncentral root of the sweep is solved first, in one
+    lockstep batch per frame (one per sweep on a JNR axis, one per point
+    on an N axis); an entry of a batch equals the block's own root bit for
+    bit.  Each mean is taken over a point's blocks in block order.
+    """
+    frames = [_axis_point(cfg, v)[1] for v in cfg.axis_values]
+    blocks = [(frames[axis_i], cfg.curves[curve_i].jammer.kind) + block
+              for axis_i, point in enumerate(outcomes)
+              for curve_i, curve in enumerate(point) for block in curve]
+    batches = {}
+    for i, (frame, kind, levels, t, _) in enumerate(blocks):
+        # estimated-mode BPSK/QPSK at n_tau = 0: tonal levels take the
+        # shifted-gamma optimum, and random jamming has no theory beyond
+        if (t is None and not kind.is_tonal and not cfg.n_tau
+                and isinstance(levels, theory.DeterministicEnergies)):
+            batches.setdefault(frame, []).append(i)
+    roots = {}
+    for frame, batch in batches.items():
+        roots.update(zip(batch, theory.optimal_threshold_noncentral(
+            [blocks[i][2] for i in batch], frame.p1, frame.p2, frame.N)))
+    cols = np.array([_block_theory(cfg, kind, frame, levels, roots.get(i, t),
+                                   sinr)
+                     for i, (frame, kind, levels, t, sinr)
+                     in enumerate(blocks)], dtype=np.float64)
+    # one column at a time: a 1-D mean sums pairwise, a 2-D axis-0 mean
+    # row by row, and the two round differently
+    means = iter([float(col.mean()) for col in cols[lo:lo + cfg.blocks].T]
+                 for lo in range(0, len(blocks), cfg.blocks))
+    return [[next(means) for _ in cfg.curves] for _ in cfg.axis_values]
 
 
 # (column prefix, simulator in `baselines`); the index is the scheme's
@@ -651,27 +687,31 @@ def _submit_point(pool, cfg, prepared, bases, axis_i):
 
 
 def _reduce_point(cfg, value, futures, progress):
-    """One row from a submitted point's futures, read in block order."""
+    """A point's simulated cells and its blocks' theory inputs.
+
+    Reads the futures in block order.  Returns each curve's five simulated
+    cells, the baselines' cells, and per curve the blocks' (levels, exact
+    threshold, sinr).
+    """
     bits_per_point = cfg.blocks * cfg.payload_bits_per_block
-    row = [value if cfg.axis_name != "n" else int(round(value))]
+    sims, base, outcomes = [], [], []
     for curve_i, curve in enumerate(cfg.curves):
-        blocks = futures[curve_i * cfg.blocks:(curve_i + 1) * cfg.blocks]
-        out = np.array([f.result() for f in blocks], dtype=np.float64)
-        errors = int(out[:, 0].sum())
-        est = BerEstimate.from_counts(errors, bits_per_point)
-        row += [est.errors, est.bits, est.ber, est.ci_low, est.ci_high,
-                float(out[:, 1].mean()), float(out[:, 2].mean()),
-                float(out[:, 3].mean())]
+        blocks = [f.result() for f in
+                  futures[curve_i * cfg.blocks:(curve_i + 1) * cfg.blocks]]
+        est = BerEstimate.from_counts(sum(b[0] for b in blocks),
+                                      bits_per_point)
+        sims.append([est.errors, est.bits, est.ber, est.ci_low, est.ci_high])
+        outcomes.append([b[1:] for b in blocks])
         if progress:
             progress(f"{cfg.axis_name}={value:g} {curve.label}: "
                      f"ber={est.ber:.3e} ({est.bits} bits)")
-    base = futures[len(cfg.curves) * cfg.blocks:]
-    for (name, _), fut in zip(_BASELINES, base):
+    for (name, _), fut in zip(_BASELINES,
+                              futures[len(cfg.curves) * cfg.blocks:]):
         est = fut.result()
-        row += [est.ber, est.ci_low, est.ci_high]
+        base += [est.ber, est.ci_low, est.ci_high]
         if progress:
             progress(f"{cfg.axis_name}={value:g} {name}: ber={est.ber:.3e}")
-    return tuple(row)
+    return sims, base, outcomes
 
 
 def run_ber_sweep(cfg, progress=None):
@@ -680,8 +720,10 @@ def run_ber_sweep(cfg, progress=None):
     Per curve the columns are ``<label>.errors/bits/ber_sim/ci_low/ci_high/
     ber_theory/ber_gauss/sinr``; theory columns are block-averaged closed
     forms evaluated at per-block optimal thresholds and are NaN where no
-    closed form applies.  With baselines enabled, ``dsss.*``/``fh.*``
-    column groups are appended.
+    closed form applies.  They are evaluated after the sweep's blocks, in
+    one pass over every point and curve that solves all the sweep's
+    noncentral roots (BPSK/QPSK in estimated mode) in one lockstep batch.
+    With baselines enabled, ``dsss.*``/``fh.*`` column groups are appended.
     """
     if cfg.mode != "ber":
         raise ConfigError("run_ber_sweep needs a BER-mode config")
@@ -711,7 +753,7 @@ def run_ber_sweep(cfg, progress=None):
     # point i is reduced, so the pool does not drain between points and at
     # most two points' futures are held.  On an error the queued ones are
     # cancelled, so the sweep stops once the running blocks finish.
-    rows = []
+    reduced = []
     queue = []
     with ThreadPoolExecutor(max_workers=threads) as pool:
         try:
@@ -720,11 +762,19 @@ def run_ber_sweep(cfg, progress=None):
                 if axis_i + 1 < len(cfg.axis_values):
                     queue.append(_submit_point(pool, cfg, prepared, bases,
                                                axis_i + 1))
-                rows.append(_reduce_point(cfg, value, queue[0], progress))
+                reduced.append(_reduce_point(cfg, value, queue[0], progress))
                 queue.pop(0)
         finally:
             for fut in (f for futures in queue for f in futures):
                 fut.cancel()
+    predicted = _theory_columns(cfg, [point[2] for point in reduced])
+    rows = []
+    for value, (sims, base, _), theory_cells in zip(cfg.axis_values, reduced,
+                                                    predicted):
+        row = [value if cfg.axis_name != "n" else int(round(value))]
+        for sim, cells in zip(sims, theory_cells):
+            row += sim + cells
+        rows.append(tuple(row + base))
     return SweepResult(columns=tuple(columns), rows=tuple(rows),
                        meta={"preset": cfg.preset, "mode": "ber"})
 

@@ -202,7 +202,7 @@ def optimal_threshold_det(d, p1, p2, N):
 
 def _log_ncx2_over_chi2(x, N, lam):
     """log of the noncentral (lam) over the central chi-square density, both
-    with 2N degrees of freedom, at x >= 0.
+    with 2N degrees of freedom, at arrays x >= 0 and lam that broadcast.
 
     That is ``-lam/2 + log 0F1(; N; lam x / 4)``, written through
     ``log I_v(z) = log ive(v, z) + z`` with ``z = sqrt(lam x)`` so that it
@@ -210,12 +210,21 @@ def _log_ncx2_over_chi2(x, N, lam):
     underflows (z tiny, or 0 as for the central law or at x = 0) the 0F1
     factor is 1 to within ``lam x / 4N``.
     """
-    z = math.sqrt(lam * x)
-    bessel = special.ive(N - 1, z) if z > 0 else 0.0
-    if bessel == 0:
-        return -lam / 2
-    return (-lam / 2 + special.gammaln(N) + (N - 1) * math.log(2.0 / z)
-            + math.log(bessel) + z)
+    z = np.sqrt(lam * x)
+    bessel = np.where(z > 0, special.ive(N - 1, z), 0.0)
+    out = -lam / 2
+    on = bessel != 0
+    z, bessel = z[on], bessel[on]
+    out[on] = (out[on] + special.gammaln(N) + (N - 1) * _log(2.0 / z)
+               + _log(bessel) + z)
+    return out
+
+
+def _log(a):
+    # math.log per element: on CPUs where numpy's log runs in SIMD loops it
+    # differs from the C library's by an ulp in about 1 of 2000 arguments,
+    # which moves a root's last bits
+    return np.array([math.log(v) for v in a.tolist()])
 
 
 # scipy brentq's relative tolerance and iteration limit
@@ -226,18 +235,40 @@ _BRENT_MAXITER = 100
 def brentq(f, a, b, xtol=2e-12):
     """Root of ``f`` on ``[a, b]`` by Brent's method (Brent 1973, ch. 4).
 
-    Drives one :func:`_brent_steps` generator, sending it ``f`` at each
-    point it yields, so every root is scipy's ``brentq`` root bit for bit.
-    Raises ``ValueError`` without a sign change or on a NaN value of ``f``,
-    and ``RuntimeError`` when scipy's 100 steps do not converge.
+    The scalar front end of :func:`_lockstep`: one :func:`_brent_steps`
+    generator, sent ``f`` at each point it yields, so every root is
+    scipy's ``brentq`` root bit for bit.  Raises ``ValueError`` without a
+    sign change or on a NaN value of ``f``, and ``RuntimeError`` when
+    scipy's 100 steps do not converge.
     """
     steps = _brent_steps(a, b, xtol)
-    x = next(steps)
-    while True:
-        try:
-            x = steps.send(f(x))
-        except StopIteration as done:
-            return done.value
+    return _lockstep({0: (steps, next(steps))},
+                     lambda _, x: np.array([f(float(x[0]))]))[0]
+
+
+def _lockstep(steps, values):
+    """Drive :func:`_brent_steps` generators in lockstep; their roots by key.
+
+    ``steps`` maps a key to a generator and the point it yielded last.
+    Each round calls ``values(keys, x)`` once, with the keys and points of
+    the unsolved generators as arrays, and sends each generator its value.
+    A generator's ``ValueError`` (no sign change, a NaN value) or
+    ``RuntimeError`` (no convergence) propagates.  The package's one Brent
+    loop: :func:`brentq`, :func:`optimal_threshold_noncentral` and
+    :func:`capacity.capacity` all run on it.
+    """
+    roots = {}
+    while steps:
+        keys = list(steps)
+        fx = values(np.array(keys), np.array([steps[k][1] for k in keys]))
+        for k, f in zip(keys, fx.tolist()):
+            gen = steps[k][0]
+            try:
+                steps[k] = gen, gen.send(f)
+            except StopIteration as done:
+                roots[k] = done.value
+                del steps[k]
+    return roots
 
 
 def _brent_steps(a, b, xtol):
@@ -249,10 +280,9 @@ def _brent_steps(a, b, xtol):
     extrapolation (secant interpolation while only two points are
     distinct), keeps it only when ``2|s| < min(|s_prev|, 3|s_bis| - delta)``
     and bisects otherwise; no step is shorter than
-    ``delta = (xtol + rtol |x|) / 2``, with scipy's ``rtol = 4 eps``.  One
-    generator serves :func:`brentq`, which drives it with a scalar ``f``,
-    and :func:`capacity.capacity`, which drives one per channel in
-    lockstep and evaluates all their points in one batch per step.
+    ``delta = (xtol + rtol |x|) / 2``, with scipy's ``rtol = 4 eps``.
+    :func:`_lockstep` drives one generator per root and evaluates all their
+    points in one batch per step.
     """
     def checked(x, fx):
         if math.isnan(fx):
@@ -311,25 +341,52 @@ def optimal_threshold_noncentral(d, p1, p2, N):
     ``x = 2N T / sigma2_R`` and ``lam_k = 2N qd_k / sigma2_R``; the central
     density both share cancels from the ratio.  The family has a monotone
     likelihood ratio (Karlin and Rubin 1956), so the log of that ratio rises
-    through one root, found by :func:`brentq` (scipy's ``brentq`` bit for
-    bit) on ``[qd_1, qd_2 + 15 sigma2_R]``.  Without a sign change there the
-    BER is monotone on the bracket and the end with the lower BER is
-    returned.
+    through one root on ``[qd_1, qd_2 + 15 sigma2_R]``.  Without a sign
+    change there the BER is monotone on the bracket and the end with the
+    lower BER is returned.
+
+    ``d`` is one :class:`DeterministicEnergies` (a float back) or a
+    sequence of them (a list back), all at the priors and N given.  The
+    log ratio is evaluated once over every bracket end; each bracketed root
+    then runs one :func:`_brent_steps` generator, sent those two end values
+    as its first two points, and the generators step in lockstep
+    (:func:`_lockstep`), each round one array evaluation of the log ratio.
+    Every root is scipy's ``brentq`` on the scalar log ratio bit for bit,
+    and an entry of a batch equals the batch of one.
     """
-    lo = d.qd_1
-    hi = d.qd_2 + 15.0 * d.sigma2_R
-    scale = 2.0 * N / d.sigma2_R
+    one = isinstance(d, DeterministicEnergies)
+    ds = [d] if one else list(d)
+    lo = [u.qd_1 for u in ds]
+    hi = [u.qd_2 + 15.0 * u.sigma2_R for u in ds]
+    scale = np.array([2.0 * N / u.sigma2_R for u in ds])
+    # row 0 the noncentrality of qd_2, row 1 that of qd_1
+    lam = scale * np.array([[u.qd_2 for u in ds], lo])
     log_prior = math.log(p2 / p1)
 
-    def log_ratio(t):
-        x = scale * t
-        return (log_prior + _log_ncx2_over_chi2(x, N, scale * d.qd_2)
-                - _log_ncx2_over_chi2(x, N, scale * d.qd_1))
+    def log_ratio(keys, t):
+        both = _log_ncx2_over_chi2(scale[keys] * t, N, lam[:, keys])
+        return log_prior + both[0] - both[1]
 
-    if log_ratio(lo) <= 0 <= log_ratio(hi):
-        return float(brentq(log_ratio, lo, hi))
-    ends = np.array([lo, hi])
-    return float(ends[np.argmin(ber_det_noncentral(d, p1, p2, N, ends))])
+    n = len(ds)
+    keys = np.arange(n)
+    ends = log_ratio(np.concatenate([keys, keys]), np.array(lo + hi)).tolist()
+    out, steps = [None] * n, {}
+    for i, (f_lo, f_hi) in enumerate(zip(ends[:n], ends[n:])):
+        if not f_lo <= 0 <= f_hi:
+            bracket = np.array([lo[i], hi[i]])
+            ber = ber_det_noncentral(ds[i], p1, p2, N, bracket)
+            out[i] = float(bracket[np.argmin(ber)])
+            continue
+        gen = _brent_steps(lo[i], hi[i], 2e-12)  # brentq's default xtol
+        next(gen)
+        gen.send(f_lo)
+        try:
+            steps[i] = gen, gen.send(f_hi)
+        except StopIteration as done:  # a zero at an end
+            out[i] = float(done.value)
+    for i, root in _lockstep(steps, log_ratio).items():
+        out[i] = float(root)
+    return out[0] if one else out
 
 
 def ber_gaussian_approx(v, p1, p2, N, threshold):

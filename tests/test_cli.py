@@ -393,7 +393,7 @@ def test_import_leaves_scipy_stats_unloaded():
 
 
 def test_import_leaves_scipy_optimize_unloaded():
-    # the root finds run on theory.brentq; scipy.optimize (which loads
+    # the root finds run on theory's Brent port; scipy.optimize (which loads
     # linalg, sparse, spatial and fft) comes in only with the scipy.stats
     # that the selftest checks import, and in the tests
     assert _loaded_by_a_fresh_import("scipy.optimize") == "False"

@@ -10,9 +10,10 @@ from scipy import stats
 from jamlink import baselines, harness, kernels, signals, theory
 from jamlink.channel import ChannelDraw
 from jamlink.errors import ConfigError, DegenerateChannelError
-from jamlink.harness import (PRESET_NAMES, SweepResult, config_from_file,
-                             config_from_mapping, emit_csv, preset_config,
-                             read_csv, run_ber_sweep, run_capacity_sweep)
+from jamlink.config import load_config
+from jamlink.harness import (PRESET_NAMES, SweepResult, config_from_mapping,
+                             emit_csv, preset_config, read_csv, run_ber_sweep,
+                             run_capacity_sweep)
 from jamlink.signals import JammerKind
 
 
@@ -176,7 +177,7 @@ class TestConfigFromMapping:
     def test_file_roundtrip(self, tmp_path):
         p = tmp_path / "exp.cfg"
         p.write_text("experiment.preset = fig6\nrun.blocks = 3\n")
-        cfg = config_from_file(p)
+        cfg = config_from_mapping(load_config(p))
         assert cfg.preset == "fig6" and cfg.blocks == 3
 
 
@@ -512,22 +513,67 @@ class TestBerSweep:
                 (kind == "random_broadband")
             assert np.isfinite(row[f"{kind}.sinr"])
 
-    @pytest.mark.parametrize("kind", ["mod_bpsk", "mod_qpsk"])
-    def test_exact_envelope_threshold_is_solved_once_per_block(
-            self, monkeypatch, kind):
-        # an exact-mode block decodes at the noncentral law's root, and its
-        # theory columns are evaluated at that same threshold
+    @staticmethod
+    def _count_noncentral_roots(monkeypatch):
         root = theory.optimal_threshold_noncentral
         calls = []
 
-        def counted(*args):
-            calls.append(args)
-            return root(*args)
+        def counted(d, *args):
+            calls.append(d)
+            return root(d, *args)
 
         monkeypatch.setattr(theory, "optimal_threshold_noncentral", counted)
+        return calls
+
+    @pytest.mark.parametrize("kind", ["mod_bpsk", "mod_qpsk"])
+    def test_exact_envelope_threshold_is_solved_once_per_block(
+            self, monkeypatch, kind):
+        # an exact-mode block decodes at the noncentral law's root, a batch
+        # of one, and its theory columns are evaluated at that same
+        # threshold: the post-block pass solves no root of its own
+        calls = self._count_noncentral_roots(monkeypatch)
         cfg = self._kind_cfg(kind, "exact", 0)
         run_ber_sweep(cfg)
         assert len(calls) == cfg.blocks * len(cfg.axis_values)
+        assert all(isinstance(d, theory.DeterministicEnergies) for d in calls)
+
+    @pytest.mark.parametrize("axis", ["jnr_db", "n"])
+    def test_estimated_envelope_roots_are_one_batch_per_frame(
+            self, monkeypatch, axis):
+        # after the blocks, every estimated-mode BPSK/QPSK root of the
+        # sweep is solved in one batch per frame: one for a JNR axis, one
+        # per point on an N axis, whose points differ in N
+        calls = self._count_noncentral_roots(monkeypatch)
+        cfg = self._envelope_cfg(axis)
+        run_ber_sweep(cfg)
+        points = len(cfg.axis_values)
+        assert len(calls) == (1 if axis == "jnr_db" else points)
+        assert sum(len(d) for d in calls) == 2 * cfg.blocks * points
+
+    @pytest.mark.parametrize("axis", ["jnr_db", "n"])
+    def test_estimated_envelope_csv_is_thread_independent(self, tmp_path,
+                                                          axis):
+        cfg = self._envelope_cfg(axis)
+        out = []
+        for threads in (1, 2):
+            path = tmp_path / f"{threads}.csv"
+            emit_csv(run_ber_sweep(replace(cfg, threads=threads)), path)
+            out.append(path.read_bytes())
+        assert out[0] == out[1]
+        header, *rows = out[0].decode().splitlines()[1:]
+        theory_col = header.split(",").index("mod_qpsk.ber_theory")
+        assert all(0 <= float(r.split(",")[theory_col]) < 1 for r in rows)
+
+    @staticmethod
+    def _envelope_cfg(axis):
+        keys = {"axis.name": axis, "jammer.kind": "mod_bpsk, mod_qpsk",
+                "snr.db": "5", "run.blocks": "3",
+                "run.payload_bits_per_block": "200", "run.threads": "2"}
+        if axis == "n":
+            keys.update({"axis.values": "2, 6, 10", "jammer.jnr_db": "10"})
+        else:
+            keys["axis.values"] = "0, 10, 20"
+        return config_from_mapping(keys)
 
     @pytest.mark.parametrize("mode", ["estimated", "exact"])
     @pytest.mark.parametrize("kind", [k.value for k in JammerKind])

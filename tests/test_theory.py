@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import optimize, stats
+from scipy import optimize, special, stats
 
 from jamlink import theory
 from jamlink.errors import DegenerateChannelError
@@ -328,6 +328,85 @@ def _log_ratio(d, p1, p2, n, t):
     return np.log(p2 / p1) + stats.ncx2.logpdf(x, 2 * n, lam2) - log_f0
 
 
+def _package_log_ratio(d, p1, p2, n):
+    # the package's log ratio of one level pair, as a scalar function of T
+    scale = 2.0 * n / d.sigma2_R
+    lam = np.array([[scale * d.qd_2], [scale * d.qd_1]])
+
+    def f(t):
+        both = theory._log_ncx2_over_chi2(np.array([scale * t]), n, lam)
+        return float(math.log(p2 / p1) + both[0, 0] - both[1, 0])
+    return f
+
+
+def _random_levels(rng, size):
+    # level pairs from a tenth of a noise variance apart to 1e4 apart, a
+    # quarter with qd_1 = 0, then three fixed edge cases: qd_1 = 0, a qd_1
+    # so small that ive underflows at the low bracket end, and levels too
+    # close for the extreme priors to give a sign change
+    out = []
+    for _ in range(size):
+        s2 = 10.0 ** rng.uniform(-2, 2)
+        qd1 = 0.0 if rng.random() < 0.25 else 10.0 ** rng.uniform(-3, 3) * s2
+        out.append(DeterministicEnergies(
+            qd_1=qd1, qd_2=qd1 + 10.0 ** rng.uniform(-1, 4) * s2,
+            sigma2_R=s2))
+    return out + [DeterministicEnergies(0.0, 3.0, 1.0),
+                  DeterministicEnergies(1e-150, 2.0, 0.5),
+                  DeterministicEnergies(0.0, 0.01, 1.0)]
+
+
+class TestNoncentralBatch:
+    @pytest.mark.parametrize("p1", [0.5, 0.9, 1e-3, 0.999])
+    @pytest.mark.parametrize("n", [1, 2, 10, 50])
+    def test_batch_equals_per_element_bit_for_bit(self, n, p1):
+        rng = np.random.default_rng(1000 * n + int(p1 * 1000))
+        ds = _random_levels(rng, 60)
+        got = optimal_threshold_noncentral(ds, p1, 1 - p1, n)
+        assert isinstance(got, list) and len(got) == len(ds)
+        assert list(map(repr, got)) == [
+            repr(optimal_threshold_noncentral(d, p1, 1 - p1, n)) for d in ds]
+        # the batch holds each case: roots, bracket ends without a sign
+        # change (the extreme priors), qd_1 = 0, and an underflowing ive
+        ends = [t in (d.qd_1, d.qd_2 + 15.0 * d.sigma2_R)
+                for d, t in zip(ds, got)]
+        assert not all(ends)
+        if p1 in (1e-3, 0.999):
+            assert any(ends)
+        assert any(d.qd_1 == 0 for d in ds)
+        if n >= 10:
+            assert any(_ive_underflows(d, n) for d in ds)
+
+    def test_roots_equal_scipy_brentq(self):
+        rng = np.random.default_rng(29)
+        for n in (1, 4, 30):
+            ds = _random_levels(rng, 40)
+            got = optimal_threshold_noncentral(ds, 0.4, 0.6, n)
+            solved = 0
+            for d, t in zip(ds, got):
+                f = _package_log_ratio(d, 0.4, 0.6, n)
+                lo, hi = d.qd_1, d.qd_2 + 15.0 * d.sigma2_R
+                if f(lo) <= 0 <= f(hi):
+                    assert t == optimize.brentq(f, lo, hi, xtol=2e-12)
+                    solved += 1
+            assert solved >= 20
+
+    def test_batch_of_one_returns_a_float(self):
+        d = DeterministicEnergies(qd_1=1.0, qd_2=9.0, sigma2_R=1.0)
+        t = optimal_threshold_noncentral(d, 0.5, 0.5, 8)
+        assert type(t) is float
+        assert optimal_threshold_noncentral((d,), 0.5, 0.5, 8) == [t]
+        assert optimal_threshold_noncentral([], 0.5, 0.5, 8) == []
+
+
+def _ive_underflows(d, n):
+    # ive(N - 1, z) of the qd_1 density at the low bracket end is 0 with
+    # z > 0, computed as the package computes it
+    lam_x = (2.0 * n * d.qd_1 / d.sigma2_R) ** 2
+    z = math.sqrt(lam_x)
+    return z > 0 and special.ive(n - 1, z) == 0
+
+
 class TestOptimalThresholdNoncentral:
     @pytest.mark.parametrize("n", [1, 2, 10, 50])
     @pytest.mark.parametrize("qd1", [0.0, 0.8])
@@ -411,34 +490,42 @@ class TestBrentq:
             assert got == optimize.brentq(f, a, b, xtol=xtol), (i, a, b)
 
     def test_threshold_brackets_equal_scipy(self, monkeypatch):
-        # the log-likelihood-ratio brackets optimal_threshold_noncentral
-        # solves, fig3's 28-30 dB plateau among them
-        port, seen = theory.brentq, []
+        # the log-likelihood-ratio roots optimal_threshold_noncentral solves
+        # in one lockstep batch, fig3's 28-30 dB plateau among them, equal
+        # scipy's brentq on the scalar log ratio
+        drive, batches = theory._lockstep, []
 
-        def recording(f, a, b):
-            seen.append((f, a, b))
-            return port(f, a, b)
+        def recording(steps, values):
+            batches.append(len(steps))
+            return drive(steps, values)
 
-        monkeypatch.setattr(theory, "brentq", recording)
+        monkeypatch.setattr(theory, "_lockstep", recording)
         rng = np.random.default_rng(18)
+        problems = []
         for _ in range(200):
             s2 = rng.uniform(0.2, 5.0)
             qd1 = rng.uniform(0.0, 2.0) * s2
             d = DeterministicEnergies(
                 qd_1=qd1, qd_2=qd1 + rng.uniform(0.5, 8.0) * s2, sigma2_R=s2)
             p1 = rng.uniform(0.2, 0.8)
-            optimal_threshold_noncentral(d, p1, 1 - p1,
-                                         int(rng.integers(1, 60)))
+            problems.append(([d], p1, int(rng.integers(1, 60))))
         a2 = math.sqrt(10.0 ** 0.5 / 0.5)
-        for jnr_db in (28.0, 30.0):
-            pj = 10.0 ** (jnr_db / 10.0)
-            d = DeterministicEnergies(qd_1=pj, qd_2=(a2 + 1.0) ** 2 * pj,
-                                      sigma2_R=1.0)
-            for n in (1, 10, 50):
-                optimal_threshold_noncentral(d, 0.5, 0.5, n)
-        assert len(seen) >= 150
-        for f, a, b in seen:
-            assert port(f, a, b) == optimize.brentq(f, a, b)
+        plateau = [DeterministicEnergies(qd_1=pj, qd_2=(a2 + 1.0) ** 2 * pj,
+                                         sigma2_R=1.0)
+                   for pj in (10.0 ** 2.8, 10.0 ** 3.0)]
+        problems += [(plateau, 0.5, n) for n in (1, 10, 50)]
+        solved = 0
+        for ds, p1, n in problems:
+            got = optimal_threshold_noncentral(ds, p1, 1 - p1, n)
+            for d, t in zip(ds, got):
+                f = _package_log_ratio(d, p1, 1 - p1, n)
+                lo, hi = d.qd_1, d.qd_2 + 15.0 * d.sigma2_R
+                if f(lo) <= 0 <= f(hi):
+                    assert t == optimize.brentq(f, lo, hi, xtol=2e-12)
+                    solved += 1
+        assert solved >= 150
+        # one lockstep batch per call, of every root with a sign change
+        assert len(batches) == len(problems) and sum(batches) <= solved
 
     def test_endpoint_root_returned_as_given(self):
         assert brentq(lambda x: x - 1.0, 1.0, 3.0) == 1.0
