@@ -34,7 +34,12 @@ preset.  Under ``presets`` the output holds, per preset, each side's
 its thread control (below), and
 per CSV column the number of cells of the change's 2-thread CSV that differ
 from the parent's, with the worst relative change (inf where one side is 0)
-and the worst absolute change over the finite cells.
+and the worst absolute change over the finite cells.  The config files in
+``benchmarks/configs/`` are custom sweeps that reach what no preset runs
+(exact mode for tonal and modulated jamming, a direct-path delay, fixed
+gains); both checkouts run each of them the same way (``python -m
+jamlink.cli sweep --config <this repository's file>``), reported under
+``configs`` by file stem.
 
 The thread control tells how much parallelism the host gave while a side
 ran a preset, since a shared host's spare CPU varies over time: just before
@@ -82,6 +87,9 @@ ROOT = Path(__file__).resolve().parent.parent
 PRESETS = (("fig2", "sweep"), ("fig3", "sweep"), ("fig4", "sweep"),
            ("fig5", "sweep"), ("fig6", "sweep"), ("fig7", "capacity"),
            ("fig8", "capacity"))
+
+# custom sweeps, run and compared like the presets
+CONFIGS = tuple(sorted((ROOT / "benchmarks" / "configs").glob("*.cfg")))
 
 # the six slowest Tier-1 tests by ``pytest --durations`` at commit ad4a98a
 # on a 2-CPU host (the criterion 9 node's time is mostly its fig2 fixture),
@@ -259,9 +267,10 @@ def thread_control():
     return {"serial_s": one, "two_threads_s": two, "speedup": one / two}
 
 
-def run_preset(checkout, preset, command, seed, threads, out):
-    """One full preset run through the checkout's CLI.
+def run_cli(checkout, sweep, seed, threads, out):
+    """One full sweep through the checkout's CLI.
 
+    ``sweep`` is the subcommand and its ``--preset`` or ``--config`` flag.
     Returns the wall seconds and the run's peak resident set in MB, read
     from that one child's resource usage.
     """
@@ -269,7 +278,7 @@ def run_preset(checkout, preset, command, seed, threads, out):
     start = time.perf_counter()
     with tempfile.TemporaryFile(mode="w+") as err:
         proc = subprocess.Popen(
-            [sys.executable, "-m", "jamlink.cli", command, "--preset", preset,
+            [sys.executable, "-m", "jamlink.cli", *sweep,
              "--seed", str(seed), "--threads", str(threads), "--out",
              str(out), "--quiet"],
             stdout=subprocess.DEVNULL, stderr=err, text=True, cwd=checkout,
@@ -280,7 +289,8 @@ def run_preset(checkout, preset, command, seed, threads, out):
         wall = time.perf_counter() - start
         if proc.returncode != 0:
             err.seek(0)
-            raise RuntimeError(f"{checkout} {preset} --threads {threads}: "
+            raise RuntimeError(f"{checkout} {' '.join(sweep)} --threads "
+                               f"{threads}: "
                                f"exit {proc.returncode}\n{err.read().strip()}")
     # ru_maxrss is in KiB on Linux
     return wall, usage.ru_maxrss / 1024
@@ -335,21 +345,20 @@ def compare_csvs(parent, change):
     return out
 
 
-def bench_presets(sides, seed):
-    """Every preset at 1 and 2 threads on each side, compared cell by cell."""
+def bench_sweeps(sides, seed, sweeps):
+    """Each of ``sweeps``, {name: CLI subcommand and source flag}, at 1 and
+    2 threads on each side, compared cell by cell."""
     report = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for i, (preset, command) in enumerate(PRESETS):
+        for i, (name, sweep) in enumerate(sweeps.items()):
             entry = {}
             for side in (list(sides) if i % 2 == 0 else list(sides)[::-1]):
                 checkout = sides[side]
-                csvs = {t: Path(tmp) / f"{side}_{preset}_{t}.csv"
+                csvs = {t: Path(tmp) / f"{side}_{name}_{t}.csv"
                         for t in (1, 2)}
                 control = thread_control()
-                wall_1, _ = run_preset(checkout, preset, command, seed, 1,
-                                       csvs[1])
-                wall, rss = run_preset(checkout, preset, command, seed, 2,
-                                       csvs[2])
+                wall_1, _ = run_cli(checkout, sweep, seed, 1, csvs[1])
+                wall, rss = run_cli(checkout, sweep, seed, 2, csvs[2])
                 entry[side] = {
                     "wall_s_threads_1": wall_1,
                     "wall_s_threads_2": wall,
@@ -357,12 +366,12 @@ def bench_presets(sides, seed):
                     "peak_rss_mb_threads_2": rss,
                     "threads_1_2_identical":
                         csvs[1].read_bytes() == csvs[2].read_bytes()}
-            entry["columns"] = compare_csvs(Path(tmp) / f"parent_{preset}_2.csv",
-                                            Path(tmp) / f"change_{preset}_2.csv")
-            report[preset] = entry
+            entry["columns"] = compare_csvs(Path(tmp) / f"parent_{name}_2.csv",
+                                            Path(tmp) / f"change_{name}_2.csv")
+            report[name] = entry
             changed = {k: v for k, v in entry["columns"].items()
                        if v["cells_changed"]}
-            print(f"{preset}: wall {entry['parent']['wall_s_threads_2']:.2f} -> "
+            print(f"{name}: wall {entry['parent']['wall_s_threads_2']:.2f} -> "
                   f"{entry['change']['wall_s_threads_2']:.2f} s, peak RSS "
                   f"{entry['parent']['peak_rss_mb_threads_2']:.1f} -> "
                   f"{entry['change']['peak_rss_mb_threads_2']:.1f} MB, 1/2 threads "
@@ -376,8 +385,8 @@ def bench_presets(sides, seed):
                       f"{e['wall_s_threads_1'] / e['wall_s_threads_2']:.2f}), "
                       f"sha256 control x{e['thread_control']['speedup']:.2f}",
                       flush=True)
-            for name, v in changed.items():
-                print(f"  {name:32s} {v['cells_changed']:5d} cells, "
+            for column, v in changed.items():
+                print(f"  {column:32s} {v['cells_changed']:5d} cells, "
                       f"max rel {v['max_rel_change']:.3g}, "
                       f"max abs {v['max_abs_change']:.3g}")
     return report
@@ -462,7 +471,13 @@ def main(argv=None):
                 metric["better"], metric["bound"])
         report["workloads"][workload] = entry
         args.out.write_text(json.dumps(report, indent=1) + "\n")
-    report["presets"] = bench_presets(sides, args.seed)
+    report["presets"] = bench_sweeps(
+        sides, args.seed,
+        {preset: (command, "--preset", preset) for preset, command in PRESETS})
+    args.out.write_text(json.dumps(report, indent=1) + "\n")
+    report["configs"] = bench_sweeps(
+        sides, args.seed,
+        {path.stem: ("sweep", "--config", str(path)) for path in CONFIGS})
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     report["slow_tests"] = bench_slow_tests(sides)
     args.out.write_text(json.dumps(report, indent=1) + "\n")

@@ -122,6 +122,13 @@ def _require(args, *names):
 
 
 def _cmd_theory(args):
+    if args.n < 1:
+        raise ConfigError(f"--n must be >= 1, got {args.n}")
+    # mi takes the input probability p, which may be 0 or 1; the other
+    # ops take the prior of '0'
+    if not (0 <= args.p <= 1 if args.op == "mi" else 0 < args.p < 1):
+        bounds = "[0, 1]" if args.op == "mi" else "(0, 1)"
+        raise ConfigError(f"--p must lie in {bounds}, got {args.p!r}")
     p1 = args.p
     p2 = 1.0 - p1
     if args.op in ("optimal-threshold", "ber-random", "ber-gaussian",
@@ -296,7 +303,7 @@ def _law_matches_samples(spec, cfg, rng):
     ch = ChannelDraw(h1=0.8 - 0.6j, h2=0.3 + 1.1j, h3=-0.7 + 0.4j,
                      sigma2_R=1.0)
     bits = np.repeat([0, 1], 2000)
-    law = block_energies(spec, ch, cfg, bits, rng)
+    law, _ = block_energies(spec, ch, cfg, bits, rng)
     n = bits.size * cfg.N
     jam = gen_jammer_block(spec, n, 0, rng)
     noise = gen_cscg(ch.sigma2_R, n, rng)

@@ -472,61 +472,6 @@ def _draw_block_channel(cfg, rng):
     return channel.draw_channel(cfg.rician, cfg.sigma2_R, cfg.n_tau, rng)
 
 
-# ---------------------------------------------------------------------------
-# level builders: one table entry per jammer kind
-
-
-def _variance_levels(spec, ch, frame, jam):
-    """Conditional variances of the received samples for both symbols."""
-    return theory.variances(ch, frame.a1, frame.a2, spec.power)
-
-
-def _envelope_levels(spec, ch, frame, jam):
-    """Exact per-symbol energy levels for constant-envelope modulated jamming."""
-    lo, hi = sorted(float(theory.jam_energy(ch, a, spec.power))
-                    for a in (frame.a1, frame.a2))
-    return theory.DeterministicEnergies(qd_1=lo, qd_2=hi, sigma2_R=ch.sigma2_R)
-
-
-def _tone_levels(spec, ch, frame, jam):
-    """Deterministic energy levels of a tonal jammer, averaged over the payload.
-
-    ``jam`` holds the payload's real tone samples ``s`` after the ``n_tau``
-    look-back of the delayed samples ``s_d``; the mean of ``|h12 a s +
-    h3 s_d|^2`` is expanded into the mean products of the two.
-    """
-    n = jam.shape[0] - ch.n_tau
-    s, s_d = jam[ch.n_tau:], jam[:n]
-    ss = float(np.dot(s, s)) / n
-    if ch.n_tau:
-        dd, sd = float(np.dot(s_d, s_d)) / n, float(np.dot(s, s_d)) / n
-    else:
-        dd = sd = ss
-    h12 = complex(ch.h1 * ch.h2)
-    h3 = complex(ch.h3)
-    cross = 2.0 * (h12 * h3.conjugate()).real
-    e1, e2 = (abs(h12) ** 2 * a * a * ss + abs(h3) ** 2 * dd + a * cross * sd
-              for a in (frame.a1, frame.a2))
-    lo, hi = sorted((e1, e2))
-    return theory.DeterministicEnergies(qd_1=lo, qd_2=hi, sigma2_R=ch.sigma2_R)
-
-
-# the levels' type names their energy law: conditional variances the
-# gamma law of random jamming, deterministic energies the noncentral law
-_MODELS = {
-    JammerKind.RANDOM_BROADBAND: _variance_levels,
-    # no closed form for the 16QAM BER, whose envelope varies; its energies
-    # come from the exact binomial mixture (modem.block_energies)
-    JammerKind.MOD_16QAM: _variance_levels,
-    JammerKind.MOD_BPSK: _envelope_levels,
-    JammerKind.MOD_QPSK: _envelope_levels,
-    JammerKind.SINGLE_TONE: _tone_levels,
-    JammerKind.MULTI_TONE: _tone_levels,
-    JammerKind.NARROWBAND: _tone_levels,
-    JammerKind.DET_BROADBAND: _tone_levels,
-}
-
-
 def _exact_threshold(levels, frame):
     """The likelihood-ratio root of the levels' energy law."""
     if isinstance(levels, theory.ConditionalVariances):
@@ -541,13 +486,14 @@ def _run_ber_block(cfg, spec, curve, frame, axis_i, curve_i, block_i,
     """Simulate one block; returns (errors, levels, exact threshold, sinr).
 
     The block's bits are the payload, after an M-symbol preamble in
-    estimated mode; they start at sample ``block_i * len(bits) * N``.  Tonal
-    samples are synthesized once, for the energies and the payload's theory
-    levels, from the phasors in the sweep's ``bases`` store (None: built
-    for this block alone).  The payload is sliced at the exact threshold
-    (None in estimated mode) or at the preamble's estimate.  ``levels`` is
-    None when the block's levels coincide.  Draws: channel, payload, then
-    the energies.
+    estimated mode; they start at sample ``block_i * len(bits) * N``.  One
+    ``modem.block_energies`` call gives their energies and the payload's
+    levels, with tonal samples from the phasors in the sweep's ``bases``
+    store.  The payload is sliced at the exact threshold (None in
+    estimated mode) or at the preamble's estimate.  ``levels`` is None
+    when the block's levels coincide, which exact mode cannot slice at, or
+    when the jammer has no levels (non-tonal at ``n_tau > 0``).  Draws:
+    channel, payload, then the energies.
     """
     ss = np.random.SeedSequence(cfg.master_seed,
                                 spawn_key=(_STREAM_BLOCKS, axis_i, curve_i,
@@ -561,21 +507,15 @@ def _run_ber_block(cfg, spec, curve, frame, axis_i, curve_i, block_i,
     bits = payload if exact else np.concatenate(
         [modem.build_preamble(frame.M), payload])
     pre = bits.shape[0] - nbits  # preamble symbols: 0 or M
-    n_tot = bits.shape[0] * frame.N
-    offset = block_i * n_tot
-    jam = signals.gen_jammer_block(spec, n_tot + ch.n_tau, offset - ch.n_tau,
-                                   rng, bases) if spec.kind.is_tonal else None
-    try:
-        levels = _MODELS[spec.kind](
-            spec, ch, frame, None if jam is None else jam[pre * frame.N:])
-    except DegenerateChannelError:
-        if exact:
-            raise
-        levels = None
-
-    q = modem.block_energies(spec, ch, frame, bits, rng, offset, jam)
+    q, levels = modem.block_energies(spec, ch, frame, bits, rng,
+                                     block_i * bits.shape[0] * frame.N, pre,
+                                     bases)
+    if exact and levels is None:
+        raise DegenerateChannelError(
+            "the block's two energy levels coincide; exact mode has no "
+            "threshold")
     t_exact = _exact_threshold(levels, frame) if exact else None
-    t = t_exact if exact else modem.estimate_threshold(q[:pre], frame).t_hat
+    t = t_exact if exact else modem.estimate_threshold(q[:pre], frame)
     decoded = modem.decode(q[pre:], t)
     errors = int(np.count_nonzero(decoded != payload))
     # a non-tonal jammer sends random samples: its direct path counts as
@@ -629,9 +569,9 @@ def _theory_columns(cfg, outcomes):
               for curve_i, curve in enumerate(point) for block in curve]
     batches = {}
     for i, (frame, kind, levels, t, _) in enumerate(blocks):
-        # estimated-mode BPSK/QPSK at n_tau = 0: tonal levels take the
-        # shifted-gamma optimum, and random jamming has no theory beyond
-        if (t is None and not kind.is_tonal and not cfg.n_tau
+        # estimated-mode BPSK/QPSK (no levels at n_tau > 0): tonal levels
+        # take the shifted-gamma optimum
+        if (t is None and not kind.is_tonal
                 and isinstance(levels, theory.DeterministicEnergies)):
             batches.setdefault(frame, []).append(i)
     roots = {}

@@ -75,8 +75,8 @@ class TestComposeReceived:
 
     def test_all_zero(self):
         ch = ChannelDraw(1.0, 1.0, 0.0, 1e-30, 0)
-        q = block_energies(_ONES, ch, _frame(2), np.zeros(5),
-                           np.random.default_rng(0))
+        q, _ = block_energies(_ONES, ch, _frame(2), np.zeros(5),
+                              np.random.default_rng(0))
         np.testing.assert_allclose(np.sqrt(q), 0.0, atol=1e-13)
 
     def test_constant_gain_collapse(self, rng):
@@ -84,7 +84,7 @@ class TestComposeReceived:
         ch = ChannelDraw(0.7 + 0.1j, 1.2, 0.5 - 0.2j, 1e-30, 0)
         spec = _tones([1.0, 0.5, 0.8], [0.05, 0.17, 0.31],
                       rng.uniform(0.0, 2 * np.pi, 3))
-        q = block_energies(spec, ch, _frame(4, a2=2.0), np.ones(16), rng)
+        q, _ = block_energies(spec, ch, _frame(4, a2=2.0), np.ones(16), rng)
         jam = signals.gen_jammer_block(spec, 64, 0, None)
         want = abs(ch.h1 * ch.h2 * 2.0 + ch.h3) ** 2 * \
             (np.abs(jam) ** 2).reshape(16, 4).mean(axis=1)
@@ -93,8 +93,8 @@ class TestComposeReceived:
     def test_unit_everything(self):
         # y = 1 + 1 = 2 on every sample
         ch = ChannelDraw(1.0, 1.0, 1.0, 1e-30, 0)
-        q = block_energies(_ONES, ch, _frame(5), np.ones(1),
-                           np.random.default_rng(0))
+        q, _ = block_energies(_ONES, ch, _frame(5), np.ones(1),
+                              np.random.default_rng(0))
         np.testing.assert_allclose(q, 4.0, atol=1e-12)
 
     def test_delay_lookback(self, rng):
@@ -102,7 +102,7 @@ class TestComposeReceived:
         # before the block start
         ch = ChannelDraw(1.0, 1.0, 1.0, 1e-30, n_tau=3)
         spec = _tones([1.0, 0.7], [0.11, 0.23], [0.4, 2.0])
-        q = block_energies(spec, ch, _frame(2), np.ones(5), rng)
+        q, _ = block_energies(spec, ch, _frame(2), np.ones(5), rng)
         y = signals.gen_jammer_block(spec, 10, 0, None) \
             + signals.gen_jammer_block(spec, 10, -3, None)
         want = (np.abs(y) ** 2).reshape(5, 2).mean(axis=1)
@@ -110,7 +110,7 @@ class TestComposeReceived:
 
     def test_noise_variance(self, rng):
         ch = ChannelDraw(0.0, 0.0, 0.0, 4.0, 0)
-        q = block_energies(_ONES, ch, _frame(10), np.zeros(10**4), rng)
+        q, _ = block_energies(_ONES, ch, _frame(10), np.zeros(10**4), rng)
         assert np.isclose(np.mean(q), 4.0, rtol=0.05)
 
 

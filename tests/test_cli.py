@@ -303,6 +303,38 @@ class TestTheoryOps:
         assert np.isclose(p_star, 0.54573, atol=2e-4)
         assert np.isclose(cap_bits, 0.0400, atol=2e-4)
 
+    @pytest.mark.parametrize("args", [
+        ["--op", "optimal-threshold", "--d1", "1", "--d2", "2", "--n", "0"],
+        ["--op", "ber-random", "--d1", "1", "--d2", "2", "--p", "1.5",
+         "--t", "1"],
+        ["--op", "ber-det", "--qd1", "0", "--qd2", "1", "--n", "0"],
+        ["--op", "optimal-threshold-det", "--qd1", "0", "--qd2", "1",
+         "--n", "-3"],
+        ["--op", "optimal-threshold", "--d1", "1", "--d2", "2", "--p", "0"],
+        ["--op", "mi", "--d1", "1", "--d2", "2", "--p", "1.01"],
+        ["--op", "mi", "--d1", "1", "--d2", "2", "--p", "nan"],
+    ], ids=["n-0", "p-1.5", "det-n-0", "det-n-neg", "p-0", "mi-p-1.01",
+            "mi-p-nan"])
+    def test_out_of_range_n_or_p_is_config_error(self, capsys, monkeypatch,
+                                                 args):
+        # rejected before any level is built or closed form evaluated
+        def unreachable(*a, **kw):
+            raise AssertionError("evaluated")
+
+        for name in ("ConditionalVariances", "DeterministicEnergies"):
+            monkeypatch.setattr(theory, name, unreachable)
+        code, out, err = run(["theory"] + args, capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("config error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("p", ["0", "1"])
+    def test_mi_takes_the_end_points_of_p(self, capsys, p):
+        code, out, _ = run(["theory", "--op", "mi", "--d1", "1", "--d2", "2",
+                            "--p", p], capsys)
+        assert code == 0
+        assert abs(float(out.strip())) < 1e-12
+
     def test_full_precision_output(self, capsys):
         _, out, _ = run(["theory", "--op", "optimal-threshold",
                          "--d1", "1", "--d2", "2", "--n", "1"], capsys)

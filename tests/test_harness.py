@@ -7,7 +7,7 @@ import pytest
 from dataclasses import replace
 from scipy import stats
 
-from jamlink import baselines, harness, kernels, signals, theory
+from jamlink import baselines, harness, kernels, modem, signals, theory
 from jamlink.channel import ChannelDraw
 from jamlink.errors import ConfigError, DegenerateChannelError
 from jamlink.config import load_config
@@ -418,24 +418,29 @@ class TestBerSweep:
             "run.payload_bits_per_block": "5",
             "run.threads": "1",
         })
-        tone_levels = harness._MODELS[JammerKind.MULTI_TONE]
-        seen = []
+        # modem synthesizes each block's tones once, then takes the levels
+        gen, tone_levels = signals.gen_jammer_block, modem._tone_levels
+        specs, seen = [], []
 
-        def spy(spec, ch, frame, jam):
-            levels = tone_levels(spec, ch, frame, jam)
-            seen.append((spec, ch, frame, levels))
+        def gen_spy(spec, *args):
+            specs.append(spec)
+            return gen(spec, *args)
+
+        def spy(jam, ch, frame):
+            levels = tone_levels(jam, ch, frame)
+            seen.append((specs[-1], ch, frame, levels))
             return levels
 
-        monkeypatch.setitem(harness._MODELS, JammerKind.MULTI_TONE, spy)
+        monkeypatch.setattr(signals, "gen_jammer_block", gen_spy)
+        monkeypatch.setattr(modem, "_tone_levels", spy)
         run_ber_sweep(cfg)
         assert len(seen) == cfg.blocks
         nbits = cfg.payload_bits_per_block
         for block_i, (spec, ch, frame, levels) in enumerate(seen):
             pre = frame.M if mode == "estimated" else 0
             start = (block_i * (pre + nbits) + pre) * frame.N
-            s = signals.gen_jammer_block(spec, nbits * frame.N, start, None)
-            s_del = signals.gen_jammer_block(spec, nbits * frame.N,
-                                             start - ch.n_tau, None)
+            s = gen(spec, nbits * frame.N, start, None)
+            s_del = gen(spec, nbits * frame.N, start - ch.n_tau, None)
             want = sorted(
                 np.mean(np.abs(ch.h1 * ch.h2 * a * s + ch.h3 * s_del) ** 2)
                 for a in (frame.a1, frame.a2))

@@ -21,6 +21,11 @@ def _cfg(**kw):
     return FrameConfig(**base)
 
 
+def _threshold_of_means(q0_mean, q1_mean, cfg):
+    levels = theory.ConditionalVariances(q0_mean, q1_mean)
+    return theory.optimal_threshold_random(levels, cfg.p1, cfg.p2, cfg.N)
+
+
 class TestFrameConfig:
     def test_rejects_odd_preamble(self):
         with pytest.raises(ValueError):
@@ -66,21 +71,22 @@ class TestEstimateThreshold:
     def test_hand_value_equal_priors(self):
         # (xy/(y-x)) ln(y/x) with x=1, y=2: 2 ln 2
         q = np.array([2.0, 1.0, 2.0, 1.0])
-        est = estimate_threshold(q, _cfg(M=4, N=1))
-        assert np.isclose(est.t_hat, 2.0 * np.log(2.0), rtol=1e-12)
-        assert est.q0_hat == 1.0 and est.q1_hat == 2.0
+        cfg = _cfg(M=4, N=1)
+        t = estimate_threshold(q, cfg)
+        assert np.isclose(t, 2.0 * np.log(2.0), rtol=1e-12)
+        assert t == _threshold_of_means(1.0, 2.0, cfg)
 
     def test_hand_value_ratio_e(self):
         # x=1, y=e: (e/(e-1)) ln e = e/(e-1)
         q = np.array([np.e, 1.0])
-        est = estimate_threshold(q, _cfg(M=2, N=1))
-        assert np.isclose(est.t_hat, np.e / (np.e - 1.0), rtol=1e-12)
+        t = estimate_threshold(q, _cfg(M=2, N=1))
+        assert np.isclose(t, np.e / (np.e - 1.0), rtol=1e-12)
 
     def test_level_means(self):
         # each level is the mean of its M/2 slots: ones at 0::2, zeros at 1::2
         q = np.array([5.0, 1.0, 3.0, 2.0])
-        est = estimate_threshold(q, _cfg(M=4, N=1))
-        assert est.q1_hat == 4.0 and est.q0_hat == 1.5
+        cfg = _cfg(M=4, N=1)
+        assert estimate_threshold(q, cfg) == _threshold_of_means(1.5, 4.0, cfg)
 
     def test_degenerate_raises(self):
         q = np.ones(4)
@@ -89,16 +95,18 @@ class TestEstimateThreshold:
 
     def test_threshold_between_levels(self):
         q = np.array([4.0, 1.0, 4.0, 1.0])
-        est = estimate_threshold(q, _cfg(M=4, N=1))
-        assert est.q0_hat < est.t_hat < est.q1_hat
+        cfg = _cfg(M=4, N=1)
+        t = estimate_threshold(q, cfg)
+        assert 1.0 < t < 4.0
+        assert t == _threshold_of_means(1.0, 4.0, cfg)
 
     @given(scale=st.floats(min_value=1e-3, max_value=1e3),
            ratio=st.floats(min_value=1.1, max_value=50.0))
     def test_scaling_covariance(self, scale, ratio):
         # T(c x, c y) = c T(x, y)
         cfg = _cfg(M=2, N=1)
-        base = estimate_threshold(np.array([ratio, 1.0]), cfg).t_hat
-        scaled = estimate_threshold(np.array([ratio * scale, scale]), cfg).t_hat
+        base = estimate_threshold(np.array([ratio, 1.0]), cfg)
+        scaled = estimate_threshold(np.array([ratio * scale, scale]), cfg)
         assert np.isclose(scaled, scale * base, rtol=1e-9)
 
 
@@ -126,21 +134,23 @@ class TestPreambleLink:
         ch = ChannelDraw(1.0, 1.0, 1.0, 1e-12, 0)
         cfg = _cfg(N=10, M=10)
         payload = rng.integers(0, 2, 200)
-        q = block_energies(self._spec(), ch, cfg, _with_preamble(cfg, payload),
-                           rng)
-        est = estimate_threshold(q[:cfg.M], cfg)
-        np.testing.assert_array_equal(decode(q[cfg.M:], est.t_hat), payload)
-        assert est.q0_hat < est.t_hat < est.q1_hat
+        q, _ = block_energies(self._spec(), ch, cfg,
+                              _with_preamble(cfg, payload), rng)
+        t = estimate_threshold(q[:cfg.M], cfg)
+        np.testing.assert_array_equal(decode(q[cfg.M:], t), payload)
+        assert t == _threshold_of_means(q[1:cfg.M:2].mean(),
+                                        q[0:cfg.M:2].mean(), cfg)
         assert q.shape == (10 + 200,)
 
     def test_seeded_determinism(self, unit_channel):
         cfg = _cfg()
         bits = _with_preamble(cfg, np.array([0, 1, 1, 0, 1]))
         q1, q2 = (block_energies(self._spec(), unit_channel, cfg, bits,
-                                 np.random.default_rng(9)) for _ in range(2))
+                                 np.random.default_rng(9))[0]
+                  for _ in range(2))
         np.testing.assert_array_equal(q1, q2)
-        t1 = estimate_threshold(q1[:cfg.M], cfg).t_hat
-        assert t1 == estimate_threshold(q2[:cfg.M], cfg).t_hat
+        t1 = estimate_threshold(q1[:cfg.M], cfg)
+        assert t1 == estimate_threshold(q2[:cfg.M], cfg)
         np.testing.assert_array_equal(decode(q1[cfg.M:], t1),
                                       decode(q2[cfg.M:], t1))
 
@@ -156,11 +166,12 @@ class TestPreambleLink:
         cfg = _cfg(N=3, M=2)
         bits = _with_preamble(cfg, np.array([0, 1, 1]))
         n_block = bits.size * cfg.N
-        qa = block_energies(spec, ch, cfg, bits, np.random.default_rng(1), 0)
-        qb = block_energies(spec, ch, cfg, bits, np.random.default_rng(2),
-                            n_block)
-        q = block_energies(spec, ch, cfg, np.concatenate([bits, bits]),
-                           np.random.default_rng(3), 0)
+        qa, _ = block_energies(spec, ch, cfg, bits, np.random.default_rng(1),
+                               0)
+        qb, _ = block_energies(spec, ch, cfg, bits, np.random.default_rng(2),
+                               n_block)
+        q, _ = block_energies(spec, ch, cfg, np.concatenate([bits, bits]),
+                              np.random.default_rng(3), 0)
         np.testing.assert_allclose(np.concatenate([qa, qb]), q, rtol=1e-9)
 
     def test_energy_law_matches_chi_square(self, unit_channel):
@@ -168,8 +179,8 @@ class TestPreambleLink:
         cfg = _cfg(N=10, M=10, a2=2.0)
         rng = np.random.default_rng(77)
         payload = np.zeros(4000, dtype=np.int64)
-        q = block_energies(self._spec(), unit_channel, cfg,
-                           _with_preamble(cfg, payload), rng)
+        q, _ = block_energies(self._spec(), unit_channel, cfg,
+                              _with_preamble(cfg, payload), rng)
         q0 = q[cfg.M:]  # all-zero payload: delta2 = |h3|^2 + sigma2
         delta2 = 2.0
         stat = 2 * cfg.N * q0 / delta2
@@ -201,8 +212,8 @@ class TestBlockEnergies:
         # fixed seeds; a correct law fails the 1e-3 KS bound 0.1% of the time
         cfg = _cfg(N=N, M=2, a1=0.5, a2=2.0)
         bits = np.full(4000, bit)
-        law = block_energies(self.BBR, self.CH, cfg, bits,
-                             np.random.default_rng(100 + N))
+        law, _ = block_energies(self.BBR, self.CH, cfg, bits,
+                                np.random.default_rng(100 + N))
         samples = self._sample_path(self.BBR, self.CH, cfg, bits,
                                     np.random.default_rng(200 + N), 0)
         assert stats.ks_2samp(law, samples).pvalue > 1e-3
@@ -217,8 +228,8 @@ class TestBlockEnergies:
         spec = JammerSpec(kind=kind, power=3.0)
         cfg = _cfg(N=N, M=2, a1=a1, a2=2.0)
         bits = np.full(4000, bit)
-        law = block_energies(spec, self.CH, cfg, bits,
-                             np.random.default_rng(300 + N))
+        law, _ = block_energies(spec, self.CH, cfg, bits,
+                                np.random.default_rng(300 + N))
         samples = self._sample_path(spec, self.CH, cfg, bits,
                                     np.random.default_rng(400 + N), 0)
         assert stats.ks_2samp(law, samples).pvalue > 1e-3
@@ -238,48 +249,18 @@ class TestBlockEnergies:
                          self.CH.sigma2_R, n_tau)
         cfg = _cfg(N=8, M=2, a1=0.5, a2=2.0)
         bits = np.random.default_rng(5).integers(0, 2, 300)
-        got = block_energies(spec, ch, cfg, bits, np.random.default_rng(6),
-                             sample_offset=40)
+        got, _ = block_energies(spec, ch, cfg, bits, np.random.default_rng(6),
+                                sample_offset=40)
         want = self._sample_path(spec, ch, cfg, bits,
                                  np.random.default_rng(6), 40)
         np.testing.assert_array_equal(got, want)
-
-    @pytest.mark.parametrize("n_tau", [0, 3])
-    @pytest.mark.parametrize("kind", [JammerKind.SINGLE_TONE,
-                                      JammerKind.DET_BROADBAND])
-    def test_supplied_tones_match_generated(self, kind, n_tau):
-        # tone samples synthesized once and handed in give the energies of
-        # a block that synthesizes its own, bit for bit
-        spec = prepare_jammer(JammerSpec(kind=kind, power=3.0),
-                              np.random.default_rng(4))
-        ch = ChannelDraw(self.CH.h1, self.CH.h2, self.CH.h3,
-                         self.CH.sigma2_R, n_tau)
-        cfg = _cfg(N=8, M=2, a1=0.5, a2=2.0)
-        bits = np.random.default_rng(5).integers(0, 2, 300)
-        n_tot = bits.size * cfg.N
-        ts = spec.toneset
-        jam = kernels.tone_sum(ts.amps, ts.freqs, ts.phases, 40 - n_tau,
-                               n_tot + n_tau)
-        got = block_energies(spec, ch, cfg, bits, np.random.default_rng(6),
-                             40, jam)
-        want = block_energies(spec, ch, cfg, bits, np.random.default_rng(6),
-                              40)
-        assert np.array_equal(got, want)
-
-    def test_supplied_samples_must_cover_the_block(self):
-        spec = prepare_jammer(JammerSpec(kind=JammerKind.SINGLE_TONE,
-                                         power=1.0), np.random.default_rng(4))
-        cfg = _cfg(N=4, M=2)
-        with pytest.raises(ValueError, match="jam must hold 40 samples"):
-            block_energies(spec, self.CH, cfg, np.zeros(10), 1, 0,
-                           np.zeros(39))
 
     def test_preamble_is_drawn_from_the_gamma_law(self):
         cfg = _cfg(N=8, M=10, a1=0.5, a2=2.0)
         payload = np.random.default_rng(7).integers(0, 2, 50)
         bits = _with_preamble(cfg, payload)
-        q = block_energies(self.BBR, self.CH, cfg, bits,
-                           np.random.default_rng(8))
+        q, _ = block_energies(self.BBR, self.CH, cfg, bits,
+                              np.random.default_rng(8))
         d2 = np.where(bits == 0,
                       theory.delta2(self.CH, cfg.a1, self.BBR.power),
                       theory.delta2(self.CH, cfg.a2, self.BBR.power))
@@ -293,7 +274,8 @@ class TestBlockEnergies:
         cfg = _cfg(N=8, M=10, a1=0.5, a2=2.0)
         payload = np.random.default_rng(7).integers(0, 2, 50)
         bits = _with_preamble(cfg, payload)
-        q = block_energies(spec, self.CH, cfg, bits, np.random.default_rng(8))
+        q, _ = block_energies(spec, self.CH, cfg, bits,
+                              np.random.default_rng(8))
         qd = np.where(bits == 0, theory.jam_energy(self.CH, cfg.a1, 3.0),
                       theory.jam_energy(self.CH, cfg.a2, 3.0))
         rng = np.random.default_rng(8)
@@ -304,3 +286,51 @@ class TestBlockEnergies:
         want = rng.noncentral_chisquare(df, 2.0 * qd * s / self.CH.sigma2_R) \
             * (self.CH.sigma2_R / df)
         np.testing.assert_array_equal(q, want)
+
+    @pytest.mark.parametrize("kind", [JammerKind.RANDOM_BROADBAND,
+                                      JammerKind.MOD_16QAM,
+                                      JammerKind.MOD_BPSK, JammerKind.MOD_QPSK])
+    def test_levels_are_the_law_of_the_draw(self, kind):
+        spec = JammerSpec(kind=kind, power=3.0)
+        cfg = _cfg(N=8, M=2, a1=0.5, a2=2.0)
+        bits = np.random.default_rng(5).integers(0, 2, 30)
+        _, levels = block_energies(spec, self.CH, cfg, bits,
+                                   np.random.default_rng(6))
+        if kind in (JammerKind.MOD_BPSK, JammerKind.MOD_QPSK):
+            lo, hi = sorted(theory.jam_energy(self.CH, a, 3.0)
+                            for a in (cfg.a1, cfg.a2))
+            want = theory.DeterministicEnergies(qd_1=lo, qd_2=hi,
+                                                sigma2_R=self.CH.sigma2_R)
+        else:
+            want = theory.variances(self.CH, cfg.a1, cfg.a2, 3.0)
+        assert levels == want
+
+    @pytest.mark.parametrize("kind", [JammerKind.RANDOM_BROADBAND,
+                                      JammerKind.MOD_BPSK, JammerKind.MOD_QPSK,
+                                      JammerKind.MOD_16QAM])
+    def test_non_tonal_delay_has_no_levels(self, kind):
+        # the relayed and direct paths carry different jammer samples
+        ch = ChannelDraw(self.CH.h1, self.CH.h2, self.CH.h3,
+                         self.CH.sigma2_R, 2)
+        q, levels = block_energies(JammerSpec(kind=kind, power=3.0), ch,
+                                   _cfg(N=8, M=2), np.ones(30),
+                                   np.random.default_rng(6))
+        assert levels is None and q.shape == (30,)
+
+    @pytest.mark.parametrize("kind", [JammerKind.RANDOM_BROADBAND,
+                                      JammerKind.MOD_BPSK,
+                                      JammerKind.MOD_16QAM,
+                                      JammerKind.SINGLE_TONE])
+    def test_coinciding_levels_are_none_and_the_energies_drawn(self, kind):
+        # h1 h2 a_k + h3 is -1 for a1 = 0 and +1 for a2 = 2: one level
+        ch = ChannelDraw(h1=1.0, h2=1.0, h3=-1.0, sigma2_R=0.5, n_tau=0)
+        spec = prepare_jammer(JammerSpec(kind=kind, power=3.0),
+                              np.random.default_rng(4))
+        cfg = _cfg(N=8, M=2, a1=0.0, a2=2.0)
+        bits = np.random.default_rng(5).integers(0, 2, 300)
+        q, levels = block_energies(spec, ch, cfg, bits,
+                                   np.random.default_rng(6))
+        assert levels is None
+        assert q.shape == bits.shape and np.all(q > 0)
+        # each symbol's mean energy is its one level: jamming plus noise
+        assert np.isclose(q.mean(), 3.0 + 0.5, rtol=0.05)
