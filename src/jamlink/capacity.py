@@ -23,9 +23,9 @@ an exact 0), so a batch is one set of 2-D arrays, reduced row by row, and a
 row of a batch equals the one-row call bit for bit.  Batches are taken in
 passes of at most 32 rows, which keeps a pass's arrays near 1 MB.  An array
 ``p`` in :func:`mutual_information` or :func:`mi_derivative` is one batch;
-:func:`capacity` of a sequence of channels runs one Brent step generator per
-channel in lockstep (:func:`theory._lockstep`), each round one batch over the
-channels still unsolved.
+:func:`capacity` of a sequence of channels solves one Brent root per channel
+in lockstep (:func:`theory._lockstep`): one batch over both bracket ends of
+every channel, then each round one batch over the channels still unsolved.
 """
 
 import functools
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalFailureError
-from .theory import ConditionalVariances, _brent_steps, _lockstep
+from .theory import ConditionalVariances, _lockstep
 
 __all__ = [
     "CapacityResult",
@@ -192,34 +192,33 @@ def capacity(v, model="real"):
     ``v`` is one :class:`~theory.ConditionalVariances` (one
     :class:`CapacityResult` back) or a sequence of them (a list back).  The
     derivative decreases monotonically in p, so its unique root is found by
-    Brent's method on [1e-9, 1 - 1e-9] with ``xtol = 1e-6``: one
-    :func:`theory._brent_steps` generator per channel, scipy's ``brentq``
-    bit for bit.  They step in lockstep (:func:`theory._lockstep`): each
-    round evaluates the derivative at the points of every channel still
-    unsolved in one batched quadrature, and a row of a batch equals the
-    one-row call bit for bit.
+    Brent's method on [1e-9, 1 - 1e-9] with ``xtol = 1e-6``, scipy's
+    ``brentq`` bit for bit.  The channels step in lockstep
+    (:func:`theory._lockstep`): the first round evaluates the derivative at
+    both ends of every channel in one batched quadrature, each later round
+    at the points of every channel still unsolved, and a row of a batch
+    equals the one-row call bit for bit.
 
     Raises
     ------
     NumericalFailureError
-        If the derivative of any channel has the same sign at both bracket
-        ends.
+        If the derivative of any channel has one sign at both bracket ends,
+        or is NaN at one.
     """
     one = isinstance(v, ConditionalVariances)
     vs = [v] if one else list(v)
     d1 = np.array([u.delta2_1 for u in vs], dtype=np.float64)
     d2 = np.array([u.delta2_2 for u in vs], dtype=np.float64)
     lo, hi = 1e-9, 1.0 - 1e-9
-    solvers = enumerate(_brent_steps(lo, hi, xtol=1e-6) for _ in vs)
-    steps = {i: (gen, next(gen)) for i, gen in solvers}
-    try:
-        roots = _lockstep(steps, lambda live, x: _derivative(x, d1[live],
-                                                             d2[live], model))
-    except ValueError as exc:
+    roots, f_lo, f_hi = _lockstep(
+        [lo] * len(vs), [hi] * len(vs),
+        lambda live, x: _derivative(x, d1[live], d2[live], model), 1e-6)
+    if None in roots:
+        i = roots.index(None)
         raise NumericalFailureError(
-            f"mutual-information derivative does not change sign "
-            f"on [{lo}, {hi}]: {exc}") from exc
-    p_star = np.array([roots[i] for i in range(len(vs))])
+            f"mutual-information derivative does not change sign on "
+            f"[{lo}, {hi}]: {f_lo[i]} and {f_hi[i]} at the ends")
+    p_star = np.array(roots)
     values = _information(p_star, d1, d2, model)
     # quadrature noise can leave a tiny negative residue near degeneracy
     results = [CapacityResult(p_star=p, capacity_bits=max(0.0, value))

@@ -13,11 +13,29 @@ from .capacity import capacity as cap_capacity
 from .capacity import mutual_information
 from .channel import ChannelDraw
 from .config import load_config
-from .errors import ConfigError, JamlinkError
+from .errors import ConfigError, JamlinkError, NumericalFailureError
 from .modem import FrameConfig, block_energies
 from .signals import JammerKind, JammerSpec, gen_cscg, gen_jammer_block
 
-__all__ = ["cli_main", "main"]
+__all__ = ["cli_main"]
+
+_VARIANCES, _LEVELS = ("d1", "d2"), ("qd1", "qd2")
+# --op: (level operands, closed form at a threshold, default threshold), the
+# forms by name in `theory`.  An op with no closed form prints its default
+# and ignores --t; mi and capacity take no threshold.
+_THEORY_OPS = {
+    "optimal-threshold": (_VARIANCES, None, "optimal_threshold_random"),
+    "ber-random": (_VARIANCES, "ber_random", "optimal_threshold_random"),
+    "ber-gaussian": (_VARIANCES, "ber_gaussian_approx",
+                     "optimal_threshold_random"),
+    "ber-det": (_LEVELS, "ber_det", "optimal_threshold_det"),
+    # the noncentral law's own optimum, the threshold exact mode uses
+    "ber-det-noncentral": (_LEVELS, "ber_det_noncentral",
+                           "optimal_threshold_noncentral"),
+    "optimal-threshold-det": (_LEVELS, None, "optimal_threshold_noncentral"),
+    "mi": (_VARIANCES, None, None),
+    "capacity": (_VARIANCES, None, None),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -49,10 +67,7 @@ def _build_parser():
     add_run_flags(sub.add_parser("capacity", help="capacity / mutual-information sweep"))
 
     t = sub.add_parser("theory", help="evaluate one closed form")
-    t.add_argument("--op", required=True,
-                   choices=["optimal-threshold", "ber-random", "ber-gaussian",
-                            "ber-det", "ber-det-noncentral",
-                            "optimal-threshold-det", "mi", "capacity"])
+    t.add_argument("--op", required=True, choices=list(_THEORY_OPS))
     t.add_argument("--d1", type=float, help="low conditional variance")
     t.add_argument("--d2", type=float, help="high conditional variance")
     t.add_argument("--qd1", type=float, help="low deterministic energy level")
@@ -129,43 +144,33 @@ def _cmd_theory(args):
     if not (0 <= args.p <= 1 if args.op == "mi" else 0 < args.p < 1):
         bounds = "[0, 1]" if args.op == "mi" else "(0, 1)"
         raise ConfigError(f"--p must lie in {bounds}, got {args.p!r}")
-    p1 = args.p
-    p2 = 1.0 - p1
-    if args.op in ("optimal-threshold", "ber-random", "ber-gaussian",
-                   "mi", "capacity"):
-        _require(args, "d1", "d2")
-        v = theory.ConditionalVariances(args.d1, args.d2)
-        if args.op == "optimal-threshold":
-            value = theory.optimal_threshold_random(v, p1, p2, args.n)
-        elif args.op == "ber-random":
-            t = args.t if args.t is not None else \
-                theory.optimal_threshold_random(v, p1, p2, args.n)
-            value = theory.ber_random(v, p1, p2, args.n, t)
-        elif args.op == "ber-gaussian":
-            t = args.t if args.t is not None else \
-                theory.optimal_threshold_random(v, p1, p2, args.n)
-            value = theory.ber_gaussian_approx(v, p1, p2, args.n, t)
-        elif args.op == "mi":
-            value = mutual_information(args.p, v, model=args.model)
-        else:
-            res = cap_capacity(v, model=args.model)
-            print(f"p_star={res.p_star:.17g}")
-            value = res.capacity_bits
+    operands, closed_form, optimum = _THEORY_OPS[args.op]
+    _require(args, *operands)
+    for name in ("d1", "d2", "qd1", "qd2", "sigma2", "t"):
+        x = getattr(args, name)
+        if x is not None and not math.isfinite(x):
+            raise ConfigError(f"--{name} must be finite, got {x!r}")
+    try:
+        levels = theory.ConditionalVariances(args.d1, args.d2) \
+            if operands == _VARIANCES else theory.DeterministicEnergies(
+                qd_1=args.qd1, qd_2=args.qd2, sigma2_R=args.sigma2)
+    except ValueError as exc:
+        raise ConfigError(f"--op {args.op}: {exc}") from None
+    p1, p2 = args.p, 1.0 - args.p
+    if args.op == "mi":
+        value = mutual_information(args.p, levels, model=args.model)
+    elif args.op == "capacity":
+        res = cap_capacity(levels, model=args.model)
+        print(f"p_star={res.p_star:.17g}")
+        value = res.capacity_bits
     else:
-        _require(args, "qd1", "qd2")
-        d = theory.DeterministicEnergies(qd_1=args.qd1, qd_2=args.qd2,
-                                         sigma2_R=args.sigma2)
-        if args.op == "ber-det":
-            t = args.t if args.t is not None else \
-                theory.optimal_threshold_det(d, p1, p2, args.n)
-            value = theory.ber_det(d, p1, p2, args.n, t)
-        elif args.op == "ber-det-noncentral":
-            # default: the law's own optimum, the threshold exact mode uses
-            t = args.t if args.t is not None else \
-                theory.optimal_threshold_noncentral(d, p1, p2, args.n)
-            value = theory.ber_det_noncentral(d, p1, p2, args.n, t)
-        else:
-            value = theory.optimal_threshold_noncentral(d, p1, p2, args.n)
+        t = args.t if closed_form and args.t is not None else \
+            getattr(theory, optimum)(levels, p1, p2, args.n)
+        value = getattr(theory, closed_form)(levels, p1, p2, args.n, t) \
+            if closed_form else t
+    if math.isnan(value):
+        raise NumericalFailureError(
+            f"--op {args.op} gives NaN at these operands")
     print(f"{value:.17g}")
     return 0
 
@@ -381,9 +386,5 @@ def cli_main(argv=None):
         return 2
 
 
-def main(argv=None):
-    return cli_main(argv)
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(cli_main())

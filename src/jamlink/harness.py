@@ -26,7 +26,7 @@ from . import (baselines, capacity as cap, channel, kernels, modem, signals,
                theory)
 from .channel import ChannelDraw, RicianParams
 from .config import coerce
-from .errors import ConfigError, DegenerateChannelError
+from .errors import ConfigError, DegenerateChannelError, NumericalFailureError
 from .mc import BerEstimate
 from .modem import FrameConfig
 from .signals import JammerKind, JammerSpec
@@ -473,12 +473,19 @@ def _draw_block_channel(cfg, rng):
 
 
 def _exact_threshold(levels, frame):
-    """The likelihood-ratio root of the levels' energy law."""
-    if isinstance(levels, theory.ConditionalVariances):
-        return theory.optimal_threshold_random(levels, frame.p1, frame.p2,
-                                               frame.N)
-    return theory.optimal_threshold_noncentral(levels, frame.p1, frame.p2,
-                                               frame.N)
+    """The likelihood-ratio root of the levels' energy law.
+
+    Raises NumericalFailureError where the root is NaN: the noncentral log
+    ratio past the range of ``special.ive``, at high JNR.
+    """
+    law = theory.optimal_threshold_random \
+        if isinstance(levels, theory.ConditionalVariances) \
+        else theory.optimal_threshold_noncentral
+    t = law(levels, frame.p1, frame.p2, frame.N)
+    if math.isnan(t):
+        raise NumericalFailureError(
+            f"the exact threshold of {levels} is NaN at N = {frame.N}")
+    return t
 
 
 def _run_ber_block(cfg, spec, curve, frame, axis_i, curve_i, block_i,

@@ -30,7 +30,6 @@ __all__ = [
     "ber_det",
     "ber_det_noncentral",
     "optimal_threshold_det",
-    "brentq",
     "optimal_threshold_noncentral",
     "ber_gaussian_approx",
 ]
@@ -232,72 +231,66 @@ _BRENT_RTOL = 4 * np.finfo(float).eps
 _BRENT_MAXITER = 100
 
 
-def brentq(f, a, b, xtol=2e-12):
-    """Root of ``f`` on ``[a, b]`` by Brent's method (Brent 1973, ch. 4).
+def _lockstep(lo, hi, values, xtol):
+    """Brent roots of many brackets ``[lo[k], hi[k]]``, stepped in lockstep.
 
-    The scalar front end of :func:`_lockstep`: one :func:`_brent_steps`
-    generator, sent ``f`` at each point it yields, so every root is
-    scipy's ``brentq`` root bit for bit.  Raises ``ValueError`` without a
-    sign change or on a NaN value of ``f``, and ``RuntimeError`` when
-    scipy's 100 steps do not converge.
+    ``values(keys, x)`` returns an array: the function of bracket
+    ``keys[j]`` at ``x[j]``.  The first round evaluates every bracket end
+    in one call, all of ``lo`` then all of ``hi``.  A bracket whose ends
+    give no root (both of one sign, or a NaN end) gets None; each other
+    bracket runs one :func:`_brent_steps` generator, primed with its two
+    end values, and each later round is one ``values`` call over the
+    generators still unsolved.  Returns ``(roots, f_lo, f_hi)``, lists by
+    bracket.  A NaN inside a bracket raises ``ValueError``, and scipy's 100
+    steps without convergence ``RuntimeError``.  The package's one Brent
+    loop: :func:`optimal_threshold_noncentral` and :func:`capacity.capacity`
+    both run on it, and every root is scipy's ``brentq`` root bit for bit.
     """
-    steps = _brent_steps(a, b, xtol)
-    return _lockstep({0: (steps, next(steps))},
-                     lambda _, x: np.array([f(float(x[0]))]))[0]
+    lo = np.asarray(lo, dtype=np.float64)
+    hi = np.asarray(hi, dtype=np.float64)
+    keys = np.arange(lo.size)
+    ends = values(np.concatenate([keys, keys]),
+                  np.concatenate([lo, hi])).tolist()
+    f_lo, f_hi = ends[:lo.size], ends[lo.size:]
+    roots, steps = [None] * lo.size, {}
 
+    def advance(k, gen, f):
+        try:
+            steps[k] = gen, gen.send(f)
+        except StopIteration as done:
+            roots[k] = done.value
+            steps.pop(k, None)
 
-def _lockstep(steps, values):
-    """Drive :func:`_brent_steps` generators in lockstep; their roots by key.
-
-    ``steps`` maps a key to a generator and the point it yielded last.
-    Each round calls ``values(keys, x)`` once, with the keys and points of
-    the unsolved generators as arrays, and sends each generator its value.
-    A generator's ``ValueError`` (no sign change, a NaN value) or
-    ``RuntimeError`` (no convergence) propagates.  The package's one Brent
-    loop: :func:`brentq`, :func:`optimal_threshold_noncentral` and
-    :func:`capacity.capacity` all run on it.
-    """
-    roots = {}
+    for k, (a, b, fa, fb) in enumerate(zip(lo.tolist(), hi.tolist(), f_lo,
+                                           f_hi)):
+        if fa <= 0 <= fb or fb <= 0 <= fa:
+            advance(k, _brent_steps(a, b, fa, fb, xtol), None)
     while steps:
-        keys = list(steps)
-        fx = values(np.array(keys), np.array([steps[k][1] for k in keys]))
-        for k, f in zip(keys, fx.tolist()):
-            gen = steps[k][0]
-            try:
-                steps[k] = gen, gen.send(f)
-            except StopIteration as done:
-                roots[k] = done.value
-                del steps[k]
-    return roots
+        live = list(steps)
+        fx = values(np.array(live), np.array([steps[k][1] for k in live]))
+        for k, f in zip(live, fx.tolist()):
+            advance(k, steps[k][0], f)
+    return roots, f_lo, f_hi
 
 
-def _brent_steps(a, b, xtol):
-    """Brent's method as a generator: yields each x, is sent ``f(x)``.
+def _brent_steps(a, b, fa, fb, xtol):
+    """Brent's method as a generator: yields each new x, is sent ``f(x)``.
 
     A line-for-line port of scipy's ``brentq.c`` with the defaults of
-    scipy's ``brentq``.  The first two points are ``a`` and ``b``; the root
-    is the generator's return value.  Each step tries inverse quadratic
-    extrapolation (secant interpolation while only two points are
-    distinct), keeps it only when ``2|s| < min(|s_prev|, 3|s_bis| - delta)``
-    and bisects otherwise; no step is shorter than
-    ``delta = (xtol + rtol |x|) / 2``, with scipy's ``rtol = 4 eps``.
-    :func:`_lockstep` drives one generator per root and evaluates all their
-    points in one batch per step.
+    scipy's ``brentq``, started from the values ``fa`` and ``fb`` at the
+    bracket ends, which :func:`_lockstep` has checked: neither NaN, and not
+    of one sign.  The root is the generator's return value.  Each step
+    tries inverse quadratic extrapolation (secant interpolation while only
+    two points are distinct), keeps it only when
+    ``2|s| < min(|s_prev|, 3|s_bis| - delta)`` and bisects otherwise; no
+    step is shorter than ``delta = (xtol + rtol |x|) / 2``, with scipy's
+    ``rtol = 4 eps``.
     """
-    def checked(x, fx):
-        if math.isnan(fx):
-            raise ValueError(f"the function value at x={x} is NaN")
-        return fx
-
-    xpre, xcur = a, b
-    fpre = checked(xpre, (yield xpre))
-    fcur = checked(xcur, (yield xcur))
+    xpre, xcur, fpre, fcur = a, b, fa, fb
     if fpre == 0:
         return xpre
     if fcur == 0:
         return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
     xblk = fblk = spre = scur = 0.0
     for _ in range(_BRENT_MAXITER):
         if fpre != 0 and fcur != 0 and \
@@ -329,7 +322,9 @@ def _brent_steps(a, b, xtol):
             spre = scur = sbis
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = checked(xcur, (yield xcur))
+        fcur = yield xcur
+        if math.isnan(fcur):
+            raise ValueError(f"the function value at x={xcur} is NaN")
     raise RuntimeError(f"failed to converge after {_BRENT_MAXITER} "
                        f"iterations, value is {xcur}")
 
@@ -341,22 +336,23 @@ def optimal_threshold_noncentral(d, p1, p2, N):
     ``x = 2N T / sigma2_R`` and ``lam_k = 2N qd_k / sigma2_R``; the central
     density both share cancels from the ratio.  The family has a monotone
     likelihood ratio (Karlin and Rubin 1956), so the log of that ratio rises
-    through one root on ``[qd_1, qd_2 + 15 sigma2_R]``.  Without a sign
-    change there the BER is monotone on the bracket and the end with the
-    lower BER is returned.
+    through at most one root on ``[qd_1, qd_2 + 15 sigma2_R]``, and without
+    one its sign at the ends says which way the BER runs there: ``qd_1``
+    where the log ratio is positive (the BER rises over the bracket), the
+    upper end where it is negative.  Where an end's log ratio is NaN
+    (``special.ive`` gives NaN past an argument of 2**30: from about 68 dB
+    JNR at unit gains and N = 10) the threshold is NaN.
 
     ``d`` is one :class:`DeterministicEnergies` (a float back) or a
     sequence of them (a list back), all at the priors and N given.  The
-    log ratio is evaluated once over every bracket end; each bracketed root
-    then runs one :func:`_brent_steps` generator, sent those two end values
-    as its first two points, and the generators step in lockstep
-    (:func:`_lockstep`), each round one array evaluation of the log ratio.
-    Every root is scipy's ``brentq`` on the scalar log ratio bit for bit,
-    and an entry of a batch equals the batch of one.
+    roots are solved by :func:`_lockstep`, each round one array evaluation
+    of the log ratio over the brackets still unsolved, and every root is
+    scipy's ``brentq`` on the scalar log ratio bit for bit; an entry of a
+    batch equals the batch of one.
     """
     one = isinstance(d, DeterministicEnergies)
     ds = [d] if one else list(d)
-    lo = [u.qd_1 for u in ds]
+    lo = [float(u.qd_1) for u in ds]
     hi = [u.qd_2 + 15.0 * u.sigma2_R for u in ds]
     scale = np.array([2.0 * N / u.sigma2_R for u in ds])
     # row 0 the noncentrality of qd_2, row 1 that of qd_1
@@ -367,25 +363,11 @@ def optimal_threshold_noncentral(d, p1, p2, N):
         both = _log_ncx2_over_chi2(scale[keys] * t, N, lam[:, keys])
         return log_prior + both[0] - both[1]
 
-    n = len(ds)
-    keys = np.arange(n)
-    ends = log_ratio(np.concatenate([keys, keys]), np.array(lo + hi)).tolist()
-    out, steps = [None] * n, {}
-    for i, (f_lo, f_hi) in enumerate(zip(ends[:n], ends[n:])):
-        if not f_lo <= 0 <= f_hi:
-            bracket = np.array([lo[i], hi[i]])
-            ber = ber_det_noncentral(ds[i], p1, p2, N, bracket)
-            out[i] = float(bracket[np.argmin(ber)])
-            continue
-        gen = _brent_steps(lo[i], hi[i], 2e-12)  # brentq's default xtol
-        next(gen)
-        gen.send(f_lo)
-        try:
-            steps[i] = gen, gen.send(f_hi)
-        except StopIteration as done:  # a zero at an end
-            out[i] = float(done.value)
-    for i, root in _lockstep(steps, log_ratio).items():
-        out[i] = float(root)
+    roots, f_lo, f_hi = _lockstep(lo, hi, log_ratio, 2e-12)  # brentq's xtol
+    out = [t if t is not None
+           else math.nan if math.isnan(fa) or math.isnan(fb)
+           else a if fa > 0 else b
+           for t, a, b, fa, fb in zip(roots, lo, hi, f_lo, f_hi)]
     return out[0] if one else out
 
 

@@ -230,10 +230,10 @@ class TestCapacity:
             with monkeypatch.context() as m:
                 m.setattr(capacity_module, "_derivative", counted)
                 results = capacity(vs, cfg.capacity_model)
-            # one batched evaluation per lockstep round, over the channels
-            # still unsolved
-            assert len(rounds) <= 12
-            assert rounds[0] == count
+            # one batched evaluation per lockstep round: both bracket ends
+            # of every channel, then the channels still unsolved
+            assert len(rounds) <= 11
+            assert rounds[0] == 2 * count
             assert all(a >= b for a, b in zip(rounds, rounds[1:]))
             for v, res in zip(vs, results):
                 def slope(p):

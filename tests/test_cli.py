@@ -4,11 +4,12 @@ import os
 import subprocess
 import sys
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from jamlink import harness, modem, theory
+from jamlink import cli, harness, modem, theory
 from jamlink.cli import cli_main
 from jamlink.harness import read_csv
 from jamlink.signals import JammerKind
@@ -313,8 +314,13 @@ class TestTheoryOps:
         ["--op", "optimal-threshold", "--d1", "1", "--d2", "2", "--p", "0"],
         ["--op", "mi", "--d1", "1", "--d2", "2", "--p", "1.01"],
         ["--op", "mi", "--d1", "1", "--d2", "2", "--p", "nan"],
+        ["--op", "ber-random", "--d1", "1", "--d2", "2", "--t", "nan"],
+        ["--op", "optimal-threshold", "--d1", "1", "--d2", "inf"],
+        ["--op", "ber-det", "--qd1=-inf", "--qd2", "1"],
+        ["--op", "ber-det-noncentral", "--qd1", "0", "--qd2", "1",
+         "--sigma2", "inf"],
     ], ids=["n-0", "p-1.5", "det-n-0", "det-n-neg", "p-0", "mi-p-1.01",
-            "mi-p-nan"])
+            "mi-p-nan", "t-nan", "d2-inf", "qd1-inf", "sigma2-inf"])
     def test_out_of_range_n_or_p_is_config_error(self, capsys, monkeypatch,
                                                  args):
         # rejected before any level is built or closed form evaluated
@@ -327,6 +333,35 @@ class TestTheoryOps:
         assert code == 1
         assert out == ""
         assert err.startswith("config error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("args", [
+        ["--op", "ber-det", "--qd1", "0", "--qd2", "1", "--sigma2", "0"],
+        ["--op", "optimal-threshold", "--d1", "0", "--d2", "1"],
+        ["--op", "optimal-threshold", "--d1", "1", "--d2", "1"],
+        ["--op", "ber-det-noncentral", "--qd1", "2", "--qd2", "1"],
+    ], ids=["sigma2-0", "d1-0", "d1-eq-d2", "qd1-gt-qd2"])
+    def test_levels_the_constructors_reject_are_config_error(
+            self, capsys, monkeypatch, args):
+        # no closed form is evaluated
+        for name in ("ber_det", "ber_det_noncentral", "optimal_threshold_det",
+                     "optimal_threshold_noncentral",
+                     "optimal_threshold_random"):
+            monkeypatch.setattr(theory, name, None)
+        code, out, err = run(["theory"] + args, capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("config error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("op", ["optimal-threshold-det",
+                                    "ber-det-noncentral"])
+    def test_nan_from_finite_operands_is_runtime_error(self, capsys, op):
+        # about 70 dB JNR at N = 10: the noncentral log ratio is NaN at the
+        # upper bracket end, past the range of special.ive
+        code, out, err = run(["theory", "--op", op, "--qd1", "1e7",
+                              "--qd2", "1.2355e8", "--n", "10"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("p", ["0", "1"])
     def test_mi_takes_the_end_points_of_p(self, capsys, p):
@@ -394,6 +429,37 @@ class TestSweepCommand:
         cols = read_csv(out_path)
         assert cols["aaj.bits"][0] == 300.0
 
+    @pytest.mark.parametrize("mode", ["exact", "estimated"])
+    def test_past_the_range_of_ive_no_bracket_end_is_taken(
+            self, capsys, tmp_path, mode):
+        # unit gains, fig3's alphabet, N = 10: from 68 dB the noncentral
+        # threshold is NaN.  Exact mode cannot decode at it and fails;
+        # estimated mode keeps its simulated cells and reads NaN in theory
+        cfg = tmp_path / "hi.cfg"
+        cfg.write_text(
+            "axis.name = jnr_db\n"
+            f"axis.values = 66, 68, {70 if mode == 'exact' else '70, 80'}\n"
+            "jammer.kind = mod_bpsk\n"
+            f"threshold.mode = {mode}\n"
+            "channel.fading = false\n"
+            "snr.db = 5\n"
+            "run.blocks = 2\n"
+            "run.payload_bits_per_block = 200\n")
+        out_path = tmp_path / "s.csv"
+        code, _, err = run(["sweep", "--config", str(cfg), "--out",
+                            str(out_path), "--quiet"], capsys)
+        if mode == "exact":
+            assert code == 2
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert not out_path.exists()
+            return
+        assert code == 0
+        cols = read_csv(out_path)
+        theory_col = cols["mod_bpsk.ber_theory"]
+        assert np.isfinite(theory_col[0])
+        assert np.isnan(theory_col[1:]).all()
+        assert cols["mod_bpsk.ber_sim"] == [0.0] * 4
+
     def test_capacity_command(self, capsys, tmp_path):
         out_path = tmp_path / "c.csv"
         cfg = tmp_path / "exp.cfg"
@@ -429,6 +495,16 @@ def test_import_leaves_scipy_optimize_unloaded():
     # linalg, sparse, spatial and fft) comes in only with the scipy.stats
     # that the selftest checks import, and in the tests
     assert _loaded_by_a_fresh_import("scipy.optimize") == "False"
+
+
+def test_script_target_is_a_cli_callable():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text())["project"]["scripts"][
+        "jamlink"]
+    module, _, name = target.partition(":")
+    assert module == "jamlink.cli"
+    assert callable(getattr(cli, name))
 
 
 def test_package_binds_only_its_modules():

@@ -11,7 +11,7 @@ from jamlink.errors import DegenerateChannelError
 from jamlink.signals import ToneSet
 from jamlink.theory import (ConditionalVariances, DeterministicEnergies,
                             ber_det, ber_det_noncentral, ber_gaussian_approx,
-                            ber_random, brentq, delta2,
+                            ber_random, delta2,
                             optimal_threshold_det,
                             optimal_threshold_noncentral,
                             optimal_threshold_random, variances)
@@ -461,6 +461,61 @@ class TestOptimalThresholdNoncentral:
         ends = ber_det_noncentral(d, p1, 1 - p1, 4, np.array([d.qd_1, hi]))
         assert ber_det_noncentral(d, p1, 1 - p1, 4, t) == ends.min()
 
+    def test_no_root_end_is_the_lower_ber_end(self):
+        # the sign rule against the rule it replaced: the argmin of the BER
+        # over the two bracket ends
+        rng = np.random.default_rng(21)
+        ends_taken = 0
+        for _ in range(400):
+            s2 = 10.0 ** rng.uniform(-2, 2)
+            qd1 = 0.0 if rng.random() < 0.25 else 10.0 ** rng.uniform(-3, 2) * s2
+            d = DeterministicEnergies(
+                qd_1=qd1, qd_2=qd1 + 10.0 ** rng.uniform(-3, 1) * s2,
+                sigma2_R=s2)
+            p1 = 10.0 ** rng.uniform(-6, math.log10(0.5))
+            p1 = p1 if rng.random() < 0.5 else 1.0 - p1
+            n = int(rng.integers(1, 201))
+            f = _package_log_ratio(d, p1, 1 - p1, n)
+            bracket = np.array([d.qd_1, d.qd_2 + 15.0 * s2])
+            if f(bracket[0]) * f(bracket[1]) <= 0:
+                continue
+            ends_taken += 1
+            ber = ber_det_noncentral(d, p1, 1 - p1, n, bracket)
+            assert optimal_threshold_noncentral(d, p1, 1 - p1, n) == \
+                bracket[np.argmin(ber)]
+        assert ends_taken >= 100
+
+
+def _fig3_levels(jnr_db):
+    # unit gains, fig3's alphabet (a1 = 0, a2 at 5 dB average SNR)
+    pj = 10.0 ** (jnr_db / 10.0)
+    a2 = math.sqrt(10.0 ** 0.5 / 0.5)
+    return DeterministicEnergies(qd_1=pj, qd_2=(a2 + 1.0) ** 2 * pj,
+                                 sigma2_R=1.0)
+
+
+class TestHighJnr:
+    @pytest.mark.parametrize("jnr_db", [40.0, 50.0, 60.0, 64.0, 66.0])
+    def test_root_tends_to_the_midpoint_of_the_amplitudes(self, jnr_db):
+        # as the noncentrality grows, sqrt(T) sits halfway between the two
+        # amplitudes sqrt(qd_k)
+        d = _fig3_levels(jnr_db)
+        t = optimal_threshold_noncentral(d, 0.5, 0.5, 10)
+        mid = ((math.sqrt(d.qd_1) + math.sqrt(d.qd_2)) / 2.0) ** 2
+        assert t == pytest.approx(mid, rel=1e-4)
+
+    @pytest.mark.parametrize("jnr_db", [68.0, 70.0, 80.0])
+    def test_past_the_range_of_ive_the_threshold_is_nan(self, jnr_db):
+        # special.ive is NaN past 2**30, so the log ratio is NaN at the
+        # upper bracket end (at both ends by 80 dB): no end is taken
+        d = _fig3_levels(jnr_db)
+        f = _package_log_ratio(d, 0.5, 0.5, 10)
+        assert math.isnan(f(d.qd_2 + 15.0))
+        assert math.isnan(f(d.qd_1)) == (jnr_db == 80.0)
+        assert math.isnan(optimal_threshold_noncentral(d, 0.5, 0.5, 10))
+        assert all(map(math.isnan, optimal_threshold_noncentral(
+            [_fig3_levels(40.0), d], 0.5, 0.5, 10)[1:]))
+
 
 def _random_root_problem(rng, i):
     # a function with one root r, and a bracket around r in either order
@@ -479,15 +534,36 @@ def _random_root_problem(rng, i):
     return (f, a, b) if rng.random() < 0.5 else (f, b, a)
 
 
-class TestBrentq:
+def _lockstep_one(f, a, b, xtol=2e-12):
+    # one bracket through the lockstep loop: (root, f(a), f(b))
+    roots, f_lo, f_hi = theory._lockstep(
+        [a], [b], lambda _, x: np.array([f(v) for v in x.tolist()]), xtol)
+    return roots[0], f_lo[0], f_hi[0]
+
+
+class TestLockstep:
     @pytest.mark.parametrize("xtol", [2e-12, 1e-6])
     def test_equals_scipy_bit_for_bit(self, xtol):
-        # the default tolerance (the threshold root) and capacity's
+        # the threshold root's tolerance and capacity's
         rng = np.random.default_rng(1973)
         for i in range(600):
             f, a, b = _random_root_problem(rng, i)
-            got = brentq(f, a, b, xtol=xtol)
+            got, _, _ = _lockstep_one(f, a, b, xtol=xtol)
             assert got == optimize.brentq(f, a, b, xtol=xtol), (i, a, b)
+
+    def test_batch_equals_one_by_one(self):
+        # brackets with and without a root, stepped together
+        rng = np.random.default_rng(56)
+        problems = [_random_root_problem(rng, i) for i in range(60)]
+        problems += [(lambda x: x * x + 1.0, -1.0, 2.0),
+                     (lambda x: x - 1.0, 1.0, 3.0)]
+        fs = [f for f, _, _ in problems]
+        got = theory._lockstep(
+            [a for _, a, _ in problems], [b for _, _, b in problems],
+            lambda keys, x: np.array([fs[k](v) for k, v
+                                      in zip(keys.tolist(), x.tolist())]),
+            2e-12)
+        assert list(zip(*got)) == [_lockstep_one(*p) for p in problems]
 
     def test_threshold_brackets_equal_scipy(self, monkeypatch):
         # the log-likelihood-ratio roots optimal_threshold_noncentral solves
@@ -495,9 +571,9 @@ class TestBrentq:
         # scipy's brentq on the scalar log ratio
         drive, batches = theory._lockstep, []
 
-        def recording(steps, values):
-            batches.append(len(steps))
-            return drive(steps, values)
+        def recording(lo, hi, values, xtol):
+            batches.append(len(lo))
+            return drive(lo, hi, values, xtol)
 
         monkeypatch.setattr(theory, "_lockstep", recording)
         rng = np.random.default_rng(18)
@@ -524,28 +600,41 @@ class TestBrentq:
                     assert t == optimize.brentq(f, lo, hi, xtol=2e-12)
                     solved += 1
         assert solved >= 150
-        # one lockstep batch per call, of every root with a sign change
-        assert len(batches) == len(problems) and sum(batches) <= solved
+        # one lockstep batch per call, of every bracket
+        assert batches == [len(ds) for ds, _, _ in problems]
 
     def test_endpoint_root_returned_as_given(self):
-        assert brentq(lambda x: x - 1.0, 1.0, 3.0) == 1.0
-        assert brentq(lambda x: x - 3.0, 1.0, 3.0) == 3.0
+        assert _lockstep_one(lambda x: x - 1.0, 1.0, 3.0) == (1.0, 0.0, 2.0)
+        assert _lockstep_one(lambda x: x - 3.0, 1.0, 3.0) == (3.0, -2.0, 0.0)
         # a zero at an end needs no sign change
-        assert brentq(lambda x: x * x, 0.0, 2.0) == 0.0
+        assert _lockstep_one(lambda x: x * x, 0.0, 2.0)[0] == 0.0
 
-    def test_no_sign_change_raises(self):
-        with pytest.raises(ValueError, match="different signs"):
-            brentq(lambda x: x * x + 1.0, -1.0, 2.0)
+    def test_no_sign_change_gives_none(self):
+        assert _lockstep_one(lambda x: x * x + 1.0, -1.0, 2.0) == \
+            (None, 2.0, 5.0)
+        assert _lockstep_one(lambda x: -1.0 - x * x, 2.0, -1.0) == \
+            (None, -5.0, -2.0)
 
-    @pytest.mark.parametrize("ends", [(0.0, 3.0), (1.0, 3.0)])
-    def test_nan_value_raises(self, ends):
-        # a NaN at the first step inside [0, 3], and at the end 1
+    @pytest.mark.parametrize("ends", [(1.0, 3.0), (3.0, 1.0), (1.0, 1.5)])
+    def test_nan_end_gives_none(self, ends):
+        # a NaN at 1 (and at 1.5) hides whether the bracket holds a root
+        def f(x):
+            return x - 2.0 if x == 3.0 else math.nan
+        root, f_a, f_b = _lockstep_one(f, *ends)
+        assert root is None
+        assert [math.isnan(v) for v in (f_a, f_b)] == \
+            [math.isnan(f(x)) for x in ends]
+        with pytest.raises(ValueError):
+            optimize.brentq(f, *ends)
+
+    def test_nan_inside_raises(self):
+        # a NaN at the first step inside [0, 3]
         def f(x):
             return x - 0.5 if x == 0.0 or x == 3.0 else math.nan
         with pytest.raises(ValueError, match="NaN"):
-            brentq(f, *ends)
+            _lockstep_one(f, 0.0, 3.0)
         with pytest.raises(ValueError):
-            optimize.brentq(f, *ends)
+            optimize.brentq(f, 0.0, 3.0)
 
     def test_maxiter_exhausted_raises(self, monkeypatch):
         def f(x):
@@ -553,11 +642,11 @@ class TestBrentq:
         want = optimize.brentq(f, 0.0, 5.0)
         monkeypatch.setattr(theory, "_BRENT_MAXITER", 2)
         with pytest.raises(RuntimeError, match="2 iterations"):
-            brentq(f, 0.0, 5.0)
+            _lockstep_one(f, 0.0, 5.0)
         with pytest.raises(RuntimeError):
             optimize.brentq(f, 0.0, 5.0, maxiter=2)
         monkeypatch.undo()
-        assert brentq(f, 0.0, 5.0) == want
+        assert _lockstep_one(f, 0.0, 5.0)[0] == want
 
 
 class TestGaussianApprox:
