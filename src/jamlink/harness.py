@@ -4,10 +4,11 @@ Reproducibility contract: every random draw derives from
 ``SeedSequence(master_seed, spawn_key=(stream, ...indices))`` where stream 0
 feeds per-curve jammer preparation (tone phases, drawn once per
 experiment), stream 1 feeds per-block simulation keyed by (axis index,
-curve index, block index) and stream 2 feeds baseline trials.  Blocks run
-on a thread pool, queued one axis point ahead: point i + 1's blocks and
-baselines are submitted before point i is reduced.  Each point is reduced
-in block order, so results do not depend on the thread count.  A block
+curve index, block index) and stream 2 feeds the baselines keyed by (axis
+index, scheme index).  Blocks run on a thread pool, queued one axis point
+ahead: point i + 1's blocks are submitted before point i is reduced.  Each
+point is reduced in block order, and its baselines' error counts are drawn
+in that reduction, so results do not depend on the thread count.  A block
 returns its errors, levels, exact threshold and SINR; the theory columns
 are evaluated after the sweep's blocks, in one pass that solves every
 estimated-mode noncentral threshold of the sweep in one lockstep batch.
@@ -596,19 +597,8 @@ def _theory_columns(cfg, outcomes):
     return [[next(means) for _ in cfg.curves] for _ in cfg.axis_values]
 
 
-# (column prefix, simulator in `baselines`); the index is the scheme's
-# seed key.  The simulator is looked up by name at call time so that
-# wrappers installed on the module (profilers, tracers) see the call.
-_BASELINES = (("dsss", "dsss_ber_mc"), ("fh", "fh_ber_mc"))
-
-
-def _run_baseline_point(cfg, scheme_i, axis_i, jnr_db, trials):
-    ss = np.random.SeedSequence(cfg.master_seed,
-                                spawn_key=(_STREAM_BASELINE, axis_i, scheme_i))
-    simulator = getattr(baselines, _BASELINES[scheme_i][1])
-    return simulator(baselines.BaselineConfig(eb_n0_db=cfg.baseline_eb_n0_db),
-                     jnr_db, trials, np.random.default_rng(ss))
-
+# the baselines' column prefixes; the index is the scheme's seed key
+_BASELINES = ("dsss", "fh")
 
 _CURVE_FIELDS = ("errors", "bits", "ber_sim", "ci_low", "ci_high",
                  "ber_theory", "ber_gauss", "sinr")
@@ -616,30 +606,26 @@ _BASELINE_FIELDS = ("ber_sim", "ci_low", "ci_high")
 
 
 def _submit_point(pool, cfg, prepared, bases, axis_i):
-    """Submit one axis point: its blocks curve by curve, then its baselines."""
-    value = cfg.axis_values[axis_i]
-    pj, frame = _axis_point(cfg, value)
+    """Submit one axis point's blocks, curve by curve."""
+    pj, frame = _axis_point(cfg, cfg.axis_values[axis_i])
     futures = []
     for curve_i, curve in enumerate(cfg.curves):
         spec = _spec_at_power(prepared[curve_i], pj)
         futures += [pool.submit(_run_ber_block, cfg, spec, curve, frame,
                                 axis_i, curve_i, block_i, bases)
                     for block_i in range(cfg.blocks)]
-    if cfg.include_baselines:
-        trials = max(cfg.blocks * cfg.payload_bits_per_block, 1000)
-        futures += [pool.submit(_run_baseline_point, cfg, s, axis_i, value,
-                                trials)
-                    for s in range(len(_BASELINES))]
     return futures
 
 
-def _reduce_point(cfg, value, futures, progress):
+def _reduce_point(cfg, axis_i, futures, progress):
     """A point's simulated cells and its blocks' theory inputs.
 
-    Reads the futures in block order.  Returns each curve's five simulated
-    cells, the baselines' cells, and per curve the blocks' (levels, exact
-    threshold, sinr).
+    Reads the futures in block order, then draws each baseline's error
+    count from stream 2 at the point's JNR.  Returns each curve's five
+    simulated cells, the baselines' cells, and per curve the blocks'
+    (levels, exact threshold, sinr).
     """
+    value = cfg.axis_values[axis_i]
     bits_per_point = cfg.blocks * cfg.payload_bits_per_block
     sims, base, outcomes = [], [], []
     for curve_i, curve in enumerate(cfg.curves):
@@ -652,9 +638,15 @@ def _reduce_point(cfg, value, futures, progress):
         if progress:
             progress(f"{cfg.axis_name}={value:g} {curve.label}: "
                      f"ber={est.ber:.3e} ({est.bits} bits)")
-    for (name, _), fut in zip(_BASELINES,
-                              futures[len(cfg.curves) * cfg.blocks:]):
-        est = fut.result()
+    jnr_db = value if cfg.axis_name == "jnr_db" else cfg.jnr_db_fixed
+    trials = max(bits_per_point, 1000)
+    for scheme_i, name in enumerate(_BASELINES if cfg.include_baselines
+                                    else ()):
+        ss = np.random.SeedSequence(
+            cfg.master_seed, spawn_key=(_STREAM_BASELINE, axis_i, scheme_i))
+        est = BerEstimate.from_counts(
+            baselines.bpsk_errors(cfg.baseline_eb_n0_db, jnr_db, trials, ss),
+            trials)
         base += [est.ber, est.ci_low, est.ci_high]
         if progress:
             progress(f"{cfg.axis_name}={value:g} {name}: ber={est.ber:.3e}")
@@ -686,7 +678,7 @@ def run_ber_sweep(cfg, progress=None):
     for curve in cfg.curves:
         columns += [f"{curve.label}.{f}" for f in _CURVE_FIELDS]
     if cfg.include_baselines:
-        for name, _ in _BASELINES:
+        for name in _BASELINES:
             columns += [f"{name}.{f}" for f in _BASELINE_FIELDS]
 
     # a tonal block's phasors do not depend on the jamming power: each is
@@ -705,11 +697,11 @@ def run_ber_sweep(cfg, progress=None):
     with ThreadPoolExecutor(max_workers=threads) as pool:
         try:
             queue.append(_submit_point(pool, cfg, prepared, bases, 0))
-            for axis_i, value in enumerate(cfg.axis_values):
+            for axis_i in range(len(cfg.axis_values)):
                 if axis_i + 1 < len(cfg.axis_values):
                     queue.append(_submit_point(pool, cfg, prepared, bases,
                                                axis_i + 1))
-                reduced.append(_reduce_point(cfg, value, queue[0], progress))
+                reduced.append(_reduce_point(cfg, axis_i, queue[0], progress))
                 queue.pop(0)
         finally:
             for fut in (f for futures in queue for f in futures):
@@ -786,7 +778,8 @@ def run_capacity_sweep(cfg, progress=None):
 
 
 def _find_crossover(rows):
-    """First JNR where the AAJ capacity meets the DT curve, interpolated."""
+    """Lowest JNR where the AAJ capacity meets the DT curve, interpolated."""
+    rows = sorted(rows)  # a descending axis has the same crossover
     gap = [r[1] - r[3] for r in rows]
     for i in range(1, len(gap)):
         if gap[i - 1] < 0 <= gap[i]:

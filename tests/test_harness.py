@@ -277,22 +277,36 @@ class TestBerSweep:
         assert 0.25 <= cols["fh.ber_sim"] <= 0.4
         assert cols["dsss.ber_sim"] != cols["fh.ber_sim"]
 
-    def test_baseline_simulators_are_looked_up_at_call_time(self,
-                                                           monkeypatch):
+    def test_baseline_count_is_looked_up_at_call_time(self, monkeypatch):
         # profilers and tracers wrap the module attributes after import
         calls = []
+        real = baselines.bpsk_errors
 
-        def spy(name, real):
-            def wrapped(*args):
-                calls.append(name)
-                return real(*args)
-            return wrapped
+        def spy(eb_n0_db, jnr_db, trials, rng):
+            calls.append(jnr_db)
+            return real(eb_n0_db, jnr_db, trials, rng)
 
-        for name in ("dsss_ber_mc", "fh_ber_mc"):
-            monkeypatch.setattr(baselines, name,
-                                spy(name, getattr(baselines, name)))
-        run_ber_sweep(_tiny_ber_cfg(axis_values=(20.0,), blocks=1))
-        assert sorted(calls) == ["dsss_ber_mc", "fh_ber_mc"]
+        monkeypatch.setattr(baselines, "bpsk_errors", spy)
+        run_ber_sweep(_tiny_ber_cfg(axis_values=(10.0, 20.0), blocks=1))
+        # DS-SS then FH at each point's JNR
+        assert calls == [10.0, 10.0, 20.0, 20.0]
+
+    def test_n_axis_baselines_run_at_the_fixed_jnr(self):
+        # on an n axis the JNR is jammer.jnr_db, not the window length
+        cfg = config_from_mapping({
+            "axis.name": "n", "axis.values": "2, 10, 40",
+            "jammer.jnr_db": "30", "jammer.kind": "random_broadband",
+            "snr.db": "5", "baselines.enabled": "true", "run.blocks": "2",
+            "run.payload_bits_per_block": "1000", "run.threads": "1"})
+        res = run_ber_sweep(cfg)
+        trials = 2000
+        for axis_i, row in enumerate(res.rows):
+            cols = dict(zip(res.columns, row))
+            for scheme_i, name in enumerate(("dsss", "fh")):
+                ss = np.random.SeedSequence(
+                    cfg.master_seed, spawn_key=(2, axis_i, scheme_i))
+                want = baselines.bpsk_errors(10.0, 30.0, trials, ss) / trials
+                assert cols[f"{name}.ber_sim"] == want, (axis_i, name)
 
     def test_thread_count_invariance(self):
         cfg = _tiny_ber_cfg(axis_values=(20.0, 30.0))
@@ -337,8 +351,8 @@ class TestBerSweep:
 
         class Recording(harness.ThreadPoolExecutor):
             def submit(self, fn, /, *args, **kwargs):
-                submitted.append(args[4] if fn is harness._run_ber_block
-                                 else args[2])
+                assert fn is harness._run_ber_block  # blocks only
+                submitted.append(args[4])
                 return super().submit(fn, *args, **kwargs)
 
         monkeypatch.setattr(harness, "ThreadPoolExecutor", Recording)
@@ -346,9 +360,9 @@ class TestBerSweep:
                             threads=2)
         ahead = []
         run_ber_sweep(cfg, progress=lambda _: ahead.append(max(submitted)))
-        # one curve and two baselines per point
+        # one curve and two baselines reported per point, two blocks queued
         assert ahead == [1, 1, 1, 2, 2, 2, 3, 3, 3, 3, 3, 3]
-        assert sorted(submitted) == [i for i in range(4) for _ in range(4)]
+        assert sorted(submitted) == [i for i in range(4) for _ in range(2)]
 
     def test_failing_block_cancels_the_queued_ones(self, monkeypatch):
         run = harness._run_ber_block
@@ -686,6 +700,14 @@ class TestCapacitySweep:
         assert res.columns == ("jnr_db", "aaj_capacity_bits", "aaj_p_star",
                                "dt_capacity_bits")
         assert np.isclose(res.meta["crossover_jnr_db"], 11.62, atol=0.05)
+
+    def test_descending_jnr_axis_keeps_the_crossover(self):
+        cfg = preset_config("fig8", seed=1)
+        up = tuple(np.arange(0.0, 30.0 + 1e-9, 5.0))
+        found = [run_capacity_sweep(replace(cfg, axis_values=values))
+                 .meta["crossover_jnr_db"] for values in (up, up[::-1])]
+        assert np.isclose(found[0], 11.98, atol=0.01)
+        assert found[1] == found[0]
 
     def test_mode_mismatch_rejected(self):
         cfg = preset_config("fig4")
