@@ -17,11 +17,11 @@ channel
 modem
     Received block energies, energy detector, threshold estimation.
 theory
-    Closed-form BER, thresholds, energy laws, asymptotics.
+    The bits' energy law, its exact BER and optimum, approximations.
 capacity
     Binary-input mutual information, capacity, DT baseline.
 baselines
-    DS-SS and FH Monte Carlo references under fullband jamming.
+    DS-SS and FH binomial error counts under fullband jamming.
 harness
     Config-driven sweep runner, presets fig2..fig8, CSV emission.
 kernels
@@ -30,7 +30,7 @@ config
     Flat key-value config-file reader.
 
 The package binds only these modules and ``__version__``: every other name
-lives in its module (``jamlink.theory.ber_random``).
+lives in its module (``jamlink.theory.ber``).
 """
 
 from . import baselines, capacity, channel, config, harness, kernels, modem, signals, theory

@@ -1,11 +1,11 @@
 """Mutual information and capacity of the binary-input two-variance channel.
 
 The detector-facing channel maps input symbol k to a zero-mean Gaussian
-output of variance delta2_k.  The default treats the output as a real
-scalar; ``model="complex"`` switches to a circularly symmetric complex
-output with the same per-symbol variances, which matters when comparing
-against baselines defined on the complex baseband (conditional entropies
-differ by the dimension factor).
+output of variance delta2_k, a central law's ``s_k``.  The default treats
+the output as a real scalar; ``model="complex"`` switches to a circularly
+symmetric complex output with the same per-symbol variances, which matters
+when comparing against baselines defined on the complex baseband
+(conditional entropies differ by the dimension factor).
 
 Both the mutual information and its derivative in p are read off one pair
 of expectations, ``A_k = E_{Y~phi_k}[log2 f(Y)]`` under each component of
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalFailureError
-from .theory import ConditionalVariances, _lockstep
+from .theory import EnergyLaw, _lockstep
 
 __all__ = [
     "CapacityResult",
@@ -158,8 +158,8 @@ def _on_channel(rows, p, v, model):
     # a scalar p is a batch of one row and comes back as a float
     p = np.asarray(p, dtype=np.float64)
     flat = p.ravel()
-    out = rows(flat, np.full(flat.size, v.delta2_1),
-               np.full(flat.size, v.delta2_2), model)
+    out = rows(flat, np.full(flat.size, v.s_1), np.full(flat.size, v.s_2),
+               model)
     return float(out[0]) if p.ndim == 0 else out.reshape(p.shape)
 
 
@@ -189,7 +189,7 @@ def mi_derivative(p, v, model="real"):
 def capacity(v, model="real"):
     """Maximize mutual information over the input distribution.
 
-    ``v`` is one :class:`~theory.ConditionalVariances` (one
+    ``v`` is one central :class:`~theory.EnergyLaw` (one
     :class:`CapacityResult` back) or a sequence of them (a list back).  The
     derivative decreases monotonically in p, so its unique root is found by
     Brent's method on [1e-9, 1 - 1e-9] with ``xtol = 1e-6``, scipy's
@@ -205,10 +205,10 @@ def capacity(v, model="real"):
         If the derivative of any channel has one sign at both bracket ends,
         or is NaN at one.
     """
-    one = isinstance(v, ConditionalVariances)
+    one = isinstance(v, EnergyLaw)
     vs = [v] if one else list(v)
-    d1 = np.array([u.delta2_1 for u in vs], dtype=np.float64)
-    d2 = np.array([u.delta2_2 for u in vs], dtype=np.float64)
+    d1 = np.array([u.s_1 for u in vs], dtype=np.float64)
+    d2 = np.array([u.s_2 for u in vs], dtype=np.float64)
     lo, hi = 1e-9, 1.0 - 1e-9
     roots, f_lo, f_hi = _lockstep(
         [lo] * len(vs), [hi] * len(vs),

@@ -24,15 +24,13 @@ _VARIANCES, _LEVELS = ("d1", "d2"), ("qd1", "qd2")
 # forms by name in `theory`.  An op with no closed form prints its default
 # and ignores --t; mi and capacity take no threshold.
 _THEORY_OPS = {
-    "optimal-threshold": (_VARIANCES, None, "optimal_threshold_random"),
-    "ber-random": (_VARIANCES, "ber_random", "optimal_threshold_random"),
-    "ber-gaussian": (_VARIANCES, "ber_gaussian_approx",
-                     "optimal_threshold_random"),
+    "optimal-threshold": (_VARIANCES, None, "optimal_threshold"),
+    "ber-random": (_VARIANCES, "ber", "optimal_threshold"),
+    "ber-gaussian": (_VARIANCES, "ber_gaussian_approx", "optimal_threshold"),
     "ber-det": (_LEVELS, "ber_det", "optimal_threshold_det"),
     # the noncentral law's own optimum, the threshold exact mode uses
-    "ber-det-noncentral": (_LEVELS, "ber_det_noncentral",
-                           "optimal_threshold_noncentral"),
-    "optimal-threshold-det": (_LEVELS, None, "optimal_threshold_noncentral"),
+    "ber-det-noncentral": (_LEVELS, "ber", "optimal_threshold"),
+    "optimal-threshold-det": (_LEVELS, None, "optimal_threshold"),
     "mi": (_VARIANCES, None, None),
     "capacity": (_VARIANCES, None, None),
 }
@@ -151,9 +149,9 @@ def _cmd_theory(args):
         if x is not None and not math.isfinite(x):
             raise ConfigError(f"--{name} must be finite, got {x!r}")
     try:
-        levels = theory.ConditionalVariances(args.d1, args.d2) \
-            if operands == _VARIANCES else theory.DeterministicEnergies(
-                qd_1=args.qd1, qd_2=args.qd2, sigma2_R=args.sigma2)
+        levels = theory.EnergyLaw(args.d1, args.d2) \
+            if operands == _VARIANCES else theory.EnergyLaw(
+                args.sigma2, args.sigma2, args.qd1, args.qd2)
     except ValueError as exc:
         raise ConfigError(f"--op {args.op}: {exc}") from None
     p1, p2 = args.p, 1.0 - args.p
@@ -166,11 +164,13 @@ def _cmd_theory(args):
     else:
         t = args.t if closed_form and args.t is not None else \
             getattr(theory, optimum)(levels, p1, p2, args.n)
+        # an overflowed optimum is reported, not evaluated
         value = getattr(theory, closed_form)(levels, p1, p2, args.n, t) \
-            if closed_form else t
-    if math.isnan(value):
+            if closed_form and math.isfinite(t) else t
+    if not math.isfinite(value):
         raise NumericalFailureError(
-            f"--op {args.op} gives NaN at these operands")
+            f"--op {args.op} gives a non-finite value ({value}) at these "
+            "operands")
     print(f"{value:.17g}")
     return 0
 
@@ -179,38 +179,38 @@ def _cmd_theory(args):
 # selftest
 
 
+def _check_optimum_on_grid(law, p1, n, grid):
+    # no point of the grid may beat the BER at the law's optimal threshold
+    p2 = 1 - p1
+    best = theory.ber(law, p1, p2, n, theory.optimal_threshold(law, p1, p2, n))
+    if best > theory.ber(law, p1, p2, n, grid).min() + 1e-12:
+        raise AssertionError(f"optimal threshold of {law} beaten on grid "
+                             f"(N={n}, p1={p1})")
+
+
 def _check_threshold_optimality(rng):
     for _ in range(5):
         d1 = rng.uniform(0.5, 2.0)
-        v = theory.ConditionalVariances(d1, d1 * rng.uniform(1.5, 8.0))
+        law = theory.EnergyLaw(d1, d1 * rng.uniform(1.5, 8.0))
         n = int(rng.integers(1, 30))
-        t_star = theory.optimal_threshold_random(v, 0.5, 0.5, n)
-        best = theory.ber_random(v, 0.5, 0.5, n, t_star)
-        grid = np.linspace(v.delta2_1 * 0.2, v.delta2_2 * 2.0, 200)
-        if best > theory.ber_random(v, 0.5, 0.5, n, grid).min() + 1e-12:
-            raise AssertionError(f"threshold beaten on grid (N={n})")
+        _check_optimum_on_grid(law, 0.5, n, np.linspace(law.s_1 * 0.2,
+                                                        law.s_2 * 2.0, 200))
 
 
 def _check_noncentral_threshold_root(rng):
     # the likelihood-ratio root, built on special.ive, must be the exact
-    # law's BER minimum: no point of a 512-point grid may beat it
+    # law's BER minimum on a 512-point grid over its bracket
     for _ in range(5):
         s2 = rng.uniform(0.5, 2.0)
         qd1 = rng.uniform(0.0, 2.0) * s2
-        d = theory.DeterministicEnergies(
-            qd_1=qd1, qd_2=qd1 + rng.uniform(0.5, 4.0) * s2, sigma2_R=s2)
+        law = theory.EnergyLaw(s2, s2, qd1, qd1 + rng.uniform(0.5, 4.0) * s2)
         n = int(rng.integers(1, 30))
-        p1 = rng.uniform(0.2, 0.8)
-        t_star = theory.optimal_threshold_noncentral(d, p1, 1 - p1, n)
-        best = theory.ber_det_noncentral(d, p1, 1 - p1, n, t_star)
-        grid = np.linspace(d.qd_1, d.qd_2 + 15.0 * s2, 512)
-        if best > theory.ber_det_noncentral(d, p1, 1 - p1, n, grid).min() \
-                + 1e-12:
-            raise AssertionError(f"noncentral threshold beaten on grid (N={n})")
+        _check_optimum_on_grid(law, rng.uniform(0.2, 0.8), n, np.linspace(
+            law.qd_1, law.qd_2 + 15.0 * s2, 512))
 
 
 def _check_mi_endpoints(rng):
-    v = theory.ConditionalVariances(1.0, 4.0)
+    v = theory.EnergyLaw(1.0, 4.0)
     for p in (0.0, 1.0):
         if abs(mutual_information(p, v)) > 1e-8:
             raise AssertionError(f"MI({p}) != 0")
@@ -254,12 +254,12 @@ def _check_determinism(rng):
 def _check_gaussian_approx(rng):
     # thresholds a bounded number of standard deviations from the means;
     # at the optimal threshold (deep tails) the CLT error grows with N
-    v = theory.ConditionalVariances(1.0, 2.0)
+    v = theory.EnergyLaw(1.0, 2.0)
     n = 100
     for u in (0.25, 0.5, 1.0):
-        for t in (v.delta2_1 * (1 + u / math.sqrt(n)),
-                  v.delta2_2 * (1 - u / math.sqrt(n))):
-            exact = theory.ber_random(v, 0.5, 0.5, n, t)
+        for t in (v.s_1 * (1 + u / math.sqrt(n)),
+                  v.s_2 * (1 - u / math.sqrt(n))):
+            exact = theory.ber(v, 0.5, 0.5, n, t)
             approx = theory.ber_gaussian_approx(v, 0.5, 0.5, n, t)
             if abs(approx - exact) / exact > 0.05:
                 raise AssertionError(
@@ -285,17 +285,17 @@ def _check_tone_sum(rng):
 
 
 def _check_noncentral_law(rng):
-    # ber_det_noncentral calls scipy's private _ncx2_sf ufunc in place of
+    # theory.ber calls scipy's private _ncx2_sf ufunc in place of
     # stats.ncx2.sf; a scipy that moved or changed it must not go unnoticed
     from scipy import stats
 
     n, p1, p2 = 10, 0.3, 0.7
-    d = theory.DeterministicEnergies(qd_1=0.5, qd_2=3.0, sigma2_R=1.0)
+    d = theory.EnergyLaw(1.0, 1.0, 0.5, 3.0)
     ts = np.array([-1.0, 0.0, 0.2, d.qd_1, 1.7, d.qd_2, 6.0, np.inf, np.nan])
-    x = 2.0 * n * ts / d.sigma2_R
-    want = p1 * stats.ncx2.sf(x, 2 * n, 2.0 * n * d.qd_1 / d.sigma2_R) \
-        + p2 * stats.ncx2.cdf(x, 2 * n, 2.0 * n * d.qd_2 / d.sigma2_R)
-    got = theory.ber_det_noncentral(d, p1, p2, n, ts)
+    x = 2.0 * n * ts / d.s_1
+    want = p1 * stats.ncx2.sf(x, 2 * n, 2.0 * n * d.qd_1 / d.s_1) \
+        + p2 * stats.ncx2.cdf(x, 2 * n, 2.0 * n * d.qd_2 / d.s_1)
+    got = theory.ber(d, p1, p2, n, ts)
     if not np.array_equal(got, want, equal_nan=True):
         raise AssertionError(f"noncentral law {got} differs from stats {want}")
 

@@ -10,8 +10,8 @@ ahead: point i + 1's blocks are submitted before point i is reduced.  Each
 point is reduced in block order, and its baselines' error counts are drawn
 in that reduction, so results do not depend on the thread count.  A block
 returns its errors, levels, exact threshold and SINR; the theory columns
-are evaluated after the sweep's blocks, in one pass that solves every
-estimated-mode noncentral threshold of the sweep in one lockstep batch.
+are evaluated after the sweep's blocks, in one pass that solves the
+estimated-mode optimum of every block's law in one batch per frame.
 """
 
 import csv
@@ -479,10 +479,7 @@ def _exact_threshold(levels, frame):
     Raises NumericalFailureError where the root is NaN: the noncentral log
     ratio past the range of ``special.ive``, at high JNR.
     """
-    law = theory.optimal_threshold_random \
-        if isinstance(levels, theory.ConditionalVariances) \
-        else theory.optimal_threshold_noncentral
-    t = law(levels, frame.p1, frame.p2, frame.N)
+    t = theory.optimal_threshold(levels, frame.p1, frame.p2, frame.N)
     if math.isnan(t):
         raise NumericalFailureError(
             f"the exact threshold of {levels} is NaN at N = {frame.N}")
@@ -536,8 +533,8 @@ def _block_theory(cfg, kind, frame, levels, t, sinr):
     """(ber_theory, ber_gauss, sinr) predictions for one block.
 
     ``t`` is the threshold the theory is evaluated at: the exact one the
-    block decoded at, the sweep's noncentral root, or None, where the
-    law's own closed-form optimum is taken.  ``levels`` is None when the
+    block decoded at, or the optimum of its law that the sweep solved after
+    the blocks (None for the tonal kinds).  ``levels`` is None when the
     block's levels coincide, which makes all three columns NaN.  A
     non-tonal jammer sends random samples: its levels add the relayed and
     direct paths coherently, which holds only at ``n_tau = 0``, so only the
@@ -553,23 +550,20 @@ def _block_theory(cfg, kind, frame, levels, t, sinr):
     if kind.is_tonal:
         t = theory.optimal_threshold_det(levels, p1, p2, n)
         return theory.ber_det(levels, p1, p2, n, t), math.nan, sinr
-    if isinstance(levels, theory.ConditionalVariances):
-        if t is None:
-            t = theory.optimal_threshold_random(levels, p1, p2, n)
-        return (theory.ber_random(levels, p1, p2, n, t),
-                theory.ber_gaussian_approx(levels, p1, p2, n, t), sinr)
-    return theory.ber_det_noncentral(levels, p1, p2, n, t), math.nan, sinr
+    gauss = theory.ber_gaussian_approx(levels, p1, p2, n, t) \
+        if levels.central else math.nan
+    return theory.ber(levels, p1, p2, n, t), gauss, sinr
 
 
 def _theory_columns(cfg, outcomes):
     """Each point's block means of (ber_theory, ber_gauss, sinr), by curve.
 
     Runs once, after the sweep's blocks.  ``outcomes[axis_i][curve_i]``
-    lists a point's blocks as (levels, exact threshold, sinr).  Every
-    estimated-mode noncentral root of the sweep is solved first, in one
-    lockstep batch per frame (one per sweep on a JNR axis, one per point
-    on an N axis); an entry of a batch equals the block's own root bit for
-    bit.  Each mean is taken over a point's blocks in block order.
+    lists a point's blocks as (levels, exact threshold, sinr).  The sweep's
+    estimated-mode optima of non-tonal laws are solved first, one batch per
+    frame (one per sweep on a JNR axis, one per point on an N axis); an
+    entry of a batch equals the block's own optimum bit for bit.  Each mean
+    is taken over a point's blocks in block order.
     """
     frames = [_axis_point(cfg, v)[1] for v in cfg.axis_values]
     blocks = [(frames[axis_i], cfg.curves[curve_i].jammer.kind) + block
@@ -577,14 +571,12 @@ def _theory_columns(cfg, outcomes):
               for curve_i, curve in enumerate(point) for block in curve]
     batches = {}
     for i, (frame, kind, levels, t, _) in enumerate(blocks):
-        # estimated-mode BPSK/QPSK (no levels at n_tau > 0): tonal levels
-        # take the shifted-gamma optimum
-        if (t is None and not kind.is_tonal
-                and isinstance(levels, theory.DeterministicEnergies)):
+        # tonal levels take the shifted-gamma optimum
+        if t is None and levels is not None and not kind.is_tonal:
             batches.setdefault(frame, []).append(i)
     roots = {}
     for frame, batch in batches.items():
-        roots.update(zip(batch, theory.optimal_threshold_noncentral(
+        roots.update(zip(batch, theory.optimal_threshold(
             [blocks[i][2] for i in batch], frame.p1, frame.p2, frame.N)))
     cols = np.array([_block_theory(cfg, kind, frame, levels, roots.get(i, t),
                                    sinr)

@@ -96,13 +96,8 @@ def _levels(law, *args):
         return None
 
 
-def _deterministic(e, sigma2_R):
-    lo, hi = sorted(float(x) for x in e)
-    return theory.DeterministicEnergies(qd_1=lo, qd_2=hi, sigma2_R=sigma2_R)
-
-
 def _tone_levels(jam, ch, cfg):
-    """Deterministic energy levels of tonal samples ``jam``, averaged over them.
+    """The deterministic law of tonal samples ``jam``, averaged over them.
 
     ``jam`` holds real tone samples ``s`` after the ``n_tau`` look-back of
     the delayed samples ``s_d``; the mean of ``|h12 a s + h3 s_d|^2`` is
@@ -118,9 +113,9 @@ def _tone_levels(jam, ch, cfg):
     h12 = complex(ch.h1 * ch.h2)
     h3 = complex(ch.h3)
     cross = 2.0 * (h12 * h3.conjugate()).real
-    return _deterministic([abs(h12) ** 2 * a * a * ss + abs(h3) ** 2 * dd
-                           + a * cross * sd for a in (cfg.a1, cfg.a2)],
-                          ch.sigma2_R)
+    return theory.EnergyLaw(ch.sigma2_R, ch.sigma2_R,
+                            *(abs(h12) ** 2 * a * a * ss + abs(h3) ** 2 * dd
+                              + a * cross * sd for a in (cfg.a1, cfg.a2)))
 
 
 def block_energies(jam_spec, ch, cfg, bits, rng, sample_offset=0, payload=0,
@@ -141,15 +136,15 @@ def block_energies(jam_spec, ch, cfg, bits, rng, sample_offset=0, payload=0,
 
     - random broadband: every sample is CN(0, delta2_k), so the energy is
       Gamma(N, delta2_k / N), one ``rng`` draw per symbol; the levels are
-      the ``ConditionalVariances`` (delta2_1, delta2_2);
+      the central ``EnergyLaw`` (delta2_1, delta2_2);
     - BPSK, QPSK and 16QAM: given the window's jamming power
       ``S = sum |j|^2`` the energy is ``(sigma2_R / 2N)`` times a
       noncentral chi-square with 2N degrees of freedom and noncentrality
       ``2 qd_k S / (P_J sigma2_R)``, ``qd_k = jam_energy(ch, a_k, P_J)``
       (Urkowitz 1967).  S is ``N P_J`` for BPSK and QPSK, whose levels are
-      the ``DeterministicEnergies`` (qd_1, qd_2); 16QAM draws S first from
-      its binomial law, and its varying envelope has no closed form, so
-      its levels are the conditional variances ``qd_k + sigma2_R``.  One
+      the ``EnergyLaw`` (sigma2_R, sigma2_R, qd_1, qd_2); 16QAM draws S
+      first from its binomial law, and its varying envelope has no closed
+      form, so its levels are the central law at ``qd_k + sigma2_R``.  One
       ``noncentral_chisquare`` call per block.
 
     Tonal jammers, and every kind at ``n_tau > 0``, draw samples.  The
@@ -158,7 +153,7 @@ def block_energies(jam_spec, ch, cfg, bits, rng, sample_offset=0, payload=0,
     jammer-to-receiver path, so tonal waveforms continue smoothly across
     consecutive blocks.  Tonal samples are synthesized from the phasors in
     ``bases``, a ``kernels.ToneBases`` store (None: built for this block
-    alone), and their levels are the ``DeterministicEnergies`` of the
+    alone), and their levels are the deterministic ``EnergyLaw`` of the
     payload's samples.  Receiver noise, CN(0, sigma2_R) per sample, is
     drawn from ``rng`` after the jamming samples.
 
@@ -172,7 +167,7 @@ def block_energies(jam_spec, ch, cfg, bits, rng, sample_offset=0, payload=0,
         d2 = [theory.delta2(ch, a, P_J) for a in (cfg.a1, cfg.a2)]
         q = rng.standard_gamma(cfg.N, size=bits.shape[0]) \
             * (np.where(bits == 0, *d2) / cfg.N)
-        return q, _levels(theory.ConditionalVariances, *d2)
+        return q, _levels(theory.EnergyLaw, *d2)
     if ch.n_tau == 0 and kind.is_modulated:
         qd = [theory.jam_energy(ch, a, P_J) for a in (cfg.a1, cfg.a2)]
         s = _window_power(kind, cfg.N, bits.shape[0], rng)
@@ -181,9 +176,8 @@ def block_energies(jam_spec, ch, cfg, bits, rng, sample_offset=0, payload=0,
             df, 2.0 * np.where(bits == 0, *qd) * s / ch.sigma2_R) \
             * (ch.sigma2_R / df)
         if kind is signals.JammerKind.MOD_16QAM:
-            return q, _levels(theory.ConditionalVariances,
-                              *(e + ch.sigma2_R for e in qd))
-        return q, _levels(_deterministic, qd, ch.sigma2_R)
+            return q, _levels(theory.EnergyLaw, *(e + ch.sigma2_R for e in qd))
+        return q, _levels(theory.EnergyLaw, ch.sigma2_R, ch.sigma2_R, *qd)
     amps_sym = np.where(bits == 0, float(cfg.a1), float(cfg.a2))
     n_tot = bits.shape[0] * cfg.N
     jam = signals.gen_jammer_block(jam_spec, n_tot + ch.n_tau,
@@ -201,9 +195,9 @@ def estimate_threshold(preamble_energies, cfg):
 
     The preamble alternates starting with '1', so '1'-symbol energies sit at
     even indexes and '0'-symbol energies at odd indexes; each level is the
-    mean of its M/2 energies.  The two estimates then stand in for the two
-    conditional variances of :func:`theory.optimal_threshold_random`, which
-    orders them itself, so noise that swaps their order is harmless.
+    mean of its M/2 energies.  The threshold is the optimum of the central
+    :class:`theory.EnergyLaw` at the two estimates, which the law orders
+    itself, so noise that swaps their order is harmless.
 
     Raises
     ------
@@ -218,8 +212,8 @@ def estimate_threshold(preamble_energies, cfg):
     if q0_hat == q1_hat:
         raise DegenerateThresholdError(
             "estimated energy levels coincide; threshold undefined this block")
-    levels = theory.ConditionalVariances(q0_hat, q1_hat)
-    return theory.optimal_threshold_random(levels, cfg.p1, cfg.p2, cfg.N)
+    return theory.optimal_threshold(theory.EnergyLaw(q0_hat, q1_hat), cfg.p1,
+                                    cfg.p2, cfg.N)
 
 
 def decode(energies, t_hat):

@@ -1,11 +1,11 @@
 """Closed-form detection performance: energy laws, BER, thresholds, limits.
 
-Under random broadband (CSCG) jamming the per-symbol average energy is
-gamma-distributed with shape N and mean delta2_k, the conditional variance
-of a received sample given symbol k.  Under deterministic (tone) jamming the
-energy concentrates around a computable deterministic part qd_k with only
-receiver noise spreading it.  Everything here is a pure function; the
-simulator is cross-validated against these forms, not the other way round.
+The energy of a bit-k symbol is ``(s_k/2N) chi'^2(2N, 2N qd_k/s_k)``
+(Urkowitz 1967): central under random broadband (CSCG) jamming, with
+``s_k = delta2_k``, and with one ``s = sigma2_R`` under deterministic
+jamming.  One BER form and one optimal threshold serve both.  Everything
+here is a pure function; the simulator is cross-validated against these
+forms, not the other way round.
 """
 
 import math
@@ -20,56 +20,51 @@ from scipy.special._ufuncs import _ncx2_sf
 from .errors import DegenerateChannelError
 
 __all__ = [
-    "ConditionalVariances",
-    "DeterministicEnergies",
+    "EnergyLaw",
     "jam_energy",
     "delta2",
     "variances",
-    "optimal_threshold_random",
-    "ber_random",
+    "ber",
+    "optimal_threshold",
     "ber_det",
-    "ber_det_noncentral",
     "optimal_threshold_det",
-    "optimal_threshold_noncentral",
     "ber_gaussian_approx",
 ]
 
 
 @dataclass(frozen=True)
-class ConditionalVariances:
-    """Ordered pair of conditional received-sample variances.
+class EnergyLaw:
+    """Scales ``s_k`` and deterministic energies ``qd_k`` of the two bits.
 
-    Construction sorts the two values so ``delta2_1 < delta2_2`` always
-    holds; equal values are rejected because no detector can separate them.
+    A law is central (both ``qd_k`` 0) or has one common ``s``; any other
+    shape is a ``ValueError``, and so are ``s_k <= 0`` and ``qd_k < 0``.
+    Construction sorts the bits so that '1' is the louder; two equal bits
+    are rejected because no detector can separate them.
     """
 
-    delta2_1: float
-    delta2_2: float
+    s_1: float
+    s_2: float
+    qd_1: float = 0.0
+    qd_2: float = 0.0
 
     def __post_init__(self):
-        lo, hi = sorted((float(self.delta2_1), float(self.delta2_2)))
-        if not lo > 0:
-            raise ValueError("conditional variances must be > 0")
+        s_1, s_2 = float(self.s_1), float(self.s_2)
+        qd_1, qd_2 = float(self.qd_1), float(self.qd_2)
+        if not (s_1 > 0 and s_2 > 0):
+            raise ValueError("energy scales s_k must be > 0")
+        if not (qd_1 >= 0 and qd_2 >= 0):
+            raise ValueError("deterministic energies qd_k must be >= 0")
+        if (qd_1 or qd_2) and s_1 != s_2:
+            raise ValueError("a law is central or has one common scale s")
+        lo, hi = sorted(((qd_1, s_1), (qd_2, s_2)))
         if lo == hi:
-            raise DegenerateChannelError("conditional variances coincide")
-        object.__setattr__(self, "delta2_1", lo)
-        object.__setattr__(self, "delta2_2", hi)
+            raise DegenerateChannelError("the two energy laws coincide")
+        vars(self).update(qd_1=lo[0], s_1=lo[1], qd_2=hi[0], s_2=hi[1])
 
-
-@dataclass(frozen=True)
-class DeterministicEnergies:
-    """Deterministic energy levels under tone jamming, plus noise variance."""
-
-    qd_1: float
-    qd_2: float
-    sigma2_R: float
-
-    def __post_init__(self):
-        if not 0 <= self.qd_1 < self.qd_2:
-            raise DegenerateChannelError(
-                "deterministic energies must satisfy 0 <= qd_1 < qd_2")
-        if not self.sigma2_R > 0:
-            raise ValueError("sigma2_R must be > 0")
+    @property
+    def central(self):
+        """True for the random-jamming law, with no deterministic energy."""
+        return self.qd_2 == 0
 
 
 def jam_energy(ch, a_k, P_J):
@@ -89,94 +84,76 @@ def delta2(ch, a_k, P_J):
 
 
 def variances(ch, a1, a2, P_J):
-    """ConditionalVariances for an amplification alphabet on one channel draw."""
-    return ConditionalVariances(delta2(ch, a1, P_J), delta2(ch, a2, P_J))
+    """The central law of an amplification alphabet on one channel draw."""
+    return EnergyLaw(delta2(ch, a1, P_J), delta2(ch, a2, P_J))
 
 
-def optimal_threshold_random(v, p1, p2, N):
-    """BER-minimizing threshold for the two-variance gamma energy laws.
+def _sf(x, df, lam):
+    """``P(X > x)`` at x >= 0 or NaN, X noncentral chi-square (df, lam), by
+    the ufuncs under ``stats.ncx2``/``stats.chi2`` with their boundary rules
+    (0 gives sf 1 and cdf 0, +inf sf 0 and cdf 1, NaN stays NaN).  The
+    central ``chdtrc(df, x)`` is ``Q(df/2, x/2)`` itself."""
+    if not lam > 0:
+        return special.chdtrc(df, x)
+    with np.errstate(over="ignore"):  # as stats.ncx2 does (scipy gh-17432)
+        sf = _ncx2_sf(x, df, lam)
+    # _ncx2_sf gives 0 at 0 and NaN at +inf
+    return np.where(x == 0, 1.0, np.where(x == np.inf, 0.0, sf))
 
-    Equals ``(d1 d2 / (d2 - d1)) (ln(p1/p2)/N + ln(d2/d1))``; for equal
-    priors the symbol length N cancels entirely.  The preamble estimator
-    :func:`modem.estimate_threshold` maps its two estimated levels through
-    this same formula.
+
+def _cdf(x, df, lam):
+    """``P(X <= x)``, the complement of :func:`_sf`, by its rules, which
+    ``chndtr`` keeps itself at x >= 0."""
+    if not lam > 0:
+        return special.chdtr(df, x)
+    with np.errstate(over="ignore"):
+        return special.chndtr(x, df, lam)
+
+
+def ber(law, p1, p2, N, threshold):
+    """Exact BER of the energy detector at a threshold.
+
+    ``p1 P(Q_1 > T) + p2 P(Q_2 <= T)`` under the law's two energies; for
+    the central law ``p1 Q(N, N T/s_1) + p2 P(N, N T/s_2)``, with P and
+    Q = 1 - P the regularized incomplete gamma functions, bit for bit.  The
+    '0' tail is evaluated directly, so a tail far below 1e-16 keeps its
+    relative accuracy, and a threshold below 0 is 0: energies are never
+    negative.  Broadcasts over ``threshold``.  The shifted-gamma
+    :func:`ber_det` drops the noise-times-signal cross term and understates
+    its spread (variance ``sigma2^2/N``, not ``(sigma2^2 + 2 qd sigma2)/N``).
     """
-    x, y = v.delta2_1, v.delta2_2
-    # written as log(p1/p2)/N + log(y/x) to dodge (y/x)**N overflow
-    return float((x * y / (y - x)) * (math.log(p1 / p2) / N + math.log(y / x)))
-
-
-def ber_random(v, p1, p2, N, threshold):
-    """Exact BER of the energy detector under CSCG jamming at a threshold.
-
-    ``p1 Q(N, N T / d1) + p2 P(N, N T / d2)`` with P and Q = 1 - P the
-    regularized lower and upper incomplete gamma functions; Q is evaluated
-    directly, so a '0' tail far below 1e-16 keeps its relative accuracy.
-    Broadcasts over ``threshold``.
-
-    Energies are nonnegative, so any threshold below zero decides '1'
-    always; such thresholds are evaluated as zero, which is exact.
-    """
-    t = np.maximum(np.asarray(threshold, dtype=np.float64), 0.0)
-    miss0 = special.gammaincc(N, N * t / v.delta2_1)
-    miss1 = special.gammainc(N, N * t / v.delta2_2)
-    out = p1 * miss0 + p2 * miss1
+    x = 2.0 * N * np.maximum(np.asarray(threshold, dtype=np.float64), 0.0)
+    df = 2 * N
+    out = p1 * _sf(x / law.s_1, df, 2.0 * N * law.qd_1 / law.s_1) \
+        + p2 * _cdf(x / law.s_2, df, 2.0 * N * law.qd_2 / law.s_2)
     return float(out) if out.ndim == 0 else out
 
 
-def ber_det(d, p1, p2, N, threshold):
+def ber_det(law, p1, p2, N, threshold):
     """Shifted-gamma BER approximation under deterministic jamming.
 
-    Both branch arguments are clamped at zero so thresholds at or below a
-    level degrade to the correct limiting probability instead of a domain
-    error.  The model drops the noise-times-signal cross term; see
-    :func:`ber_det_noncentral` for the exact law.  As in :func:`ber_random`,
-    the '0' tail is the upper incomplete gamma function itself.
+    ``law`` has one scale ``s = sigma2_R``.  Both branch arguments are
+    clamped at zero so thresholds at or below a level degrade to the
+    correct limiting probability instead of a domain error.  The model
+    drops the noise-times-signal cross term that :func:`ber` keeps; as
+    there, the '0' tail is the upper incomplete gamma function itself.
     """
     t = np.asarray(threshold, dtype=np.float64)
-    x0 = np.maximum(t - d.qd_1, 0.0)
-    x1 = np.maximum(t - d.qd_2, 0.0)
-    miss0 = special.gammaincc(N, N * x0 / d.sigma2_R)
-    miss1 = special.gammainc(N, N * x1 / d.sigma2_R)
+    x0 = np.maximum(t - law.qd_1, 0.0)
+    x1 = np.maximum(t - law.qd_2, 0.0)
+    miss0 = special.gammaincc(N, N * x0 / law.s_1)
+    miss1 = special.gammainc(N, N * x1 / law.s_1)
     out = p1 * miss0 + p2 * miss1
     return float(out) if out.ndim == 0 else out
 
 
-def ber_det_noncentral(d, p1, p2, N, threshold):
-    """Exact BER under deterministic jamming plus CSCG receiver noise.
-
-    With the cross term kept, ``2 N Q / sigma2_R`` is noncentral chi-square
-    with ``2N`` degrees of freedom and noncentrality ``2 N qd_k / sigma2_R``.
-    The shifted-gamma form of :func:`ber_det` ignores the cross term and
-    understates the spread (variance ``sigma2^2/N`` instead of
-    ``(sigma2^2 + 2 qd sigma2)/N``).
-
-    The tails come from the ufuncs under ``stats.ncx2``/``stats.chi2``,
-    with the same values and boundary rules (x <= 0 gives sf 1 and cdf 0,
-    +inf gives sf 0 and cdf 1, NaN stays NaN) minus the per-call dispatch.
-    """
-    t = np.asarray(threshold, dtype=np.float64)
-    x = 2.0 * N * t / d.sigma2_R
-    df = 2 * N
-    lam1 = 2.0 * N * d.qd_1 / d.sigma2_R
-    lam2 = 2.0 * N * d.qd_2 / d.sigma2_R
-    with np.errstate(over="ignore"):  # as stats.ncx2 does (scipy gh-17432)
-        sf = _ncx2_sf(x, df, lam1) if lam1 > 0 else special.chdtrc(df, x)
-        cdf = special.chndtr(x, df, lam2) if lam2 > 0 else special.chdtr(df, x)
-    # the raw ufuncs give NaN below 0, and _ncx2_sf gives 0 at 0, NaN at +inf
-    miss0 = np.where(x <= 0, 1.0, np.where(x == np.inf, 0.0, sf))
-    miss1 = np.where(x <= 0, 0.0, cdf)
-    out = p1 * miss0 + p2 * miss1
-    return float(out) if out.ndim == 0 else out
-
-
-def optimal_threshold_det(d, p1, p2, N):
+def optimal_threshold_det(law, p1, p2, N):
     """BER-minimizing threshold of the shifted-gamma law of :func:`ber_det`.
 
-    Above ``qd_2`` the two energy densities are
-    ``f_k(T) ~ (T - qd_k)^(N-1) exp(-N (T - qd_k) / sigma2_R)`` with a
-    common constant, and below it the '1' density is zero, so the BER falls
-    there.  The derivative of the BER is ``p2 f_1 - p1 f_0``, and the log
+    ``law`` has one scale ``s = sigma2_R``.  Above ``qd_2`` the two energy
+    densities are ``f_k(T) ~ (T - qd_k)^(N-1) exp(-N (T - qd_k) / sigma2_R)``
+    with a common constant, and below it the '1' density is zero, so the BER
+    falls there.  The derivative of the BER is ``p2 f_1 - p1 f_0``, and the log
     of ``p2 f_1 / (p1 f_0)`` is ``k + (N-1) ln((T - qd_2) / (T - qd_1))``
     with ``k = N (qd_2 - qd_1) / sigma2_R + ln(p2/p1)``.  It rises in T (a
     monotone likelihood ratio), so it has at most one root, the minimizer:
@@ -187,16 +164,17 @@ def optimal_threshold_det(d, p1, p2, N):
     For N = 1 the ratio is ``exp(k)`` at every T above ``qd_2``, so the BER
     turns there and ``T* = qd_2``.  When k <= 0, for any N, the ratio
     stays below 1 and the BER falls over the whole bracket
-    ``[qd_1, qd_2 + 15 sigma2_R]`` that :func:`optimal_threshold_noncentral`
-    searches; its end is returned.
+    ``[qd_1, qd_2 + 15 sigma2_R]`` that :func:`optimal_threshold` searches
+    for a deterministic law; its end is returned.
     """
-    k = N * (d.qd_2 - d.qd_1) / d.sigma2_R + math.log(p2 / p1)
+    k = N * (law.qd_2 - law.qd_1) / law.s_1 + math.log(p2 / p1)
     if k <= 0:
-        return float(d.qd_2 + 15.0 * d.sigma2_R)
+        return float(law.qd_2 + 15.0 * law.s_1)
     if N == 1:
-        return float(d.qd_2)
+        return float(law.qd_2)
     x = k / (N - 1)
-    return float(d.qd_2 + (d.qd_2 - d.qd_1) * math.exp(-x) / -math.expm1(-x))
+    return float(law.qd_2
+                 + (law.qd_2 - law.qd_1) * math.exp(-x) / -math.expm1(-x))
 
 
 def _log_ncx2_over_chi2(x, N, lam):
@@ -243,7 +221,7 @@ def _lockstep(lo, hi, values, xtol):
     generators still unsolved.  Returns ``(roots, f_lo, f_hi)``, lists by
     bracket.  A NaN inside a bracket raises ``ValueError``, and scipy's 100
     steps without convergence ``RuntimeError``.  The package's one Brent
-    loop: :func:`optimal_threshold_noncentral` and :func:`capacity.capacity`
+    loop: :func:`optimal_threshold` and :func:`capacity.capacity`
     both run on it, and every root is scipy's ``brentq`` root bit for bit.
     """
     lo = np.asarray(lo, dtype=np.float64)
@@ -329,34 +307,20 @@ def _brent_steps(a, b, fa, fb, xtol):
                        f"iterations, value is {xcur}")
 
 
-def optimal_threshold_noncentral(d, p1, p2, N):
-    """BER-minimizing threshold under the exact noncentral chi-square law.
+def _central_optimum(law, p1, p2, N):
+    """The central law's closed-form optimum; see :func:`optimal_threshold`."""
+    x, y = law.s_1, law.s_2
+    # written as log(p1/p2)/N + log(y/x) to dodge (y/x)**N overflow
+    return float((x * y / (y - x)) * (math.log(p1 / p2) / N + math.log(y / x)))
 
-    The minimizer solves ``p1 f(x; 2N, lam1) = p2 f(x; 2N, lam2)`` with
-    ``x = 2N T / sigma2_R`` and ``lam_k = 2N qd_k / sigma2_R``; the central
-    density both share cancels from the ratio.  The family has a monotone
-    likelihood ratio (Karlin and Rubin 1956), so the log of that ratio rises
-    through at most one root on ``[qd_1, qd_2 + 15 sigma2_R]``, and without
-    one its sign at the ends says which way the BER runs there: ``qd_1``
-    where the log ratio is positive (the BER rises over the bracket), the
-    upper end where it is negative.  Where an end's log ratio is NaN
-    (``special.ive`` gives NaN past an argument of 2**30: from about 68 dB
-    JNR at unit gains and N = 10) the threshold is NaN.
 
-    ``d`` is one :class:`DeterministicEnergies` (a float back) or a
-    sequence of them (a list back), all at the priors and N given.  The
-    roots are solved by :func:`_lockstep`, each round one array evaluation
-    of the log ratio over the brackets still unsolved, and every root is
-    scipy's ``brentq`` on the scalar log ratio bit for bit; an entry of a
-    batch equals the batch of one.
-    """
-    one = isinstance(d, DeterministicEnergies)
-    ds = [d] if one else list(d)
-    lo = [float(u.qd_1) for u in ds]
-    hi = [u.qd_2 + 15.0 * u.sigma2_R for u in ds]
-    scale = np.array([2.0 * N / u.sigma2_R for u in ds])
+def _roots(laws, p1, p2, N):
+    """The likelihood-ratio roots of deterministic laws, in one lockstep."""
+    lo = [u.qd_1 for u in laws]
+    hi = [u.qd_2 + 15.0 * u.s_1 for u in laws]
+    scale = np.array([2.0 * N / u.s_1 for u in laws])
     # row 0 the noncentrality of qd_2, row 1 that of qd_1
-    lam = scale * np.array([[u.qd_2 for u in ds], lo])
+    lam = scale * np.array([[u.qd_2 for u in laws], lo])
     log_prior = math.log(p2 / p1)
 
     def log_ratio(keys, t):
@@ -364,24 +328,55 @@ def optimal_threshold_noncentral(d, p1, p2, N):
         return log_prior + both[0] - both[1]
 
     roots, f_lo, f_hi = _lockstep(lo, hi, log_ratio, 2e-12)  # brentq's xtol
-    out = [t if t is not None
-           else math.nan if math.isnan(fa) or math.isnan(fb)
-           else a if fa > 0 else b
-           for t, a, b, fa, fb in zip(roots, lo, hi, f_lo, f_hi)]
-    return out[0] if one else out
+    return [t if t is not None
+            else math.nan if math.isnan(fa) or math.isnan(fb)
+            else a if fa > 0 else b
+            for t, a, b, fa, fb in zip(roots, lo, hi, f_lo, f_hi)]
 
 
-def ber_gaussian_approx(v, p1, p2, N, threshold):
-    """Large-N Gaussian (central-limit) BER approximation.
+def optimal_threshold(law, p1, p2, N):
+    """BER-minimizing threshold of :func:`ber`: where ``p1 f_1 = p2 f_2``.
 
-    ``p1 Q((T - d1) sqrt(N)/d1) + p2 Q((d2 - T) sqrt(N)/d2)`` with Q the
+    For the central law that is the closed form
+    ``(s_1 s_2 / (s_2 - s_1)) (ln(p1/p2)/N + ln(s_2/s_1))``; for equal
+    priors N cancels.  :func:`modem.estimate_threshold` maps its two
+    estimated levels through it.  A deterministic law solves
+    ``p1 f(x; 2N, lam1) = p2 f(x; 2N, lam2)`` with ``x = 2N T / s`` and
+    ``lam_k = 2N qd_k / s``; the central density both share cancels from
+    the ratio.  The family has a monotone likelihood ratio (Karlin and
+    Rubin 1956), so the log of that ratio rises through at most one root on
+    ``[qd_1, qd_2 + 15 s]``, and without one its sign at the ends says
+    which way the BER runs there: ``qd_1`` where it is positive, the upper
+    end where it is negative.  Where an end's log ratio is NaN
+    (``special.ive`` gives NaN past an argument of 2**30: from about 68 dB
+    JNR at unit gains and N = 10) the threshold is NaN.
+
+    ``law`` is one :class:`EnergyLaw` (a float back) or a sequence of laws
+    of either shape (a list back).  A sequence's roots are solved by one
+    :func:`_lockstep`, each round one array evaluation of the log ratio
+    over the brackets still unsolved; every root is scipy's ``brentq`` on
+    the scalar log ratio bit for bit, and an entry equals the law alone.
+    """
+    if isinstance(law, EnergyLaw):
+        return _central_optimum(law, p1, p2, N) if law.central \
+            else _roots([law], p1, p2, N)[0]
+    laws = list(law)
+    roots = iter(_roots([u for u in laws if not u.central], p1, p2, N))
+    return [_central_optimum(u, p1, p2, N) if u.central else next(roots)
+            for u in laws]
+
+
+def ber_gaussian_approx(law, p1, p2, N, threshold):
+    """Large-N Gaussian (central-limit) BER approximation of a central law.
+
+    ``p1 Q((T - s1) sqrt(N)/s1) + p2 Q((s2 - T) sqrt(N)/s2)`` with Q the
     standard normal tail.  Accurate only while the threshold stays a bounded
     number of standard deviations from both means.
     """
     t = np.asarray(threshold, dtype=np.float64)
     rn = math.sqrt(N)
     # Q(z) = ndtr(-z), the ufunc under stats.norm.sf, bit for bit
-    out = p1 * special.ndtr(-((t - v.delta2_1) * rn / v.delta2_1)) \
-        + p2 * special.ndtr(-((v.delta2_2 - t) * rn / v.delta2_2))
+    out = p1 * special.ndtr(-((t - law.s_1) * rn / law.s_1)) \
+        + p2 * special.ndtr(-((law.s_2 - t) * rn / law.s_2))
     return float(out) if out.ndim == 0 else out
 

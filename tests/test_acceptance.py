@@ -27,11 +27,9 @@ from jamlink.harness import emit_csv, preset_config, run_ber_sweep, \
 from jamlink.kernels import compose_energies, tone_sum
 from jamlink.mc import BerEstimate
 from jamlink.signals import ToneSet, gen_cscg
-from jamlink.theory import (ConditionalVariances, DeterministicEnergies,
-                            ber_det_noncentral, ber_gaussian_approx,
-                            ber_random, optimal_threshold_det,
-                            optimal_threshold_noncentral,
-                            optimal_threshold_random, variances)
+from jamlink.theory import (EnergyLaw, ber, ber_gaussian_approx,
+                            optimal_threshold, optimal_threshold_det,
+                            variances)
 
 UNIT_CH = ChannelDraw(1.0, 1.0, 1.0, 1.0, 0)
 
@@ -102,8 +100,8 @@ def test_criterion_02_theory_simulation_cross_validation(case, q_det):
                 complex(rng.uniform(0.5, 1.5), rng.uniform(-0.5, 0.5)),
                 1.0, 0)
             v = variances(ch, 0.0, a2, pj)
-            t = optimal_threshold_random(v, 0.5, 0.5, n)
-            checks = [("optimal", t, ber_random(v, 0.5, 0.5, n, t))]
+            t = optimal_threshold(v, 0.5, 0.5, n)
+            checks = [("optimal", t, ber(v, 0.5, 0.5, n, t))]
             ests = _mc_ber_exact_threshold(
                 ch, a2, lambda m, off, r: gen_cscg(pj, m, r), n, (t,),
                 10**6, seed=1000 + i)
@@ -120,12 +118,11 @@ def test_criterion_02_theory_simulation_cross_validation(case, q_det):
             ts = ToneSet(amps=np.array([np.sqrt(2.0 * pj)]),
                          freqs=np.array([0.25]),
                          phases=np.array([rng.uniform(0, 2 * np.pi)]))
-            d = DeterministicEnergies(qd_1=q_det(ts, ch, 0.0, n),
-                                      qd_2=q_det(ts, ch, a2, n),
-                                      sigma2_R=1.0)
-            t_opt = optimal_threshold_noncentral(d, 0.5, 0.5, n)
+            d = EnergyLaw(1.0, 1.0, q_det(ts, ch, 0.0, n),
+                          q_det(ts, ch, a2, n))
+            t_opt = optimal_threshold(d, 0.5, 0.5, n)
             t_sg = optimal_threshold_det(d, 0.5, 0.5, n)
-            checks = [(label, t, ber_det_noncentral(d, 0.5, 0.5, n, t))
+            checks = [(label, t, ber(d, 0.5, 0.5, n, t))
                       for label, t in (("optimal", t_opt),
                                        ("shifted-gamma optimal", t_sg))]
             ests = _mc_ber_exact_threshold(
@@ -149,7 +146,7 @@ def test_criterion_03_chi_square_energy_law(n):
     n_sym = 10**4
     a2, pj = 2.0, 1.0
     v = variances(UNIT_CH, 0.0, a2, pj)
-    for a_k, d in ((0.0, v.delta2_1), (a2, v.delta2_2)):
+    for a_k, d in ((0.0, v.s_1), (a2, v.s_2)):
         jam = gen_cscg(pj, n_sym * n, rng)
         noise = gen_cscg(1.0, n_sym * n, rng)
         amps = np.full(n_sym, a_k)
@@ -167,11 +164,11 @@ def test_criterion_04_threshold_beats_grid():
         d2 = d1 * rng.uniform(1.05, 20.0)
         p1 = rng.uniform(0.2, 0.8)
         n = int(rng.integers(1, 51))
-        v = ConditionalVariances(d1, d2)
-        t_star = optimal_threshold_random(v, p1, 1 - p1, n)
+        v = EnergyLaw(d1, d2)
+        t_star = optimal_threshold(v, p1, 1 - p1, n)
         grid = np.linspace(0.5 * d1, 1.5 * d2, 1000)
-        assert ber_random(v, p1, 1 - p1, n, t_star) \
-            <= ber_random(v, p1, 1 - p1, n, grid).min() + 1e-12
+        assert ber(v, p1, 1 - p1, n, t_star) \
+            <= ber(v, p1, 1 - p1, n, grid).min() + 1e-12
 
 
 def test_criterion_05_ber_floor():
@@ -179,8 +176,8 @@ def test_criterion_05_ber_floor():
     def ber_at(jnr_db):
         pj = 10.0 ** (jnr_db / 10.0)
         v = variances(UNIT_CH, 0.0, np.sqrt(10.0), pj)
-        t = optimal_threshold_random(v, 0.5, 0.5, 8)
-        return ber_random(v, 0.5, 0.5, 8, t)
+        t = optimal_threshold(v, 0.5, 0.5, 8)
+        return ber(v, 0.5, 0.5, 8, t)
 
     assert abs(ber_at(60.0) - ber_at(80.0)) < 1e-6
 
@@ -189,14 +186,14 @@ def test_criterion_06_gaussian_approximation():
     # bulk accuracy: thresholds a fixed standardized offset from each level;
     # worst relative error < 5% at N = 100 and decreasing in N
     for d2 in (2.0, 5.0, 10.0):
-        v = ConditionalVariances(1.0, d2)
+        v = EnergyLaw(1.0, d2)
         worst = []
         for n in (10, 30, 100, 300):
             errs = []
             for u in (0.25, 0.5, 1.0):
-                for t in (v.delta2_1 * (1 + u / np.sqrt(n)),
-                          v.delta2_2 * (1 - u / np.sqrt(n))):
-                    exact = ber_random(v, 0.5, 0.5, n, t)
+                for t in (v.s_1 * (1 + u / np.sqrt(n)),
+                          v.s_2 * (1 - u / np.sqrt(n))):
+                    exact = ber(v, 0.5, 0.5, n, t)
                     approx = ber_gaussian_approx(v, 0.5, 0.5, n, t)
                     errs.append(abs(approx - exact) / exact)
             worst.append(max(errs))
@@ -206,7 +203,7 @@ def test_criterion_06_gaussian_approximation():
 
 
 def test_criterion_07_capacity_machinery():
-    v = ConditionalVariances(1.0, 4.0)
+    v = EnergyLaw(1.0, 4.0)
 
     # analytic derivative vs central differences
     for p in (0.15, 0.5, 0.85):

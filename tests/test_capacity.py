@@ -11,9 +11,9 @@ from jamlink import harness
 from jamlink.capacity import (CapacityResult, capacity, dt_capacity,
                               mi_derivative, mutual_information)
 from jamlink.errors import NumericalFailureError
-from jamlink.theory import ConditionalVariances
+from jamlink.theory import EnergyLaw
 
-V12 = ConditionalVariances(1.0, 2.0)
+V12 = EnergyLaw(1.0, 2.0)
 
 
 class TestMutualInformation:
@@ -23,20 +23,20 @@ class TestMutualInformation:
 
     def test_frozen_high_ratio_value(self):
         # independently computed once with mpmath quadrature
-        got = mutual_information(0.5, ConditionalVariances(1.0, 1e6))
+        got = mutual_information(0.5, EnergyLaw(1.0, 1e6))
         assert np.isclose(got, 0.9876199, atol=1e-4)
 
     def test_extreme_ratio_approaches_one_bit(self):
-        got = mutual_information(0.5, ConditionalVariances(1.0, 1e12))
+        got = mutual_information(0.5, EnergyLaw(1.0, 1e12))
         assert got > 0.998
 
     def test_near_equal_variances_give_no_information(self):
-        got = mutual_information(0.5, ConditionalVariances(1.0, 1.0 + 1e-12))
+        got = mutual_information(0.5, EnergyLaw(1.0, 1.0 + 1e-12))
         assert abs(got) < 1e-8
 
     def test_bounded_by_one_bit(self):
         for p in (0.1, 0.3, 0.5, 0.7, 0.9):
-            mi = mutual_information(p, ConditionalVariances(1.0, 25.0))
+            mi = mutual_information(p, EnergyLaw(1.0, 25.0))
             assert 0.0 <= mi <= 1.0
 
     def test_concavity_in_p(self, rng):
@@ -50,7 +50,7 @@ class TestMutualInformation:
             assert mid >= chord - 1e-9
 
     def test_quadrature_doubling_stable(self):
-        v = ConditionalVariances(1.0, 50.0)
+        v = EnergyLaw(1.0, 50.0)
         a = mutual_information(0.3, v)
         b = _fresh_quadrature(0.3, v, "real", False, points=8001)
         assert abs(a - b) < 1e-7
@@ -61,7 +61,7 @@ class TestMutualInformation:
 
     def test_complex_exceeds_real_at_midpoint(self):
         # the circularly symmetric observation carries both quadratures
-        v = ConditionalVariances(1.0, 20.0)
+        v = EnergyLaw(1.0, 20.0)
         assert mutual_information(0.5, v, model="complex") \
             > mutual_information(0.5, v, model="real")
 
@@ -86,16 +86,16 @@ def _fresh_quadrature(p, v, model, derivative, half_width_sigmas=12.0,
                       points=4001):
     # composite Simpson on two uniform panels, [0, 12 sigma_1] and
     # [12 sigma_1, 12 sigma_2], with the densities written out
-    w = half_width_sigmas * math.sqrt(v.delta2_1)
-    W = half_width_sigmas * math.sqrt(v.delta2_2)
+    w = half_width_sigmas * math.sqrt(v.s_1)
+    W = half_width_sigmas * math.sqrt(v.s_2)
     total = 0.0
     for y in (np.linspace(0.0, w, points), np.linspace(w, W, points)):
         if model == "real":
-            a = stats.norm.pdf(y, scale=math.sqrt(v.delta2_1))
-            b = stats.norm.pdf(y, scale=math.sqrt(v.delta2_2))
+            a = stats.norm.pdf(y, scale=math.sqrt(v.s_1))
+            b = stats.norm.pdf(y, scale=math.sqrt(v.s_2))
         else:
-            a = np.exp(-y * y / v.delta2_1) / (math.pi * v.delta2_1)
-            b = np.exp(-y * y / v.delta2_2) / (math.pi * v.delta2_2)
+            a = np.exp(-y * y / v.s_1) / (math.pi * v.s_1)
+            b = np.exp(-y * y / v.s_2) / (math.pi * v.s_2)
         f = p * a + (1.0 - p) * b
         log2f = np.where(f > 0, np.log2(np.where(f > 0, f, 1.0)), 0.0)
         weight = a - b if derivative else p * a + (1.0 - p) * b
@@ -105,13 +105,13 @@ def _fresh_quadrature(p, v, model, derivative, half_width_sigmas=12.0,
     total = -2.0 * total if model == "real" else -total
     if derivative:
         c = 0.5 if model == "real" else 1.0
-        return total - c * math.log2(v.delta2_1 / v.delta2_2)
+        return total - c * math.log2(v.s_1 / v.s_2)
     if model == "real":
         h1, h2 = (0.5 * math.log2(2.0 * math.pi * math.e * d)
-                  for d in (v.delta2_1, v.delta2_2))
+                  for d in (v.s_1, v.s_2))
     else:
         h1, h2 = (math.log2(math.pi * math.e * d)
-                  for d in (v.delta2_1, v.delta2_2))
+                  for d in (v.s_1, v.s_2))
     return total - p * h1 - (1.0 - p) * h2
 
 
@@ -121,7 +121,7 @@ class TestQuadrature:
     @pytest.mark.parametrize("ratio", [1 + 1e-12, 1.25, 2.5, 900.0, 1e6, 1e12])
     def test_agrees_with_fine_simpson(self, ratio, model):
         for d1 in (0.3, 1.0, 200.0):
-            v = ConditionalVariances(d1, d1 * ratio)
+            v = EnergyLaw(d1, d1 * ratio)
             for p in (0.0, 1e-9, 0.2, 0.5, 0.9, 1 - 1e-9, 1.0):
                 ref = _fresh_quadrature(p, v, model, False, points=8001)
                 assert abs(mutual_information(p, v, model) - ref) < 1e-9
@@ -135,7 +135,7 @@ class TestQuadrature:
         # width is set by the curvature of the log-ratio, not its slope
         c = 0.5 if model == "real" else 1.0
         for ratio in (2.5, 30.0, 1e6):
-            v = ConditionalVariances(1.0, ratio)
+            v = EnergyLaw(1.0, ratio)
             odds = ratio ** -c
             for scale in (0.99, 1.0 - 1e-6, 1.0 + 1e-6, 1.01):
                 p = scale * odds / (1.0 + odds)
@@ -155,7 +155,7 @@ class TestBatch:
     @pytest.mark.parametrize("model", ["real", "complex"])
     def test_array_p_equals_scalar_calls(self, model):
         for ratio in self.RATIOS:
-            v = ConditionalVariances(0.3, 0.3 * ratio)
+            v = EnergyLaw(0.3, 0.3 * ratio)
             ps = np.array(self.PS)
             mi = mutual_information(ps, v, model)
             slope = mi_derivative(ps, v, model)
@@ -173,7 +173,7 @@ class TestBatch:
         mi = capacity_module._information(p, d1, d2, model)
         slope = capacity_module._derivative(p, d1, d2, model)
         for i, (pi, lo, hi) in enumerate(rows):
-            v = ConditionalVariances(lo, hi)
+            v = EnergyLaw(lo, hi)
             assert mi[i] == mutual_information(pi, v, model)
             assert slope[i] == mi_derivative(pi, v, model)
 
@@ -193,7 +193,7 @@ class TestBatch:
 
 class TestCapacity:
     def test_matches_grid_argmax(self):
-        v = ConditionalVariances(1.0, 4.0)
+        v = EnergyLaw(1.0, 4.0)
         res = capacity(v)
         grid = np.linspace(1e-4, 1 - 1e-4, 10_001)
         mis = mutual_information(grid, v)
@@ -208,7 +208,7 @@ class TestCapacity:
 
     def test_p_star_above_half(self):
         # the wider '1' level is costlier, so mass shifts toward '0'
-        assert capacity(ConditionalVariances(1.0, 10.0)).p_star > 0.5
+        assert capacity(EnergyLaw(1.0, 10.0)).p_star > 0.5
 
     def test_matches_tight_root_on_preset_channels(self, monkeypatch):
         # every channel fig7 and fig8 solve, each preset in one batched
@@ -247,7 +247,7 @@ class TestCapacity:
                     p_tight, v, cfg.capacity_model)) < 1e-9
 
     def test_sequence_equals_single_channel_solves(self):
-        vs = [ConditionalVariances(1.0, r) for r in (1.5, 4.0, 30.0, 1e6)]
+        vs = [EnergyLaw(1.0, r) for r in (1.5, 4.0, 30.0, 1e6)]
         for model in ("real", "complex"):
             assert capacity(vs, model) == [capacity(v, model) for v in vs]
         assert capacity([]) == []
@@ -265,7 +265,7 @@ class TestCapacity:
             return np.where(d2 == 2.0, 1.0, derivative(p, d1, d2, model))
 
         monkeypatch.setattr(capacity_module, "_derivative", flat_on_v12)
-        batch = [ConditionalVariances(1.0, 4.0), V12]
+        batch = [EnergyLaw(1.0, 4.0), V12]
         with pytest.raises(NumericalFailureError, match="change sign"):
             capacity(batch)
 

@@ -250,13 +250,13 @@ class TestTheoryOps:
 
     def test_optimal_threshold_det(self, capsys):
         # the noncentral law's optimum, the default of ber-det-noncentral
-        d = theory.DeterministicEnergies(qd_1=0.0, qd_2=4.0, sigma2_R=1.0)
+        d = theory.EnergyLaw(1.0, 1.0, 0.0, 4.0)
         code, out, _ = run(["theory", "--op", "optimal-threshold-det",
                             "--qd1", "0", "--qd2", "4", "--sigma2", "1",
                             "--n", "8"], capsys)
         assert code == 0
         t = float(out.strip())
-        assert t == theory.optimal_threshold_noncentral(d, 0.5, 0.5, 8)
+        assert t == theory.optimal_threshold(d, 0.5, 0.5, 8)
         assert t != theory.optimal_threshold_det(d, 0.5, 0.5, 8)
         # between the two mean energies qd_k + sigma2
         assert 1.0 < t < 5.0
@@ -273,19 +273,19 @@ class TestTheoryOps:
 
     def test_ber_det_noncentral(self, capsys):
         # default threshold: the noncentral law's own optimum
-        d = theory.DeterministicEnergies(qd_1=0.5, qd_2=3.0, sigma2_R=1.0)
-        t = theory.optimal_threshold_noncentral(d, 0.5, 0.5, 4)
+        d = theory.EnergyLaw(1.0, 1.0, 0.5, 3.0)
+        t = theory.optimal_threshold(d, 0.5, 0.5, 4)
         args = ["theory", "--op", "ber-det-noncentral", "--qd1", "0.5",
                 "--qd2", "3", "--sigma2", "1", "--n", "4"]
         code, out, _ = run(args, capsys)
         assert code == 0
         assert np.isclose(float(out.strip()),
-                          theory.ber_det_noncentral(d, 0.5, 0.5, 4, t),
+                          theory.ber(d, 0.5, 0.5, 4, t),
                           rtol=1e-15)
         code, out, _ = run(args + ["--t", "1.2"], capsys)
         assert code == 0
         assert np.isclose(float(out.strip()),
-                          theory.ber_det_noncentral(d, 0.5, 0.5, 4, 1.2),
+                          theory.ber(d, 0.5, 0.5, 4, 1.2),
                           rtol=1e-15)
 
     def test_mi_value(self, capsys):
@@ -327,8 +327,7 @@ class TestTheoryOps:
         def unreachable(*a, **kw):
             raise AssertionError("evaluated")
 
-        for name in ("ConditionalVariances", "DeterministicEnergies"):
-            monkeypatch.setattr(theory, name, unreachable)
+        monkeypatch.setattr(theory, "EnergyLaw", unreachable)
         code, out, err = run(["theory"] + args, capsys)
         assert code == 1
         assert out == ""
@@ -338,14 +337,14 @@ class TestTheoryOps:
         ["--op", "ber-det", "--qd1", "0", "--qd2", "1", "--sigma2", "0"],
         ["--op", "optimal-threshold", "--d1", "0", "--d2", "1"],
         ["--op", "optimal-threshold", "--d1", "1", "--d2", "1"],
-        ["--op", "ber-det-noncentral", "--qd1", "2", "--qd2", "1"],
-    ], ids=["sigma2-0", "d1-0", "d1-eq-d2", "qd1-gt-qd2"])
+        ["--op", "ber-det-noncentral", "--qd1", "-1", "--qd2", "1"],
+        ["--op", "ber-det-noncentral", "--qd1", "2", "--qd2", "2"],
+    ], ids=["sigma2-0", "d1-0", "d1-eq-d2", "qd1-neg", "qd1-eq-qd2"])
     def test_levels_the_constructors_reject_are_config_error(
             self, capsys, monkeypatch, args):
         # no closed form is evaluated
-        for name in ("ber_det", "ber_det_noncentral", "optimal_threshold_det",
-                     "optimal_threshold_noncentral",
-                     "optimal_threshold_random"):
+        for name in ("ber", "ber_det", "optimal_threshold",
+                     "optimal_threshold_det"):
             monkeypatch.setattr(theory, name, None)
         code, out, err = run(["theory"] + args, capsys)
         assert code == 1
@@ -362,6 +361,31 @@ class TestTheoryOps:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("op", ["optimal-threshold", "ber-random"])
+    def test_overflowed_optimum_is_runtime_error(self, capsys, op):
+        # ln(d2/d1) overflows past a ratio of about 1.8e308, though the
+        # threshold itself is about 7e-158: no value is printed
+        code, out, err = run(["theory", "--op", op, "--d1", "1e-160",
+                              "--d2", "1e160", "--n", "3"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_largest_finite_ratio_still_prints(self, capsys):
+        code, out, _ = run(["theory", "--op", "optimal-threshold", "--d1", "1",
+                            "--d2", "1e308"], capsys)
+        assert code == 0
+        assert out == "709.19620864216608\n"
+
+    @pytest.mark.parametrize("op", ["ber-det", "ber-det-noncentral",
+                                    "optimal-threshold-det"])
+    def test_levels_given_high_first_are_sorted(self, capsys, op):
+        args = ["theory", "--op", op, "--sigma2", "0.7", "--n", "6"]
+        code, out, _ = run(args + ["--qd1", "4", "--qd2", "0.2"], capsys)
+        assert code == 0
+        assert run(args + ["--qd1", "0.2", "--qd2", "4"], capsys) == \
+            (0, out, "")
 
     @pytest.mark.parametrize("p", ["0", "1"])
     def test_mi_takes_the_end_points_of_p(self, capsys, p):
@@ -539,9 +563,14 @@ class TestSelftest:
         assert code == 0, out
         assert "ok noncentral-threshold-root" in out
         # a root moved off the exact law's optimum is caught
-        root = theory.optimal_threshold_noncentral
-        monkeypatch.setattr(theory, "optimal_threshold_noncentral",
-                            lambda d, p1, p2, n: 1.05 * root(d, p1, p2, n))
+        root = theory.optimal_threshold
+
+        def moved(law, p1, p2, n):
+            t = root(law, p1, p2, n)
+            one = isinstance(law, theory.EnergyLaw) and not law.central
+            return 1.05 * t if one else t
+
+        monkeypatch.setattr(theory, "optimal_threshold", moved)
         code, out, _ = run(["selftest"], capsys)
         assert code == 2
         assert "FAIL noncentral-threshold-root" in out

@@ -501,7 +501,7 @@ class TestBerSweep:
         def broken(*args):
             raise ValueError("closed form failed")
 
-        monkeypatch.setattr(theory, "ber_random", broken)
+        monkeypatch.setattr(theory, "ber", broken)
         with pytest.raises(ValueError, match="closed form failed"):
             run_ber_sweep(_tiny_ber_cfg(axis_values=(10.0,), blocks=1))
 
@@ -534,14 +534,20 @@ class TestBerSweep:
 
     @staticmethod
     def _count_noncentral_roots(monkeypatch):
-        root = theory.optimal_threshold_noncentral
+        # estimate_threshold also calls optimal_threshold, on a central law:
+        # only deterministic laws are counted, one law or a batch per call
+        root = theory.optimal_threshold
         calls = []
 
-        def counted(d, *args):
-            calls.append(d)
-            return root(d, *args)
+        def counted(law, *args):
+            if isinstance(law, theory.EnergyLaw):
+                if not law.central:
+                    calls.append(law)
+            else:
+                calls.append([u for u in law if not u.central])
+            return root(law, *args)
 
-        monkeypatch.setattr(theory, "optimal_threshold_noncentral", counted)
+        monkeypatch.setattr(theory, "optimal_threshold", counted)
         return calls
 
     @pytest.mark.parametrize("kind", ["mod_bpsk", "mod_qpsk"])
@@ -554,7 +560,7 @@ class TestBerSweep:
         cfg = self._kind_cfg(kind, "exact", 0)
         run_ber_sweep(cfg)
         assert len(calls) == cfg.blocks * len(cfg.axis_values)
-        assert all(isinstance(d, theory.DeterministicEnergies) for d in calls)
+        assert all(isinstance(d, theory.EnergyLaw) for d in calls)
 
     @pytest.mark.parametrize("axis", ["jnr_db", "n"])
     def test_estimated_envelope_roots_are_one_batch_per_frame(

@@ -22,8 +22,8 @@ def _cfg(**kw):
 
 
 def _threshold_of_means(q0_mean, q1_mean, cfg):
-    levels = theory.ConditionalVariances(q0_mean, q1_mean)
-    return theory.optimal_threshold_random(levels, cfg.p1, cfg.p2, cfg.N)
+    levels = theory.EnergyLaw(q0_mean, q1_mean)
+    return theory.optimal_threshold(levels, cfg.p1, cfg.p2, cfg.N)
 
 
 class TestFrameConfig:
@@ -299,8 +299,8 @@ class TestBlockEnergies:
         if kind in (JammerKind.MOD_BPSK, JammerKind.MOD_QPSK):
             lo, hi = sorted(theory.jam_energy(self.CH, a, 3.0)
                             for a in (cfg.a1, cfg.a2))
-            want = theory.DeterministicEnergies(qd_1=lo, qd_2=hi,
-                                                sigma2_R=self.CH.sigma2_R)
+            want = theory.EnergyLaw(self.CH.sigma2_R, self.CH.sigma2_R, lo,
+                                    hi)
         else:
             want = theory.variances(self.CH, cfg.a1, cfg.a2, 3.0)
         assert levels == want
